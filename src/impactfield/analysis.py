@@ -114,8 +114,8 @@ class StudyCell:
 
 
 def dyad_mask(dist: DistanceMatrix) -> np.ndarray:
-    """Boolean mask of ordered pairs at finite hop distance >= 1."""
-    return dist.reachable & (dist.hops >= 1)
+    """Boolean mask of ordered pairs at finite hop distance >= 1 (read-only)."""
+    return dist.dyads.mask
 
 
 def mean_impact_by_distance(
@@ -128,20 +128,19 @@ def mean_impact_by_distance(
     """
     if dist.n != impact.n:
         raise ValidationError("impact matrix and distances must agree on n")
-    mask = dyad_mask(dist)
-    if not mask.any():
+    dyads = dist.dyads
+    if not dyads.count:
         raise EmptyCurveError("no ordered pairs at finite distance >= 1")
-    points = []
-    for d in np.unique(dist.hops[mask]):
-        at_d = mask & (dist.hops == d)
-        points.append(
-            CurvePoint(
-                distance=int(d),
-                mean_impact=float(impact.values[at_d].mean()),
-                n_pairs=int(at_d.sum()),
-            )
+    values = impact.values.ravel()
+    points = tuple(
+        CurvePoint(
+            distance=int(d),
+            mean_impact=float(values[dyads.flat[start:stop]].mean()),
+            n_pairs=int(stop - start),
         )
-    return DecayCurve(gamma=impact.gamma, treatment=treatment, points=tuple(points))
+        for d, start, stop in zip(dyads.distances, dyads.bounds[:-1], dyads.bounds[1:])
+    )
+    return DecayCurve(gamma=impact.gamma, treatment=treatment, points=points)
 
 
 def fit_exponential(
@@ -200,19 +199,18 @@ def dyad_correlation(
         raise ValidationError(
             f"gamma mismatch: exact has {exact.gamma!r}, approximation {approx.gamma!r}"
         )
-    mask = dyad_mask(dist)
-    count = int(mask.sum())
-    if count < MIN_DYADS:
-        raise InsufficientDataError(f"{count} dyads; need at least {MIN_DYADS}")
-    x = exact.values[mask]
-    y = approx.values[mask]
+    dyads = dist.dyads
+    if dyads.count < MIN_DYADS:
+        raise InsufficientDataError(f"{dyads.count} dyads; need at least {MIN_DYADS}")
+    x = exact.values[dyads.mask]
+    y = approx.values[dyads.mask]
     if log_values:
         if np.any(x <= 0.0) or np.any(y <= 0.0):
             raise DomainError("log correlation requires positive impact on every dyad")
         x = np.log(x)
         y = np.log(y)
-    x = x - x.mean()
-    y = y - y.mean()
+    x -= x.mean()
+    y -= y.mean()
     denom = float(np.sqrt(np.dot(x, x) * np.dot(y, y)))
     if denom == 0.0:
         raise UndefinedCorrelationError("zero variance in at least one impact vector")
@@ -357,7 +355,7 @@ def _run_cell(
         notes.append(f"fit skipped: {exc}")
     records: list[CorrelationRecord] = []
     approximations: dict[int, ImpactMatrix] = {}
-    n_dyads = int(dyad_mask(dist).sum())
+    n_dyads = dist.dyads.count
     for order in orders:
         approx = approx_impact(weight, select_modes(decomposition, gamma, order), dist)
         approximations[order] = approx

@@ -32,7 +32,7 @@ from .analysis import (
     Treatment,
     run_study,
 )
-from .errors import ImpactfieldError, ValidationError
+from .errors import EdgeListParseError, ImpactfieldError, ValidationError
 from .graph import (
     Graph,
     generate_er,
@@ -144,17 +144,22 @@ def _parse_generator_spec(spec: str, directed: bool, default_seed: int) -> Graph
     return graph
 
 
+def _read_edge_list(path: Path, directed: bool) -> Graph:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_edge_list(handle, directed=directed)
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"cannot decode input {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read input {path}: {exc}") from exc
+
+
 def _load_input(config: RunConfig) -> tuple[str, Graph]:
     if config.input.startswith(("er:", "pa:")):
         network = config.input.replace(":", "-").replace(",", "-").replace("=", "")
         return network, _parse_generator_spec(config.input, config.directed, config.seed)
     path = Path(config.input)
-    try:
-        with open(path) as handle:
-            graph = parse_edge_list(handle, directed=config.directed)
-    except OSError as exc:
-        raise ValidationError(f"cannot read input {path}: {exc}") from exc
-    return path.stem, graph
+    return path.stem, _read_edge_list(path, config.directed)
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -244,8 +249,7 @@ def _replicate_one(
     path = Path(path_str)
     network = path.stem
     try:
-        with open(path) as handle:
-            graph = parse_edge_list(handle, directed=directed)
+        graph = _read_edge_list(path, directed)
         if graph.n == 0:
             raise ValidationError("no edges in input")
         entry = ManifestEntry(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
 __all__ = [
     "Graph",
     "DistanceMatrix",
+    "DyadIndex",
     "parse_edge_list",
     "serialize_edge_list",
     "symmetrize_weak",
@@ -208,6 +210,28 @@ def symmetrize_weak(graph: Graph) -> Graph:
 
 
 @dataclass(frozen=True, eq=False)
+class DyadIndex:
+    """Ordered pairs at finite hop distance >= 1, grouped by distance.
+
+    ``mask`` marks the pairs in an n x n boolean matrix; selecting with it
+    is the fastest way to gather every dyad, in row-major order. ``flat``
+    holds their row-major flat indices stably sorted by hop count, so the
+    pairs at ``distances[g]`` are ``flat[bounds[g]:bounds[g + 1]]`` in
+    row-major order. The index dtype is int32 whenever n * n fits, which
+    halves its memory. Both arrays are read-only, as they are shared.
+    """
+
+    mask: np.ndarray
+    flat: np.ndarray
+    distances: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.flat)
+
+
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop counts with an explicit reachability mask.
 
@@ -218,6 +242,24 @@ class DistanceMatrix:
     n: int
     hops: np.ndarray
     reachable: np.ndarray
+
+    @cached_property
+    def dyads(self) -> DyadIndex:
+        """The dyad set, computed on first use and then shared."""
+        mask = self.reachable & (self.hops >= 1)
+        labels = np.where(mask, self.hops, 0)
+        counts = np.bincount(labels.ravel(), minlength=1)
+        # a stable sort on a narrow key is a linear-time radix sort;
+        # label 0 (diagonal and unreachable pairs) sorts first and is cut
+        key = labels.astype(np.min_scalar_type(len(counts) - 1))
+        del labels
+        order = np.argsort(key, axis=None, kind="stable")
+        index_type = np.int32 if self.n * self.n <= np.iinfo(np.int32).max else np.int64
+        flat = order[counts[0]:].astype(index_type)
+        distances = np.flatnonzero(counts[1:]) + 1
+        bounds = np.concatenate(([0], np.cumsum(counts[distances])))
+        mask.flags.writeable = flat.flags.writeable = False
+        return DyadIndex(mask=mask, flat=flat, distances=distances, bounds=bounds)
 
     def distance(self, src: int, dst: int) -> int | None:
         """Hop count from src to dst, or None when no path exists."""

@@ -136,18 +136,52 @@ def _factorize(weight: WeightMatrix):
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
     gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
-    rcond, info = gecon(lu, np.linalg.norm(system, 1), norm="1")
+    _check_rcond(*gecon(lu, np.linalg.norm(system, 1), norm="1"))
+    return lu, piv
+
+
+def _check_rcond(rcond: float, info: int) -> None:
     if info != 0 or rcond < _RCOND_FLOOR:
         raise SolverError(
             f"(I - W) is numerically singular; reciprocal condition estimate {rcond:.3e}"
         )
-    return lu, piv
+
+
+def _symmetric_inverse(weight: WeightMatrix) -> np.ndarray:
+    # rho(W) = gamma < 1 puts every eigenvalue of the symmetric I - W in
+    # (1 - gamma, 1 + gamma), so it is positive definite. The Fortran
+    # routines work in place on the transposed view, which is the same
+    # symmetric matrix in column-major order.
+    system = np.eye(weight.n) - weight.W
+    anorm = np.linalg.norm(system, 1)
+    potrf, pocon, potri = scipy.linalg.get_lapack_funcs(("potrf", "pocon", "potri"), (system,))
+    factor, info = potrf(system.T, lower=False, clean=False, overwrite_a=True)
+    if info != 0:
+        raise SolverError(f"(I - W) could not be factorized: potrf returned info={info}")
+    _check_rcond(*pocon(factor, anorm, uplo="U"))
+    inverse, info = potri(factor, lower=False, overwrite_c=True)
+    if info != 0:
+        raise SolverError(f"(I - W) could not be inverted: potri returned info={info}")
+    # potri filled the lower triangle of the row-major result; mirror it
+    values = inverse.T
+    for row in range(weight.n - 1):
+        values[row, row + 1:] = values[row + 1:, row]
+    return values
 
 
 def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
-    """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve."""
-    lu, piv = _factorize(weight)
-    values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
+    """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve.
+
+    A symmetric ``W`` (undirected input, or a digraph whose arcs all come
+    in equal-weight pairs) makes ``I - W`` symmetric positive definite,
+    and the inverse comes from a Cholesky factorization; any other ``W``
+    goes through LU. Both routes refuse a numerically singular system.
+    """
+    if np.array_equal(weight.W, weight.W.T):
+        values = _symmetric_inverse(weight)
+    else:
+        lu, piv = _factorize(weight)
+        values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
     return ImpactMatrix(n=weight.n, values=values, kind=ImpactKind.EXACT, gamma=weight.gamma)
 
 
@@ -189,14 +223,58 @@ def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), z)
 
 
+def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
+    """Split a mode set into real terms: ``(mode, folded)`` per term.
+
+    A mode whose eigenvalue, gain and vectors are all real is its own
+    term. Every other mode needs its exact conjugate (eigenvalue, gain
+    and both vectors conjugated) elsewhere in the set; the pair sums to
+    twice the real part of its first member, so ``folded`` is set and the
+    partner contributes no term of its own.
+    """
+    values, gains = modes.eigenvalues, modes.gains
+    right, left = modes.receive_vectors, modes.send_rows
+
+    def conjugates(a: int, b: int) -> bool:
+        return bool(
+            values[b] == np.conj(values[a])
+            and gains[b] == np.conj(gains[a])
+            and np.array_equal(right[:, b], np.conj(right[:, a]))
+            and np.array_equal(left[b], np.conj(left[a]))
+        )
+
+    terms: list[tuple[int, bool]] = []
+    partnered: set[int] = set()
+    for mode in range(modes.num_modes):
+        if mode in partnered:
+            continue
+        if conjugates(mode, mode):
+            terms.append((mode, False))
+            continue
+        candidates = np.flatnonzero(values == np.conj(values[mode]))
+        partner = next(
+            (int(c) for c in candidates if c != mode and c not in partnered and conjugates(mode, c)),
+            None,
+        )
+        if partner is None:
+            raise ConjugateClosureError(
+                f"mode with eigenvalue {values[mode]!r} has no exact conjugate partner; "
+                "the mode set is not conjugate closed"
+            )
+        partnered.add(partner)
+        terms.append((mode, True))
+    return terms
+
+
 def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
     """Spectral distance-decay approximation of the total-impact matrix.
 
     Entry (i, j) sums ``(gamma * lam)^d / (1 - gamma * lam) * s_i * s'_j``
     over the selected modes, with d the hop count from i to j. Pairs with
-    no connecting path get 0, the limit value. The imaginary part left
-    after summation must be negligible (the mode set is conjugate
-    closed); it is dropped only after that check.
+    no connecting path get 0, the limit value. The mode set must be
+    conjugate closed, so the sum is real: it is accumulated in real
+    arithmetic, each conjugate pair as twice the real part of one member,
+    and a mode without its conjugate raises ConjugateClosureError.
     """
     if modes.gamma != weight.gamma:
         raise ValidationError(
@@ -204,25 +282,25 @@ def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) ->
         )
     if modes.receive_vectors.shape[0] != weight.n or dist.n != weight.n:
         raise ValidationError("mode set, weight matrix, and distances must agree on n")
+    terms = _real_terms(modes)
     hops_safe = np.where(dist.reachable, dist.hops, 0)
     dmax = int(hops_safe.max(initial=0))
     exponents = np.arange(dmax + 1)
-    accumulator = np.zeros((weight.n, weight.n), dtype=complex)
-    for mode in range(modes.num_modes):
+    values = np.zeros((weight.n, weight.n))
+    for mode, folded in terms:
         table = modes.gains[mode] * np.power(weight.gamma * modes.eigenvalues[mode], exponents)
-        accumulator += table[hops_safe] * np.outer(
-            modes.receive_vectors[:, mode], modes.send_rows[mode, :]
-        )
-    accumulator[~dist.reachable] = 0.0
-    residue = np.abs(accumulator.imag)
-    allowed = 1e-10 * (1.0 + np.abs(accumulator.real))
-    if np.any(residue > allowed):
-        worst = float(np.max(residue - allowed))
-        raise ConjugateClosureError(
-            f"imaginary residue exceeds tolerance by up to {worst:.3e}; "
-            "the mode set is not conjugate closed"
-        )
-    values = np.ascontiguousarray(accumulator.real)
+        receive = modes.receive_vectors[:, mode]
+        send = modes.send_rows[mode, :]
+        if folded:
+            outer = np.outer(receive, send)
+            term = table.real[hops_safe] * outer.real
+            term -= table.imag[hops_safe] * outer.imag
+            term *= 2.0
+        else:
+            term = np.outer(receive.real, send.real)
+            term *= table.real[hops_safe]
+        values += term
+    values[~dist.reachable] = 0.0
     return ImpactMatrix(
         n=weight.n, values=values, kind=ImpactKind.APPROX, gamma=weight.gamma, order=modes.order
     )

@@ -55,13 +55,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    The file gets the mode a plain ``open`` would give it, ``0o666``
+    less the umask, not the owner-only mode of the temp file.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:

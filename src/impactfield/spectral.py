@@ -173,6 +173,14 @@ def _closed_prefix(values: np.ndarray, k: int) -> int:
     return keep
 
 
+def _dense_eig(solver, matrix: np.ndarray):
+    """Run a dense LAPACK eigensolver; its failure is a ConvergenceError."""
+    try:
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from exc
+
+
 def _arpack_radius(graph: Graph) -> float:
     matrix = graph.adjacency_sparse()
     v0 = np.ones(graph.n) / np.sqrt(graph.n)
@@ -213,7 +221,7 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             if graph.n > dense_threshold:
                 raise
     if graph.n <= dense_threshold:
-        dense = float(np.max(np.abs(np.linalg.eigvals(graph.adjacency()))))
+        dense = float(np.max(np.abs(_dense_eig(np.linalg.eigvals, graph.adjacency()))))
         if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
             raise ConvergenceError(
                 f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
@@ -225,7 +233,7 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
 
 def _dense_eigenpairs(graph: Graph, b: np.ndarray):
     if graph.directed:
-        values, right = np.linalg.eig(b)
+        values, right = _dense_eig(np.linalg.eig, b)
         try:
             inverse = np.linalg.inv(right)
         except np.linalg.LinAlgError as exc:
@@ -243,11 +251,26 @@ def _dense_eigenpairs(graph: Graph, b: np.ndarray):
             )
         order = _canonical_order(values)
         return values[order], right[:, order], inverse[order, :]
-    values, right = np.linalg.eigh(b)
+    values, right = _dense_eig(np.linalg.eigh, b)
     order = _canonical_order(values.astype(complex))
     right = right[:, order].astype(complex)
     # orthonormal basis: the inverse is the plain transpose
     return values[order].astype(complex), right, right.T.copy()
+
+
+def _conjugate_closure(values: np.ndarray, vectors: np.ndarray):
+    """Append the conjugate of every complex eigenpair missing its partner."""
+    candidates = np.flatnonzero(np.abs(values.imag) > _PAIR_TOL)
+    targets = np.conj(values[candidates])
+    gaps = np.abs(values[None, :] - targets[:, None])
+    paired = np.any(gaps <= _MATCH_TOL * np.maximum(1.0, np.abs(targets))[:, None], axis=1)
+    missing = candidates[~paired]
+    if not missing.size:
+        return values, vectors
+    return (
+        np.concatenate([values, np.conj(values[missing])]),
+        np.hstack([vectors, np.conj(vectors[:, missing])]),
+    )
 
 
 def _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l):
@@ -257,12 +280,15 @@ def _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l):
     eigenvalue agrees and whose bilinear pairing with the right vector is
     largest in magnitude; the magnitude criterion disambiguates repeated
     eigenvalues (for instance identical values on disconnected
-    components, where eigenvalue distance alone could cross-match). A
-    one-sided member of a conjugate pair gets its partner synthesized by
-    conjugation, which is an exact eigenpair because the matrix is real.
+    components, where eigenvalue distance alone could cross-match). The
+    left candidates are first closed under conjugation, since the two
+    solver runs can cut a conjugate pair on opposite sides. A one-sided
+    member of a conjugate pair gets its partner synthesized by
+    conjugation; both steps are exact because the matrix is real.
     """
     n = vecs_r.shape[0]
-    modes = []
+    vals_l, vecs_l = _conjugate_closure(vals_l, vecs_l)
+    matched = []
     available = list(range(len(vals_l)))
     for i, value in enumerate(vals_r):
         close = [
@@ -274,25 +300,18 @@ def _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l):
             )
         best = max(close, key=lambda j: abs(vecs_l[:, j] @ vecs_r[:, i]))
         available.remove(best)
-        modes.append((value, vecs_r[:, i].copy(), vecs_l[:, best].copy()))
+        matched.append(best)
 
-    values_now = np.array([m[0] for m in modes])
-    for value, s_vec, u_vec in list(modes):
-        if abs(value.imag) <= _PAIR_TOL:
-            continue
-        target = np.conj(value)
-        if np.any(np.abs(values_now - target) <= _MATCH_TOL * max(1.0, abs(value))):
-            continue
-        modes.append((target, np.conj(s_vec), np.conj(u_vec)))
-        values_now = np.append(values_now, target)
-
-    values = np.array([m[0] for m in modes])
+    # right vectors stacked over their matched left vectors
+    values, stacked = _conjugate_closure(vals_r, np.vstack([vecs_r, vecs_l[:, matched]]))
     order = _canonical_order(values)
     values = values[order]
-    right = np.column_stack([modes[i][1] for i in order])
+    # contiguous copies: BLAS can round a strided dot product differently
+    right = np.ascontiguousarray(stacked[:n, order])
+    left_candidates = stacked[n:].T.copy()
     left = np.zeros((len(values), n), dtype=complex)
     for row, i in enumerate(order):
-        u_vec = modes[i][2]
+        u_vec = left_candidates[i]
         pairing = u_vec @ right[:, row]
         if abs(pairing) < _PAIR_TOL * np.linalg.norm(u_vec) * np.linalg.norm(right[:, row]):
             raise DefectivenessError(
@@ -310,11 +329,11 @@ def _dense_topk_eigenpairs(b: np.ndarray, k: int):
     eigenvalue defective; the leading modes themselves are unaffected by
     that defectiveness.
     """
-    values, right = np.linalg.eig(b)
+    values, right = _dense_eig(np.linalg.eig, b)
     order = _canonical_order(values)
     keep = _closed_prefix(values[order], k)
     kept = order[:keep]
-    vals_l, vecs_l = np.linalg.eig(b.T)
+    vals_l, vecs_l = _dense_eig(np.linalg.eig, b.T)
     return _pair_left_rows(values[kept], right[:, kept], vals_l, vecs_l)
 
 

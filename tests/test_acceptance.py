@@ -43,7 +43,7 @@ from impactfield.cli import main
 from impactfield.errors import DefectivenessError, GraphValidationError
 from impactfield.impact import approx_impact
 
-from util import arcs, connected_er
+from util import arcs, connected_er, small_er_corpus
 
 
 @contextmanager
@@ -55,29 +55,6 @@ def reported(number: int, description: str):
         print(f"[FAIL] criterion {number}: {description}")
         raise
     print(f"[PASS] criterion {number}: {description}")
-
-
-def small_er_corpus(count: int = 50) -> list[Graph]:
-    """Mixed directed/undirected ER graphs with n <= 50, mean degree ~4.
-
-    Seed-walk with a validity filter: candidates the weight builder
-    rejects (edgeless, or directed without any cycle) are skipped so
-    every kept graph supports the full pipeline.
-    """
-    rng = np.random.default_rng(123)
-    graphs: list[Graph] = []
-    seed = 300
-    while len(graphs) < count:
-        n = int(rng.integers(4, 51))
-        directed = bool(rng.integers(0, 2))
-        candidate = generate_er(n=n, p=min(0.9, 4.0 / n), directed=directed, seed=seed)
-        seed += 1
-        try:
-            build_weight(candidate, 0.5)
-        except GraphValidationError:
-            continue
-        graphs.append(candidate)
-    return graphs
 
 
 def directed_er_corpus(count: int = 20, start_seed: int = 2000) -> list[Graph]:

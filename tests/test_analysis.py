@@ -7,6 +7,9 @@ with slope ln gamma and the fit must come back with r squared 1.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,7 @@ from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     ImpactKind,
     ImpactMatrix,
+    approx_impact,
     build_weight,
     exact_propagator,
     gamma_grid,
@@ -329,6 +333,12 @@ def test_study_keeps_matrices_only_on_request() -> None:
     assert kept.exact is not None
     assert set(kept.approximations) == {1, 2}
     assert kept.distances is not None
+    w = build_weight(g, 0.5)
+    assert np.array_equal(kept.exact.values, exact_propagator(w).values)
+    modes = select_modes(decompose(g, k=6), 0.5, 2)
+    approx = approx_impact(w, modes, kept.distances).values
+    assert approx.shape == (g.n, g.n)
+    assert np.array_equal(kept.approximations[2].values, approx)
 
 
 def test_failed_treatment_yields_error_cells_not_an_abort() -> None:
@@ -394,3 +404,15 @@ def test_error_cells_are_skipped_when_writing(tmp_path) -> None:
     path = tmp_path / "curves.csv"
     write_curves_csv(path, cells)
     assert read_curves_csv(path) == {}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_csv_mode_follows_the_umask(tmp_path, umask, mode) -> None:
+    cells = run_study(generate_er(n=18, p=0.25, directed=False, seed=67), gammas=[0.5])
+    path = tmp_path / "curves.csv"
+    previous = os.umask(umask)
+    try:
+        write_curves_csv(path, cells)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == mode

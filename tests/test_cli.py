@@ -10,6 +10,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from impactfield.cli import main
@@ -220,6 +221,26 @@ def test_analyze_parse_failure_exits_two(tmp_path, capsys) -> None:
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_undecodable_input_exits_two(tmp_path, capsys) -> None:
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"a b\n\xe9t\xe9 b\n")
+    code = main(["analyze", "--input", str(path), "--undirected", "--gamma", "0.5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "latin.txt" in capsys.readouterr().err
+
+
+def test_analyze_dense_eigensolver_failure_exits_three(tmp_path, capsys, monkeypatch) -> None:
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code = main(["analyze", "--input", write_input(tmp_path, "paw.txt", PAW), "--undirected",
+                 "--gamma", "0.5", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_analyze_failed_cell_names_the_cell(tmp_path, capsys) -> None:
     # acyclic digraph: the directed treatment fails and the exit code
     # carries the failure; no symmetrized fallback without --symmetrize
@@ -410,6 +431,20 @@ def test_replicate_logs_bad_network_and_continues(tmp_path, capsys) -> None:
     assert code == 0
     entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
     assert entries["broken"].status.startswith("error:")
+    assert entries["net0"].status == "ok"
+    assert entries["net1"].status == "ok"
+    assert len(read_correlations_csv(out / "correlations.csv")) == 40
+    capsys.readouterr()
+
+
+def test_replicate_records_undecodable_file_and_continues(tmp_path, capsys) -> None:
+    corpus = make_corpus(tmp_path, count=2)
+    (corpus / "latin.txt").write_bytes(b"a b\n\xe9t\xe9 b\n")
+    out = tmp_path / "out"
+    code = main(["replicate", "--corpus", str(corpus), "--out", str(out)])
+    assert code == 0
+    entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
+    assert entries["latin"].status.startswith("error:")
     assert entries["net0"].status == "ok"
     assert entries["net1"].status == "ok"
     assert len(read_correlations_csv(out / "correlations.csv")) == 40

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from impactfield.errors import (
     ConjugateClosureError,
     NegativeWeightsWarning,
     NormalizationError,
+    SolverError,
     ValidationError,
 )
 from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     ImpactKind,
+    WeightMatrix,
     approx_impact,
     build_weight,
     distance_factored_impact,
@@ -32,7 +35,7 @@ from impactfield.impact import (
 )
 from impactfield.spectral import decompose, select_modes
 
-from util import arcs
+from util import arcs, complex_approx_impact, small_er_corpus
 
 
 def two_cycle():
@@ -122,6 +125,41 @@ def test_propagator_inverts_the_system_matrix() -> None:
     exact = exact_propagator(w)
     identity = (np.eye(w.n) - w.W) @ exact.values
     assert np.max(np.abs(identity - np.eye(w.n))) < 1e-10
+
+
+def test_symmetric_route_matches_lu_on_identity_corpus() -> None:
+    # symmetric W goes through Cholesky and must agree with LU; any other
+    # W goes through LU itself, so its values are bitwise the reference
+    symmetric = nonsymmetric = 0
+    for graph in small_er_corpus():
+        for gamma in gamma_grid():
+            w = build_weight(graph, gamma)
+            system = np.eye(w.n) - w.W
+            reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), np.eye(w.n))
+            values = exact_propagator(w).values
+            if np.array_equal(w.W, w.W.T):
+                symmetric += 1
+                assert np.max(np.abs(values - reference)) <= 1e-12
+                assert np.array_equal(values, values.T)
+            else:
+                nonsymmetric += 1
+                assert np.array_equal(values, reference)
+    assert symmetric >= 50 and nonsymmetric >= 50
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [[0.0, 1.0 - 1e-15], [1.0 - 1e-15, 0.0]],  # symmetric, rcond ~ 5e-16
+        [[0.0, 1.0], [1.0, 0.0]],  # symmetric and exactly singular
+        [[0.0, 2.0 - 2e-15], [0.5, 0.0]],  # nonsymmetric, rcond ~ 1e-16
+    ],
+)
+def test_singular_system_is_refused_on_both_routes(w) -> None:
+    w = np.array(w)
+    weight = WeightMatrix(n=2, gamma=0.5, rho=1.0, B=2.0 * w, W=w)
+    with pytest.raises(SolverError):
+        exact_propagator(weight)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +348,48 @@ def test_approx_rejects_dimension_mismatch() -> None:
     modes = select_modes(decompose(g), gamma=0.5, order=1)
     with pytest.raises(ValidationError):
         approx_impact(w, modes, geodesic_distances(other))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_real_kernel_matches_complex_reference(directed) -> None:
+    complex_modes = 0
+    for seed in range(4):
+        g = generate_er(n=40, p=0.1, directed=directed, seed=900 + seed)
+        dist = geodesic_distances(g)
+        dec = decompose(g, k=10)
+        for gamma in (0.5, 0.96875):
+            w = build_weight(g, gamma)
+            for order in (1, 2, 3, 5, 8):
+                modes = select_modes(dec, gamma, order)
+                complex_modes += int(np.count_nonzero(modes.eigenvalues.imag))
+                reference = complex_approx_impact(w, modes, dist)
+                values = approx_impact(w, modes, dist).values
+                assert np.max(np.abs(values - reference)) <= 1e-12
+    assert (complex_modes > 0) == directed
+
+
+def test_inexact_conjugate_partner_is_detected() -> None:
+    # a partner whose send row is not the conjugate leaves an imaginary
+    # residue in the complex sum; the real kernel must refuse it too
+    from impactfield.spectral import ModeSet
+
+    g = three_cycle()
+    w = build_weight(g, gamma=0.5)
+    modes = select_modes(decompose(g), gamma=0.5, order=2)
+    send_rows = modes.send_rows.copy()
+    send_rows[2] *= 1.0 + 1e-3
+    skewed = ModeSet(
+        eigenvalues=modes.eigenvalues,
+        receive_vectors=modes.receive_vectors,
+        send_rows=send_rows,
+        gains=modes.gains,
+        order=2,
+        gamma=0.5,
+    )
+    dist = geodesic_distances(g)
+    for kernel in (complex_approx_impact, approx_impact):
+        with pytest.raises(ConjugateClosureError):
+            kernel(w, skewed, dist)
 
 
 def test_broken_conjugate_closure_is_detected() -> None:

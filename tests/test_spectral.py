@@ -199,6 +199,23 @@ def test_decompose_rejects_bad_k() -> None:
         decompose(g, k=4)
 
 
+@pytest.mark.parametrize(
+    "solver, directed, k",
+    [("eigvals", True, None), ("eig", True, None), ("eig", True, 3), ("eigh", False, None)],
+)
+def test_dense_solver_failure_is_a_convergence_error(monkeypatch, solver, directed, k) -> None:
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    g = generate_er(n=20, p=0.3, directed=directed, seed=5)
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(ConvergenceError):
+        if solver == "eigvals":
+            spectral_radius(g)
+        else:
+            decompose(g, normalize=False, k=k)
+
+
 def test_nilpotent_matrix_is_reported_defective() -> None:
     g = arcs(3, [(0, 1), (1, 2)])
     with pytest.raises(DefectivenessError):
@@ -303,6 +320,19 @@ def test_iterative_route_is_deterministic() -> None:
     second = decompose(g, k=5, dense_threshold=10)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.right_vectors, second.right_vectors)
+
+
+def test_iterative_route_survives_a_pair_cut_apart_between_sides() -> None:
+    # the solver's cut falls inside the conjugate pair at |lambda| ~ 0.3367:
+    # the right run keeps one member and the left run on B^T the other
+    g = generate_er(n=50, p=0.15, directed=True, seed=29)
+    iterative = decompose(g, k=5, dense_threshold=10)
+    dense = decompose(g, k=5)
+    m = min(dense.num_modes, iterative.num_modes)
+    assert m >= 5
+    assert np.max(np.abs(dense.eigenvalues[:m] - iterative.eigenvalues[:m])) < 1e-10
+    assert np.max(np.abs(dense.right_vectors[:, :m] - iterative.right_vectors[:, :m])) < 1e-8
+    assert np.max(np.abs(dense.left_rows[:m] - iterative.left_rows[:m])) < 1e-8
 
 
 # ---------------------------------------------------------------------------

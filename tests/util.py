@@ -6,7 +6,11 @@ from collections import deque
 
 import numpy as np
 
-from impactfield import Graph, generate_er, is_connected
+from impactfield import Graph, build_weight, generate_er, is_connected
+from impactfield.errors import ConjugateClosureError, GraphValidationError
+from impactfield.graph import DistanceMatrix
+from impactfield.impact import WeightMatrix
+from impactfield.spectral import ModeSet
 
 
 def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
@@ -53,3 +57,46 @@ def connected_er(n: int, p: float, count: int, start_seed: int) -> list[Graph]:
             graphs.append(candidate)
         seed += 1
     return graphs
+
+
+def small_er_corpus(count: int = 50) -> list[Graph]:
+    """Mixed directed/undirected ER graphs with n <= 50, mean degree ~4.
+
+    Seed-walk with a validity filter: candidates the weight builder
+    rejects (edgeless, or directed without any cycle) are skipped so
+    every kept graph supports the full pipeline.
+    """
+    rng = np.random.default_rng(123)
+    graphs: list[Graph] = []
+    seed = 300
+    while len(graphs) < count:
+        n = int(rng.integers(4, 51))
+        directed = bool(rng.integers(0, 2))
+        candidate = generate_er(n=n, p=min(0.9, 4.0 / n), directed=directed, seed=seed)
+        seed += 1
+        try:
+            build_weight(candidate, 0.5)
+        except GraphValidationError:
+            continue
+        graphs.append(candidate)
+    return graphs
+
+
+def complex_approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) -> np.ndarray:
+    """Reference approximation: every mode summed in complex arithmetic.
+
+    The imaginary residue left after the sum must be negligible; a mode
+    set that is not conjugate closed raises ConjugateClosureError.
+    """
+    hops_safe = np.where(dist.reachable, dist.hops, 0)
+    exponents = np.arange(int(hops_safe.max(initial=0)) + 1)
+    accumulator = np.zeros((weight.n, weight.n), dtype=complex)
+    for mode in range(modes.num_modes):
+        table = modes.gains[mode] * np.power(weight.gamma * modes.eigenvalues[mode], exponents)
+        accumulator += table[hops_safe] * np.outer(
+            modes.receive_vectors[:, mode], modes.send_rows[mode, :]
+        )
+    accumulator[~dist.reachable] = 0.0
+    if np.any(np.abs(accumulator.imag) > 1e-10 * (1.0 + np.abs(accumulator.real))):
+        raise ConjugateClosureError("imaginary residue exceeds tolerance")
+    return accumulator.real.copy()
