@@ -52,12 +52,9 @@ from .impact import (
     WeightMatrix,
     approx_impact,
     build_weight,
-    distance_factored_impact,
     equilibrium_state,
     exact_propagator,
     gamma_grid,
-    series_oracle,
-    series_terms_for_tolerance,
 )
 from .spectral import (
     DEFAULT_DENSE_THRESHOLD,
@@ -93,11 +90,8 @@ __all__ = [
     "build_weight",
     "gamma_grid",
     "exact_propagator",
-    "series_oracle",
-    "series_terms_for_tolerance",
     "equilibrium_state",
     "approx_impact",
-    "distance_factored_impact",
     "Treatment",
     "CurvePoint",
     "DecayCurve",

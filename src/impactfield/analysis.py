@@ -7,6 +7,7 @@ the diagonal and unreachable pairs are excluded exactly once, here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,11 +39,11 @@ __all__ = [
     "ExponentialFit",
     "CorrelationRecord",
     "StudyCell",
-    "dyad_mask",
     "mean_impact_by_distance",
     "fit_exponential",
     "dyad_correlation",
     "run_study",
+    "validate_study_options",
 ]
 
 DEFAULT_FIT_RANGE = (1, 6)
@@ -111,11 +112,6 @@ class StudyCell:
     exact: ImpactMatrix | None = None
     approximations: dict[int, ImpactMatrix] | None = None
     distances: DistanceMatrix | None = None
-
-
-def dyad_mask(dist: DistanceMatrix) -> np.ndarray:
-    """Boolean mask of ordered pairs at finite hop distance >= 1 (read-only)."""
-    return dist.dyads.mask
 
 
 def mean_impact_by_distance(
@@ -217,6 +213,29 @@ def dyad_correlation(
     return float(min(1.0, max(-1.0, np.dot(x, y) / denom)))
 
 
+def validate_study_options(
+    gammas: Sequence[float], orders: Sequence[int], fit_range: tuple[int, int]
+) -> None:
+    """Check the sweep options that every study entry point shares.
+
+    Raises ValidationError for an empty gamma or order list, a gamma
+    outside (0, 1), an order below 1, or a fit range whose lower bound
+    exceeds its upper bound.
+    """
+    if not gammas:
+        raise ValidationError("at least one gamma is required")
+    for gamma in gammas:
+        if not 0.0 < gamma < 1.0:
+            raise ValidationError(f"gamma {gamma!r} must lie strictly inside (0, 1)")
+    if not orders:
+        raise ValidationError("at least one approximation order is required")
+    for order in orders:
+        if order < 1:
+            raise ValidationError(f"order {order!r} must be a positive integer")
+    if fit_range[0] > fit_range[1]:
+        raise ValidationError("fit range lower bound exceeds upper bound")
+
+
 def _study_treatments(
     graph: Graph, restrict: tuple[Treatment, ...] | None
 ) -> list[tuple[Treatment, Graph]]:
@@ -259,17 +278,8 @@ def run_study(
     back sorted by (treatment, gamma).
     """
     gammas = sorted(gamma_grid() if gammas is None else gammas)
-    if not gammas:
-        raise ValidationError("at least one gamma is required")
-    for gamma in gammas:
-        if not 0.0 < gamma < 1.0:
-            raise ValidationError(f"gamma {gamma!r} must lie strictly inside (0, 1)")
     orders = tuple(sorted(set(orders)))
-    if not orders:
-        raise ValidationError("at least one approximation order is required")
-    for order in orders:
-        if order < 1:
-            raise ValidationError(f"order {order!r} must be a positive integer")
+    validate_study_options(gammas, orders, fit_range)
 
     cells: list[StudyCell] = []
     for treatment, treated in _study_treatments(graph, treatments):

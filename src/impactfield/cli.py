@@ -31,6 +31,7 @@ from .analysis import (
     StudyCell,
     Treatment,
     run_study,
+    validate_study_options,
 )
 from .errors import EdgeListParseError, ImpactfieldError, ValidationError
 from .graph import (
@@ -78,20 +79,9 @@ class RunConfig:
             raise ValidationError("at least one treatment is required")
         if Treatment.DIRECTED in self.treatments and not self.directed:
             raise ValidationError("directed treatment is inconsistent with undirected input")
-        if not self.gammas:
-            raise ValidationError("at least one gamma is required")
-        for gamma in self.gammas:
-            if not 0.0 < gamma < 1.0:
-                raise ValidationError(f"gamma {gamma!r} must lie strictly inside (0, 1)")
-        if not self.orders:
-            raise ValidationError("at least one approximation order is required")
-        for order in self.orders:
-            if order < 1:
-                raise ValidationError(f"order {order!r} must be a positive integer")
+        validate_study_options(self.gammas, self.orders, self.fit_range)
         if self.dense_threshold < 1:
             raise ValidationError("dense threshold must be positive")
-        if self.fit_range[0] > self.fit_range[1]:
-            raise ValidationError("fit range lower bound exceeds upper bound")
         out = Path(self.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
@@ -321,6 +311,7 @@ def cmd_replicate(
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     gammas = tuple(gamma_grid()) if gammas is None else gammas
+    validate_study_options(gammas, orders, fit_range)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -412,6 +403,13 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_fit_range(text: str) -> tuple[int, int]:
+    fit_range = _parse_int_list(text, "--fit-range")
+    if len(fit_range) != 2:
+        raise ValidationError("--fit-range must be MIN,MAX")
+    return fit_range[0], fit_range[1]
+
+
 def _analyze_config(args: argparse.Namespace) -> RunConfig:
     if args.gamma and args.gamma_grid:
         raise ValidationError("--gamma and --gamma-grid are mutually exclusive")
@@ -424,9 +422,6 @@ def _analyze_config(args: argparse.Namespace) -> RunConfig:
         if args.symmetrize:
             raise ValidationError("--symmetrize does not apply to undirected input")
         treatments = (Treatment.SYMMETRIZED,)
-    fit_range = _parse_int_list(args.fit_range, "--fit-range")
-    if len(fit_range) != 2:
-        raise ValidationError("--fit-range must be MIN,MAX")
     return RunConfig(
         input=args.input,
         directed=args.directed,
@@ -437,7 +432,7 @@ def _analyze_config(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         seed=args.seed,
         dense_threshold=_dense_threshold_from_env(),
-        fit_range=(fit_range[0], fit_range[1]),
+        fit_range=_parse_fit_range(args.fit_range),
     )
 
 
@@ -457,9 +452,6 @@ def main(argv: list[str] | None = None) -> int:
                 directed=args.directed,
             )
         if args.command == "replicate":
-            fit_range = _parse_int_list(args.fit_range, "--fit-range")
-            if len(fit_range) != 2:
-                raise ValidationError("--fit-range must be MIN,MAX")
             return cmd_replicate(
                 corpus_dir=args.corpus,
                 out_dir=args.out,
@@ -467,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
                 directed=not args.undirected,
                 gammas=tuple(args.gamma) if args.gamma else None,
                 orders=_parse_int_list(args.orders, "--orders"),
-                fit_range=(fit_range[0], fit_range[1]),
+                fit_range=_parse_fit_range(args.fit_range),
                 dense_threshold=_dense_threshold_from_env(),
             )
         raise ValidationError(f"unknown command {args.command!r}")

@@ -12,7 +12,6 @@ direction, which is exactly the direction geodesic_distances counts, so
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import DistanceMatrix, Graph
-from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, spectral_radius
+from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, conjugate_partners, spectral_radius
 
 __all__ = [
     "WeightMatrix",
@@ -38,11 +37,8 @@ __all__ = [
     "build_weight",
     "gamma_grid",
     "exact_propagator",
-    "series_oracle",
-    "series_terms_for_tolerance",
     "equilibrium_state",
     "approx_impact",
-    "distance_factored_impact",
 ]
 
 _RCOND_FLOOR = 1e-14
@@ -65,9 +61,7 @@ class WeightMatrix:
 
 class ImpactKind(str, Enum):
     EXACT = "exact"
-    SERIES_ORACLE = "series_oracle"
     APPROX = "approx"
-    DISTANCE_FACTORED = "distance_factored"
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,33 +179,6 @@ def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
     return ImpactMatrix(n=weight.n, values=values, kind=ImpactKind.EXACT, gamma=weight.gamma)
 
 
-def series_oracle(weight: WeightMatrix, terms: int) -> ImpactMatrix:
-    """Truncated power series ``I + W + ... + W^terms``.
-
-    Computed by iterated multiplication on purpose: this is the
-    independent slow route used to cross-check the factorized solve.
-    """
-    if terms < 1:
-        raise ValidationError("terms must be a positive integer")
-    total = np.eye(weight.n) + weight.W
-    power = weight.W.copy()
-    for _ in range(1, terms):
-        power = power @ weight.W
-        total += power
-    return ImpactMatrix(
-        n=weight.n, values=total, kind=ImpactKind.SERIES_ORACLE, gamma=weight.gamma
-    )
-
-
-def series_terms_for_tolerance(gamma: float, tol: float = 1e-12) -> int:
-    """Terms T making the geometric tail gamma^(T+1)/(1-gamma) <= tol."""
-    if not 0.0 < gamma < 1.0:
-        raise ValidationError("gamma must lie strictly inside (0, 1)")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
-    return max(1, math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma)))
-
-
 def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
     """Fixed point of ``y = W y + z``, i.e. ``(I - W)^-1 z``."""
     z = np.asarray(z, dtype=float)
@@ -226,43 +193,29 @@ def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
 def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
     """Split a mode set into real terms: ``(mode, folded)`` per term.
 
-    A mode whose eigenvalue, gain and vectors are all real is its own
-    term. Every other mode needs its exact conjugate (eigenvalue, gain
-    and both vectors conjugated) elsewhere in the set; the pair sums to
-    twice the real part of its first member, so ``folded`` is set and the
-    partner contributes no term of its own.
+    Partners come from ``conjugate_partners``. A mode that is its own
+    partner must have a real eigenvalue, gain and vectors, and is its own
+    term. Every other mode must be the exact conjugate (eigenvalue, gain
+    and both vectors) of its partner; the pair sums to twice the real
+    part of its first member, so ``folded`` is set and the partner
+    contributes no term of its own.
     """
     values, gains = modes.eigenvalues, modes.gains
     right, left = modes.receive_vectors, modes.send_rows
-
-    def conjugates(a: int, b: int) -> bool:
-        return bool(
+    terms: list[tuple[int, bool]] = []
+    for a, b in enumerate(conjugate_partners(values)):
+        if b < 0 or not (
             values[b] == np.conj(values[a])
             and gains[b] == np.conj(gains[a])
             and np.array_equal(right[:, b], np.conj(right[:, a]))
             and np.array_equal(left[b], np.conj(left[a]))
-        )
-
-    terms: list[tuple[int, bool]] = []
-    partnered: set[int] = set()
-    for mode in range(modes.num_modes):
-        if mode in partnered:
-            continue
-        if conjugates(mode, mode):
-            terms.append((mode, False))
-            continue
-        candidates = np.flatnonzero(values == np.conj(values[mode]))
-        partner = next(
-            (int(c) for c in candidates if c != mode and c not in partnered and conjugates(mode, c)),
-            None,
-        )
-        if partner is None:
+        ):
             raise ConjugateClosureError(
-                f"mode with eigenvalue {values[mode]!r} has no exact conjugate partner; "
+                f"mode with eigenvalue {values[a]!r} has no exact conjugate partner; "
                 "the mode set is not conjugate closed"
             )
-        partnered.add(partner)
-        terms.append((mode, True))
+        if b >= a:
+            terms.append((a, b != a))
     return terms
 
 
@@ -303,31 +256,4 @@ def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) ->
     values[~dist.reachable] = 0.0
     return ImpactMatrix(
         n=weight.n, values=values, kind=ImpactKind.APPROX, gamma=weight.gamma, order=modes.order
-    )
-
-
-def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> ImpactMatrix:
-    """Exact propagator recomputed through its distance factorization.
-
-    For a pair at hop distance d the propagator entry equals
-    ``gamma^d * (B^d (I - W)^-1)[i, j]``; walks shorter than the geodesic
-    do not exist, so the factorization is an identity, not an
-    approximation. Serves as a structural self-check of exact_propagator.
-    """
-    if dist.n != weight.n:
-        raise ValidationError("weight matrix and distances must agree on n")
-    propagator = exact_propagator(weight).values
-    out = np.zeros((weight.n, weight.n))
-    hops_safe = np.where(dist.reachable, dist.hops, 0)
-    dmax = int(hops_safe.max(initial=0))
-    current = propagator
-    scale = 1.0
-    for d in range(dmax + 1):
-        mask = dist.reachable & (dist.hops == d)
-        out[mask] = scale * current[mask]
-        if d < dmax:
-            current = weight.B @ current
-            scale *= weight.gamma
-    return ImpactMatrix(
-        n=weight.n, values=out, kind=ImpactKind.DISTANCE_FACTORED, gamma=weight.gamma
     )

@@ -26,7 +26,6 @@ from .analysis import (
 from .errors import ValidationError
 from .graph import DistanceMatrix, Graph
 from .impact import ImpactMatrix
-from .spectral import SpectralDecomposition
 
 __all__ = [
     "atomic_write_text",
@@ -38,8 +37,6 @@ __all__ = [
     "read_correlations_csv",
     "write_dyads_csv",
     "read_dyads_csv",
-    "write_distance_csv",
-    "write_decomposition_csv",
     "ManifestEntry",
     "write_manifest_csv",
     "read_manifest_csv",
@@ -251,52 +248,6 @@ def read_dyads_csv(path: Path | str) -> list[dict[str, object]]:
                 parsed[name] = float(row[name])
             out.append(parsed)
         return out
-
-
-def write_distance_csv(
-    path: Path | str, dist: DistanceMatrix, labels: tuple[str, ...] | None = None
-) -> None:
-    """All ordered pairs as ``src,dst,dist`` with ``inf`` for no path."""
-    rows = []
-    for i in range(dist.n):
-        for j in range(dist.n):
-            d = dist.distance(i, j)
-            rows.append(
-                [
-                    labels[i] if labels else str(i),
-                    labels[j] if labels else str(j),
-                    "inf" if d is None else str(d),
-                ]
-            )
-    atomic_write_text(path, _csv_text(["src", "dst", "dist"], rows))
-
-
-def write_decomposition_csv(directory: Path | str, decomposition: SpectralDecomposition) -> None:
-    """Debugging dump of a decomposition; not a stability-guaranteed format.
-
-    Writes ``modes.csv`` plus long-format right-vector and left-row
-    tables under the given directory.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    mode_rows = [
-        [str(mode), _fmt(value.real), _fmt(value.imag), _fmt(decomposition.residual)]
-        for mode, value in enumerate(decomposition.eigenvalues)
-    ]
-    atomic_write_text(
-        directory / "modes.csv",
-        _csv_text(["mode", "eigenvalue_re", "eigenvalue_im", "residual"], mode_rows),
-    )
-    for name, matrix, transpose in (
-        ("right_vectors.csv", decomposition.right_vectors, True),
-        ("left_rows.csv", decomposition.left_rows, False),
-    ):
-        rows = []
-        for mode in range(decomposition.num_modes):
-            vector = matrix[:, mode] if transpose else matrix[mode, :]
-            for node, entry in enumerate(vector):
-                rows.append([str(mode), str(node), _fmt(entry.real), _fmt(entry.imag)])
-        atomic_write_text(directory / name, _csv_text(["mode", "node", "re", "im"], rows))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ __all__ = [
     "spectral_radius",
     "decompose",
     "select_modes",
+    "conjugate_partners",
 ]
 
 DEFAULT_DENSE_THRESHOLD = 2000
@@ -117,6 +118,31 @@ def _canonicalize(values: np.ndarray, right: np.ndarray, left: np.ndarray) -> No
         left[mode, :] = left[mode, :] * scale
 
 
+def conjugate_partners(values: np.ndarray) -> np.ndarray:
+    """Index of each value's conjugate partner in ``values``, or -1.
+
+    A real value (``|Im| <= _PAIR_TOL``) is its own partner. Complex
+    values are paired in order, one to one: each unclaimed value claims
+    the nearest unclaimed value within ``_MATCH_TOL`` of its conjugate,
+    so a repeated complex eigenvalue gets one partner per copy. A value
+    left without a partner gets -1.
+    """
+    partners = np.full(len(values), -1)
+    claimed = np.abs(values.imag) <= _PAIR_TOL
+    partners[claimed] = np.flatnonzero(claimed)
+    for i in np.flatnonzero(~claimed):
+        if claimed[i]:
+            continue
+        claimed[i] = True
+        gaps = np.abs(values - np.conj(values[i]))
+        gaps[claimed] = np.inf
+        j = int(np.argmin(gaps))
+        if gaps[j] <= _MATCH_TOL * max(1.0, abs(values[i])):
+            partners[i], partners[j] = j, i
+            claimed[j] = True
+    return partners
+
+
 def _enforce_conjugate_symmetry(
     values: np.ndarray, right: np.ndarray, left: np.ndarray
 ) -> None:
@@ -131,44 +157,26 @@ def _enforce_conjugate_symmetry(
     arithmetic (simple eigenvalue, real matrix) and get their spurious
     imaginary parts stripped for the same reason.
     """
-    claimed = np.zeros(len(values), dtype=bool)
-    for i in range(len(values)):
-        if claimed[i]:
-            continue
-        if abs(values[i].imag) <= _PAIR_TOL:
-            values[i] = values[i].real
-            right[:, i] = right[:, i].real
-            left[i, :] = left[i, :].real
-            continue
-        target = np.conj(values[i])
-        gaps = np.abs(values - target)
-        gaps[claimed] = np.inf
-        gaps[i] = np.inf
-        j = int(np.argmin(gaps))
-        if gaps[j] > _MATCH_TOL * max(1.0, abs(values[i])):
+    for i, j in enumerate(conjugate_partners(values)):
+        if j < 0:
             raise ConjugateClosureError(
                 f"eigenvalue {values[i]!r} has no conjugate partner in the kept set"
             )
-        claimed[i] = claimed[j] = True
-        values[j] = target
-        right[:, j] = np.conj(right[:, i])
-        left[j, :] = np.conj(left[i, :])
-
-
-def _is_conjugate_closed(values: np.ndarray) -> bool:
-    for value in values:
-        if abs(value.imag) <= _PAIR_TOL:
-            continue
-        target = np.conj(value)
-        if not np.any(np.abs(values - target) <= _MATCH_TOL * max(1.0, abs(value))):
-            return False
-    return True
+        if i == j:
+            values[i] = values[i].real
+            right[:, i] = right[:, i].real
+            left[i, :] = left[i, :].real
+        elif i < j:
+            values[j] = np.conj(values[i])
+            right[:, j] = np.conj(right[:, i])
+            left[j, :] = np.conj(left[i, :])
 
 
 def _closed_prefix(values: np.ndarray, k: int) -> int:
     """Smallest prefix length >= k that does not split a conjugate pair."""
+    partners = conjugate_partners(values)
     keep = k
-    while keep < len(values) and not _is_conjugate_closed(values[:keep]):
+    while keep < len(values) and partners[:keep].max() >= keep:
         keep += 1
     return keep
 
@@ -260,11 +268,7 @@ def _dense_eigenpairs(graph: Graph, b: np.ndarray):
 
 def _conjugate_closure(values: np.ndarray, vectors: np.ndarray):
     """Append the conjugate of every complex eigenpair missing its partner."""
-    candidates = np.flatnonzero(np.abs(values.imag) > _PAIR_TOL)
-    targets = np.conj(values[candidates])
-    gaps = np.abs(values[None, :] - targets[:, None])
-    paired = np.any(gaps <= _MATCH_TOL * np.maximum(1.0, np.abs(targets))[:, None], axis=1)
-    missing = candidates[~paired]
+    missing = np.flatnonzero(conjugate_partners(values) < 0)
     if not missing.size:
         return values, vectors
     return (
@@ -376,7 +380,9 @@ def decompose(
     k : int or None
         Number of largest-modulus eigenpairs to keep; None keeps all n.
         The kept set never splits a conjugate pair, so the realized count
-        can exceed k by one. A full directed decomposition (k None)
+        can exceed k: by one for a simple complex pair, by more when a
+        complex eigenvalue repeats (two disjoint directed 3-cycles keep
+        all six modes at k=3). A full directed decomposition (k None)
         requires a diagonalizable matrix; with k set, only the kept
         leading modes must be clean, so sparse digraphs whose transient
         part is defective at eigenvalue zero still decompose.
@@ -477,27 +483,13 @@ def select_modes(decomposition: SpectralDecomposition, gamma: float, order: int)
             f"order {order} exceeds the {decomposition.num_modes} available modes"
         )
     values = decomposition.eigenvalues
-    selected = list(range(order))
-    chosen = set(selected)
-    cursor = 0
-    while cursor < len(selected):
-        index = selected[cursor]
-        cursor += 1
-        value = values[index]
-        if abs(value.imag) <= _PAIR_TOL:
-            continue
-        target = np.conj(value)
-        distances = np.abs(values - target)
-        distances[index] = np.inf
-        partner = int(np.argmin(distances))
-        if distances[partner] > _MATCH_TOL * max(1.0, abs(value)):
-            raise ValidationError(
-                f"conjugate partner of eigenvalue {value!r} is not in the decomposition"
-            )
-        if partner not in chosen:
-            chosen.add(partner)
-            selected.append(partner)
-    selected = sorted(selected)
+    partners = conjugate_partners(values)[:order]
+    if partners.min() < 0:
+        value = values[int(np.argmin(partners))]
+        raise ValidationError(
+            f"conjugate partner of eigenvalue {value!r} is not in the decomposition"
+        )
+    selected = np.union1d(np.arange(order), partners)
     eigenvalues = values[selected]
     gains = 1.0 / (1.0 - gamma * eigenvalues)
     return ModeSet(

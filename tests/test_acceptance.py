@@ -27,7 +27,6 @@ from impactfield import (
     Treatment,
     build_weight,
     decompose,
-    distance_factored_impact,
     equilibrium_state,
     exact_propagator,
     gamma_grid,
@@ -36,14 +35,19 @@ from impactfield import (
     geodesic_distances,
     run_study,
     select_modes,
-    series_oracle,
-    series_terms_for_tolerance,
 )
 from impactfield.cli import main
 from impactfield.errors import DefectivenessError, GraphValidationError
 from impactfield.impact import approx_impact
 
-from util import arcs, connected_er, small_er_corpus
+from util import (
+    arcs,
+    connected_er,
+    distance_factored_impact,
+    series_oracle,
+    series_terms_for_tolerance,
+    small_er_corpus,
+)
 
 
 @contextmanager

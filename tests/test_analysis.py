@@ -20,7 +20,6 @@ from impactfield.analysis import (
     StudyCell,
     Treatment,
     dyad_correlation,
-    dyad_mask,
     fit_exponential,
     mean_impact_by_distance,
     run_study,
@@ -76,7 +75,7 @@ def approx_on(graph: Graph, gamma: float, order: int) -> ImpactMatrix:
 
 def test_dyad_mask_excludes_diagonal_and_unreachable() -> None:
     g = arcs(4, [(0, 1), (2, 3)], directed=False)
-    mask = dyad_mask(geodesic_distances(g))
+    mask = geodesic_distances(g).dyads.mask
     assert mask.sum() == 4  # (0,1), (1,0), (2,3), (3,2)
     assert not mask.diagonal().any()
     assert not mask[0, 2] and not mask[2, 0]

@@ -125,6 +125,32 @@ def test_analyze_directed_with_symmetrize_runs_both_treatments(tmp_path) -> None
     assert {treatment.value for _, treatment, _ in curves} == {"directed", "symmetrized"}
 
 
+def test_analyze_repeated_complex_spectrum_runs_both_treatments(tmp_path) -> None:
+    # two disjoint directed 3-cycles plus a 15-node path into one of them:
+    # the directed top-k cut lands inside the repeated pair w, conj(w)
+    cycles = "c0 c1\nc1 c2\nc2 c0\nc3 c4\nc4 c5\nc5 c3\n"
+    path = "".join(f"p{i} p{i + 1}\n" for i in range(14)) + "p14 c0\n"
+    out = tmp_path / "out"
+    code = main(
+        [
+            "analyze",
+            "--input",
+            write_input(tmp_path, "twins.txt", cycles + path),
+            "--directed",
+            "--symmetrize",
+            "--gamma",
+            "0.5",
+            "--orders",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    records = read_correlations_csv(out / "correlations.csv")
+    assert {record.treatment.value for record in records} == {"directed", "symmetrized"}
+
+
 def test_analyze_generator_spec_input(tmp_path) -> None:
     out = tmp_path / "out"
     code = main(
@@ -449,6 +475,18 @@ def test_replicate_records_undecodable_file_and_continues(tmp_path, capsys) -> N
     assert entries["net1"].status == "ok"
     assert len(read_correlations_csv(out / "correlations.csv")) == 40
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option", [["--gamma", "1.5"], ["--orders", "0"], ["--fit-range", "6,1"]]
+)
+def test_replicate_rejects_bad_study_options_up_front(tmp_path, capsys, option) -> None:
+    corpus = make_corpus(tmp_path, count=1)
+    out = tmp_path / "out"
+    code = main(["replicate", "--corpus", str(corpus), "--out", str(out)] + option)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_replicate_empty_corpus_fails(tmp_path, capsys) -> None:

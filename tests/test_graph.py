@@ -21,7 +21,6 @@ from impactfield import (
     symmetrize_weak,
 )
 from impactfield.errors import AlreadyUndirectedWarning
-from impactfield.io import write_distance_csv
 
 from util import arcs, bfs_hops
 
@@ -256,17 +255,6 @@ def test_undirected_distances_are_symmetric() -> None:
     g = generate_er(n=30, p=0.1, directed=False, seed=9)
     f = geodesic_distances(g).to_float()
     assert np.array_equal(f, f.T)
-
-
-def test_distance_csv_uses_inf_literal(tmp_path) -> None:
-    dist = geodesic_distances(arcs(2, [(0, 1)]))
-    out = tmp_path / "dist.csv"
-    write_distance_csv(out, dist, labels=("a", "b"))
-    text = out.read_text().splitlines()
-    assert text[0] == "src,dst,dist"
-    assert "a,b,1" in text
-    assert "b,a,inf" in text
-    assert len(text) == 5  # header + all ordered pairs incl. diagonal
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,21 @@ from impactfield.impact import (
     WeightMatrix,
     approx_impact,
     build_weight,
-    distance_factored_impact,
     equilibrium_state,
     exact_propagator,
     gamma_grid,
-    series_oracle,
-    series_terms_for_tolerance,
 )
 from impactfield.spectral import decompose, select_modes
 
-from util import arcs, complex_approx_impact, small_er_corpus
+from util import (
+    arcs,
+    complex_approx_impact,
+    distance_factored_impact,
+    series_oracle,
+    series_terms_for_tolerance,
+    small_er_corpus,
+    twin_three_cycles,
+)
 
 
 def two_cycle():
@@ -170,7 +175,7 @@ def test_series_with_one_term_is_identity_plus_weight() -> None:
     w = build_weight(two_cycle(), gamma=0.5)
     series = series_oracle(w, terms=1)
     assert np.array_equal(series.values, np.eye(2) + w.W)
-    assert series.kind is ImpactKind.SERIES_ORACLE
+    assert series.kind is ImpactKind.EXACT
 
 
 def test_series_rejects_nonpositive_terms() -> None:
@@ -271,6 +276,22 @@ def test_three_cycle_order_two_pulls_in_the_full_spectrum() -> None:
     approx = approx_impact(w, modes, geodesic_distances(g))
     exact = exact_propagator(w)
     assert np.max(np.abs(approx.values - exact.values)) < 1e-12
+
+
+def test_repeated_complex_modes_select_and_approximate() -> None:
+    # each copy of the repeated pair w, conj(w) brings its own partner;
+    # from order 4 on every mode is in and the approximation is exact
+    g = twin_three_cycles()
+    w = build_weight(g, gamma=0.5)
+    dec = decompose(g)
+    dist = geodesic_distances(g)
+    exact = exact_propagator(w)
+    for order in range(1, 7):
+        modes = select_modes(dec, gamma=0.5, order=order)
+        assert modes.num_modes == {1: 1, 2: 2, 3: 4}.get(order, 6)
+        approx = approx_impact(w, modes, dist)
+        if order >= 4:
+            assert np.max(np.abs(approx.values - exact.values)) <= 1e-12
 
 
 def test_first_order_matches_raw_eigh_reimplementation() -> None:
@@ -423,7 +444,7 @@ def test_distance_factorization_is_an_identity_on_the_three_cycle() -> None:
     exact = exact_propagator(w)
     refactored = distance_factored_impact(w, geodesic_distances(g))
     assert np.max(np.abs(refactored.values - exact.values)) < 1e-12
-    assert refactored.kind is ImpactKind.DISTANCE_FACTORED
+    assert refactored.kind is ImpactKind.EXACT
 
 
 def test_distance_factorization_matches_exact_on_random_graphs() -> None:

@@ -20,10 +20,9 @@ from impactfield.errors import (
     ValidationError,
 )
 from impactfield.graph import Graph, generate_er
-from impactfield.io import write_decomposition_csv
-from impactfield.spectral import decompose, select_modes, spectral_radius
+from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
 
-from util import arcs
+from util import arcs, twin_three_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +181,19 @@ def test_conjugate_pairs_are_exact_not_approximate() -> None:
         assert np.array_equal(dec.left_rows[j], np.conjugate(dec.left_rows[i]))
 
 
+def test_conjugate_partners_pair_values_one_to_one() -> None:
+    w = complex(-0.5, np.sqrt(3.0) / 2.0)
+    # real values are their own partners
+    assert conjugate_partners(np.array([1.0, -0.25], dtype=complex)).tolist() == [0, 1]
+    assert conjugate_partners(np.array([w, 1.0, np.conj(w)])).tolist() == [2, 1, 0]
+    # two copies of one pair: each copy gets its own partner, in order
+    repeated = np.array([w, w, np.conj(w), np.conj(w) + 1e-12])
+    assert conjugate_partners(repeated).tolist() == [2, 3, 0, 1]
+    # a complex value whose conjugate is absent gets -1
+    assert conjugate_partners(np.array([1.0, w, np.conj(w), 0.3j])).tolist() == [0, 2, 1, -1]
+    assert conjugate_partners(np.array([w, w, np.conj(w)])).tolist() == [2, -1, 0]
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -292,6 +304,23 @@ def test_truncation_never_splits_a_conjugate_pair() -> None:
                 assert np.min(np.abs(values - np.conjugate(value))) < 1e-10
 
 
+def test_truncation_keeps_repeated_conjugate_pairs_whole() -> None:
+    # spectrum 1, 1, w, w, conj(w), conj(w): a cut at k = 3..5 must grow
+    # to all six modes, each copy of w paired with its own conjugate
+    g = twin_three_cycles()
+    for k in range(1, 6):
+        dec = decompose(g, k=k)
+        assert dec.num_modes == (k if k <= 2 else 6)
+        values = dec.eigenvalues
+        partners = conjugate_partners(values)
+        assert (partners >= 0).all()
+        for i, j in enumerate(partners):
+            assert values[j] == np.conjugate(values[i])
+            assert np.array_equal(dec.right_vectors[:, j], np.conjugate(dec.right_vectors[:, i]))
+            assert np.array_equal(dec.left_rows[j], np.conjugate(dec.left_rows[i]))
+        assert np.max(np.abs(dec.left_rows @ dec.right_vectors - np.eye(dec.num_modes))) < 1e-8
+
+
 def test_iterative_matches_dense_for_undirected() -> None:
     g = generate_er(n=40, p=0.2, directed=False, seed=3)
     dense = decompose(g, k=6)
@@ -392,17 +421,3 @@ def test_selected_modes_keep_canonical_order() -> None:
     modes = select_modes(dec, gamma=0.9375, order=5)
     moduli = np.abs(modes.eigenvalues)
     assert np.all(moduli[:-1] >= moduli[1:] - 1e-10)
-
-
-# ---------------------------------------------------------------------------
-# decomposition export
-
-
-def test_decomposition_csv_smoke(tmp_path) -> None:
-    g = arcs(3, [(0, 1), (1, 2), (2, 0)])
-    dec = decompose(g)
-    write_decomposition_csv(tmp_path, dec)
-    modes = (tmp_path / "modes.csv").read_text().strip().splitlines()
-    assert len(modes) == 1 + dec.num_modes
-    rights = (tmp_path / "right_vectors.csv").read_text().strip().splitlines()
-    assert len(rights) == 1 + dec.num_modes * dec.n

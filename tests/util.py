@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from impactfield import Graph, build_weight, generate_er, is_connected
-from impactfield.errors import ConjugateClosureError, GraphValidationError
+from impactfield import Graph, build_weight, exact_propagator, generate_er, is_connected
+from impactfield.errors import ConjugateClosureError, GraphValidationError, ValidationError
 from impactfield.graph import DistanceMatrix
-from impactfield.impact import WeightMatrix
+from impactfield.impact import ImpactKind, ImpactMatrix, WeightMatrix
 from impactfield.spectral import ModeSet
 
 
@@ -21,6 +22,11 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
             src, dst = dst, src
         edges.append((src, dst, weight))
     return Graph(n=n, directed=directed, edges=tuple(edges))
+
+
+def twin_three_cycles() -> Graph:
+    """Two disjoint directed 3-cycles: spectrum 1, 1, w, w, conj(w), conj(w)."""
+    return arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
 
 def bfs_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -100,3 +106,53 @@ def complex_approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMa
     if np.any(np.abs(accumulator.imag) > 1e-10 * (1.0 + np.abs(accumulator.real))):
         raise ConjugateClosureError("imaginary residue exceeds tolerance")
     return accumulator.real.copy()
+
+
+def series_oracle(weight: WeightMatrix, terms: int) -> ImpactMatrix:
+    """Truncated power series ``I + W + ... + W^terms``.
+
+    Computed by iterated multiplication on purpose: this is the
+    independent slow route used to cross-check the factorized solve.
+    """
+    if terms < 1:
+        raise ValidationError("terms must be a positive integer")
+    total = np.eye(weight.n) + weight.W
+    power = weight.W.copy()
+    for _ in range(1, terms):
+        power = power @ weight.W
+        total += power
+    return ImpactMatrix(n=weight.n, values=total, kind=ImpactKind.EXACT, gamma=weight.gamma)
+
+
+def series_terms_for_tolerance(gamma: float, tol: float = 1e-12) -> int:
+    """Terms T making the geometric tail gamma^(T+1)/(1-gamma) <= tol."""
+    if not 0.0 < gamma < 1.0:
+        raise ValidationError("gamma must lie strictly inside (0, 1)")
+    if tol <= 0.0:
+        raise ValidationError("tol must be positive")
+    return max(1, math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma)))
+
+
+def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> ImpactMatrix:
+    """Exact propagator recomputed through its distance factorization.
+
+    For a pair at hop distance d the propagator entry equals
+    ``gamma^d * (B^d (I - W)^-1)[i, j]``; walks shorter than the geodesic
+    do not exist, so the factorization is an identity, not an
+    approximation. Serves as a structural self-check of exact_propagator.
+    """
+    if dist.n != weight.n:
+        raise ValidationError("weight matrix and distances must agree on n")
+    propagator = exact_propagator(weight).values
+    out = np.zeros((weight.n, weight.n))
+    hops_safe = np.where(dist.reachable, dist.hops, 0)
+    dmax = int(hops_safe.max(initial=0))
+    current = propagator
+    scale = 1.0
+    for d in range(dmax + 1):
+        mask = dist.reachable & (dist.hops == d)
+        out[mask] = scale * current[mask]
+        if d < dmax:
+            current = weight.B @ current
+            scale *= weight.gamma
+    return ImpactMatrix(n=weight.n, values=out, kind=ImpactKind.EXACT, gamma=weight.gamma)
