@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import (
     CorrelationRecord,
@@ -58,17 +62,22 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.
+def atomic_write_text(path: Path | str, text: str | Iterable[str]) -> None:
+    """Write UTF-8 text to path via a same-directory temp file and rename.
 
-    The file gets the mode a plain ``open`` would give it, ``0o666``
-    less the umask, not the owner-only mode of the temp file.
+    ``text`` is one string or an iterable of string chunks, which are
+    written as they are produced. The file gets the mode a plain
+    ``open`` would give it, ``0o666`` less the umask, not the owner-only
+    mode of the temp file.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
             os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
@@ -88,7 +97,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _read_rows(path: Path | str, expected_header: list[str]) -> list[dict[str, str]]:
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != expected_header:
             raise ValidationError(
@@ -201,6 +210,19 @@ def _dyads_header(orders: list[int]) -> list[str]:
     return ["src", "dst", "dist", "exact"] + [f"approx{order}" for order in orders]
 
 
+def _csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv.writer`` writes it inside a multi-field row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    out = []
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((value, ""))
+        out.append(buffer.getvalue()[:-2])  # drop the "," and "\n"
+    return out
+
+
 def write_dyads_csv(
     path: Path | str,
     graph: Graph,
@@ -213,25 +235,38 @@ def write_dyads_csv(
     Unreachable pairs are kept, with ``inf`` in the distance column.
     """
     orders = sorted(approximations)
-    rows = []
-    for i in range(graph.n):
-        for j in range(graph.n):
-            if i == j:
-                continue
-            d = dist.distance(i, j)
-            row = [
-                graph.label_of(i),
-                graph.label_of(j),
-                "inf" if d is None else str(d),
-                _fmt(exact.values[i, j]),
-            ]
-            row.extend(_fmt(approximations[order].values[i, j]) for order in orders)
-            rows.append(row)
-    atomic_write_text(path, _csv_text(_dyads_header(orders), rows))
+    atomic_write_text(
+        path,
+        itertools.chain(
+            [_csv_text(_dyads_header(orders), [])],
+            _dyad_lines(graph, dist, [exact] + [approximations[order] for order in orders]),
+        ),
+    )
+
+
+def _dyad_lines(graph: Graph, dist: DistanceMatrix, matrices: list[ImpactMatrix]) -> Iterator[str]:
+    """The dump's body as one chunk per source node, built column by column."""
+    n = graph.n
+    if n < 2:
+        return
+    labels = _csv_fields(graph.label_of(i) for i in range(n))
+    # hop counts become text by table lookup; unreachable pairs take the last slot
+    unreachable = int(dist.hops.max(initial=0)) + 1
+    hop_text = np.array([str(d) for d in range(unreachable)] + ["inf"], dtype=object)
+    for i in range(n):
+        columns = [
+            itertools.repeat(labels[i]),
+            labels,
+            hop_text[np.where(dist.reachable[i], dist.hops[i], unreachable)].tolist(),
+        ]
+        columns.extend(map(repr, matrix.values[i].tolist()) for matrix in matrices)
+        lines = list(map(",".join, zip(*columns)))
+        del lines[i]  # the diagonal pair
+        yield "\n".join(lines) + "\n"
 
 
 def read_dyads_csv(path: Path | str) -> list[dict[str, object]]:
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         names = reader.fieldnames or []
         if names[:4] != ["src", "dst", "dist", "exact"]:

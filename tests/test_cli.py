@@ -7,12 +7,15 @@ entry point itself.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import impactfield
 from impactfield.cli import main
 from impactfield.io import (
     read_correlations_csv,
@@ -61,6 +64,27 @@ def test_analyze_two_cycle_dyads(tmp_path) -> None:
         assert row["dist"] == 1
         assert row["exact"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert set(row) >= {"src", "dst", "dist", "exact", "approx1", "approx2"}
+
+
+def test_analyze_writes_utf8_under_an_ascii_locale(tmp_path) -> None:
+    source = tmp_path / "umlaut.txt"
+    source.write_text("ä b\nb c\nc ä\n", encoding="utf-8")
+    out = tmp_path / "out"
+    package_root = str(Path(impactfield.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from impactfield.cli import main; sys.exit(main())",
+         "analyze", "--input", str(source), "--undirected", "--gamma", "0.5", "--dyads",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = read_dyads_csv(out / "dyads_symmetrized_0.5.csv")
+    assert rows[0]["src"] == "ä"
+    assert {row["dst"] for row in rows} == {"ä", "b", "c"}
 
 
 def test_analyze_paw_grid(tmp_path) -> None:

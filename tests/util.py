@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -156,3 +159,35 @@ def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> Impa
             current = weight.B @ current
             scale *= weight.gamma
     return ImpactMatrix(n=weight.n, values=out, kind=ImpactKind.EXACT, gamma=weight.gamma)
+
+
+def rowwise_dyads_csv(
+    path: Path | str,
+    graph: Graph,
+    dist: DistanceMatrix,
+    exact: ImpactMatrix,
+    approximations: dict[int, ImpactMatrix],
+) -> None:
+    """Reference dyad dump: one ``csv.writer`` row per ordered pair.
+
+    Formats every field on its own, so it is the slow, independent route
+    the column-wise ``io.write_dyads_csv`` must match byte for byte.
+    """
+    orders = sorted(approximations)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["src", "dst", "dist", "exact"] + [f"approx{order}" for order in orders])
+    for i in range(graph.n):
+        for j in range(graph.n):
+            if i == j:
+                continue
+            d = dist.distance(i, j)
+            row = [
+                graph.label_of(i),
+                graph.label_of(j),
+                "inf" if d is None else str(d),
+                repr(float(exact.values[i, j])),
+            ]
+            row.extend(repr(float(approximations[order].values[i, j])) for order in orders)
+            writer.writerow(row)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
