@@ -48,6 +48,8 @@ __all__ = [
 
 DEFAULT_FIT_RANGE = (1, 6)
 MIN_DYADS = 3
+# a dyad vector whose RMS spread is below this fraction of its mean is flat
+FLAT_RTOL = 1e-12
 
 
 class Treatment(str, Enum):
@@ -205,11 +207,15 @@ def dyad_correlation(
             raise DomainError("log correlation requires positive impact on every dyad")
         x = np.log(x)
         y = np.log(y)
-    x -= x.mean()
-    y -= y.mean()
-    denom = float(np.sqrt(np.dot(x, x) * np.dot(y, y)))
-    if denom == 0.0:
+    x_mean, y_mean = x.mean(), y.mean()
+    x -= x_mean
+    y -= y_mean
+    x_ss, y_ss = np.dot(x, x), np.dot(y, y)
+    # a spread at rounding level is no variance: impact that is constant
+    # in exact arithmetic must not be correlated on its rounding noise
+    if x_ss <= x.size * (FLAT_RTOL * x_mean) ** 2 or y_ss <= y.size * (FLAT_RTOL * y_mean) ** 2:
         raise UndefinedCorrelationError("zero variance in at least one impact vector")
+    denom = float(np.sqrt(x_ss * y_ss))
     return float(min(1.0, max(-1.0, np.dot(x, y) / denom)))
 
 

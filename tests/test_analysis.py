@@ -235,6 +235,28 @@ def test_constant_vector_has_undefined_correlation() -> None:
         dyad_correlation(exact, constant, geodesic_distances(g))
 
 
+def test_rounding_noise_is_no_variance() -> None:
+    # a constant impact vector that picked up one ulp of rounding noise
+    g = three_cycle()
+    exact = exact_on(g, 0.5)
+    dist = geodesic_distances(g)
+    values = np.full((3, 3), 0.4)
+    values[0, 1] = np.nextafter(0.4, 1.0)
+    noisy = ImpactMatrix(n=3, values=values, kind=ImpactKind.APPROX, gamma=0.5, order=1)
+    with pytest.raises(UndefinedCorrelationError):
+        dyad_correlation(exact, noisy, dist)
+    values[0, 1] = 0.4 * (1.0 + 1e-9)  # a real, if small, spread still correlates
+    spread = ImpactMatrix(n=3, values=values, kind=ImpactKind.APPROX, gamma=0.5, order=1)
+    assert -1.0 <= dyad_correlation(exact, spread, dist) <= 1.0
+
+
+def test_triangle_correlates_no_order() -> None:
+    # every triangle dyad has the same exact impact; any r would be noise
+    [cell] = run_study(arcs(3, [(0, 1), (1, 2), (0, 2)], directed=False), gammas=[0.5])
+    assert cell.correlations == ()
+    assert sum("correlation suppressed" in note for note in cell.notes) == 2
+
+
 def test_correlation_validates_kind_and_gamma() -> None:
     g = three_cycle()
     exact = exact_on(g, 0.5)
