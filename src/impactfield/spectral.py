@@ -229,7 +229,9 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             if graph.n > dense_threshold:
                 raise
     if graph.n <= dense_threshold:
-        dense = float(np.max(np.abs(_dense_eig(np.linalg.eigvals, graph.adjacency()))))
+        # an undirected adjacency is symmetric, so the symmetric solver suffices
+        solver = np.linalg.eigvals if graph.directed else np.linalg.eigvalsh
+        dense = float(np.max(np.abs(_dense_eig(solver, graph.adjacency()))))
         if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
             raise ConvergenceError(
                 f"iterative radius {iterative!r} disagrees with dense value {dense!r}"

@@ -284,7 +284,8 @@ def test_analyze_dense_eigensolver_failure_exits_three(tmp_path, capsys, monkeyp
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    for solver in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, fail)
     code = main(["analyze", "--input", write_input(tmp_path, "paw.txt", PAW), "--undirected",
                  "--gamma", "0.5", "--out", str(tmp_path / "out")])
     assert code == 3

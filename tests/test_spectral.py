@@ -70,6 +70,24 @@ def test_radius_iterative_matches_dense() -> None:
             assert spectral_radius(g) == pytest.approx(expected, abs=1e-9)
 
 
+def test_radius_dense_check_agrees_with_the_general_solver() -> None:
+    rng = np.random.default_rng(11)
+    for directed in (True, False):
+        g = generate_er(n=40, p=0.15, directed=directed, seed=int(rng.integers(1 << 30)))
+        weighted = Graph(
+            n=g.n,
+            directed=directed,
+            edges=tuple((src, dst, float(w)) for (src, dst, _), w in
+                        zip(g.edges, rng.uniform(0.5, 2.0, len(g.edges)))),
+        )
+        expected = float(np.max(np.abs(np.linalg.eigvals(weighted.adjacency()))))
+        if directed:
+            assert spectral_radius(weighted) == expected
+        else:
+            # the symmetric solver differs from the general one only by rounding
+            assert spectral_radius(weighted) == pytest.approx(expected, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # full decomposition oracles
 
