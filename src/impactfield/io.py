@@ -2,8 +2,9 @@
 
 Machine-facing values are written with ``repr`` so every float
 round-trips exactly; unreachable distances serialize as the literal
-string ``inf``. All writers go through an atomic temp-file-plus-rename
-so a crashed run never leaves a partial file behind.
+string ``inf``. Files are UTF-8 whatever the locale. All writers go
+through an atomic temp-file-plus-rename so a crashed run never leaves a
+partial file behind.
 """
 
 from __future__ import annotations
@@ -210,17 +211,11 @@ def _dyads_header(orders: list[int]) -> list[str]:
     return ["src", "dst", "dist", "exact"] + [f"approx{order}" for order in orders]
 
 
-def _csv_fields(values: Iterable[str]) -> list[str]:
-    """Each value as ``csv.writer`` writes it inside a multi-field row."""
+def _csv_field(value: str) -> str:
+    """The value as ``csv.writer`` writes it inside a multi-field row."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    out = []
-    for value in values:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow((value, ""))
-        out.append(buffer.getvalue()[:-2])  # drop the "," and "\n"
-    return out
+    csv.writer(buffer, lineterminator="\n").writerow((value, ""))
+    return buffer.getvalue()[:-2]  # drop the "," and "\n"
 
 
 def write_dyads_csv(
@@ -235,21 +230,19 @@ def write_dyads_csv(
     Unreachable pairs are kept, with ``inf`` in the distance column.
     """
     orders = sorted(approximations)
-    atomic_write_text(
-        path,
-        itertools.chain(
-            [_csv_text(_dyads_header(orders), [])],
-            _dyad_lines(graph, dist, [exact] + [approximations[order] for order in orders]),
-        ),
-    )
+    matrices = [exact] + [approximations[order] for order in orders]
+    atomic_write_text(path, _dyad_chunks(graph, dist, orders, matrices))
 
 
-def _dyad_lines(graph: Graph, dist: DistanceMatrix, matrices: list[ImpactMatrix]) -> Iterator[str]:
-    """The dump's body as one chunk per source node, built column by column."""
+def _dyad_chunks(
+    graph: Graph, dist: DistanceMatrix, orders: list[int], matrices: list[ImpactMatrix]
+) -> Iterator[str]:
+    """The header, then one chunk of lines per source node, built column by column."""
+    yield _csv_text(_dyads_header(orders), [])
     n = graph.n
     if n < 2:
         return
-    labels = _csv_fields(graph.label_of(i) for i in range(n))
+    labels = [_csv_field(graph.label_of(i)) for i in range(n)]
     # hop counts become text by table lookup; unreachable pairs take the last slot
     unreachable = int(dist.hops.max(initial=0)) + 1
     hop_text = np.array([str(d) for d in range(unreachable)] + ["inf"], dtype=object)

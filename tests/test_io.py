@@ -76,12 +76,6 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
             assert row[f"approx{order}"] == approximations[order].values[i, j]
 
 
-def test_dyad_dump_has_unreachable_pairs() -> None:
-    graph, treatment, orders = DUMP_CASES["two-components"]
-    dist, _, _ = _study_matrices(graph, treatment, orders)
-    assert not dist.reachable.all()
-
-
 def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
     graph = arcs(4, [(0, 1), (2, 3)], directed=False)
     special = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3, math.inf, -math.inf, math.nan, 2.0**53]
