@@ -180,14 +180,10 @@ def dyad_correlation(
     exact: ImpactMatrix,
     approx: ImpactMatrix,
     dist: DistanceMatrix,
-    log_values: bool = False,
 ) -> float:
     """Pearson correlation of exact versus approximate impact over dyads.
 
-    The dyad set is every ordered pair at finite distance >= 1. The
-    ``log_values`` variant correlates logs instead (both matrices must
-    then be entrywise positive on the dyad set); it exists for
-    sensitivity checks only.
+    The dyad set is every ordered pair at finite distance >= 1.
     """
     if approx.kind is not ImpactKind.APPROX:
         raise ValidationError(f"second argument must be an approximation, got {approx.kind}")
@@ -202,11 +198,6 @@ def dyad_correlation(
         raise InsufficientDataError(f"{dyads.count} dyads; need at least {MIN_DYADS}")
     x = exact.values[dyads.mask]
     y = approx.values[dyads.mask]
-    if log_values:
-        if np.any(x <= 0.0) or np.any(y <= 0.0):
-            raise DomainError("log correlation requires positive impact on every dyad")
-        x = np.log(x)
-        y = np.log(y)
     x_mean, y_mean = x.mean(), y.mean()
     x -= x_mean
     y -= y_mean
@@ -297,8 +288,6 @@ def run_study(
             # the directed decomposition
             if treated.n <= dense_threshold:
                 k = min(treated.n, max(orders) + 4)
-                if k == treated.n:
-                    k = None
             else:
                 k = min(treated.n - 2, max(orders) + 4)
             decomposition = decompose(

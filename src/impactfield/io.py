@@ -1,4 +1,4 @@
-"""CSV emission and re-ingestion for study results.
+"""CSV emission for study results.
 
 Machine-facing values are written with ``repr`` so every float
 round-trips exactly; unreachable distances serialize as the literal
@@ -20,31 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    CorrelationRecord,
-    CurvePoint,
-    DecayCurve,
-    ExponentialFit,
-    StudyCell,
-    Treatment,
-)
-from .errors import ValidationError
+from .analysis import StudyCell
 from .graph import DistanceMatrix, Graph
 from .impact import ImpactMatrix
 
 __all__ = [
     "atomic_write_text",
     "write_curves_csv",
-    "read_curves_csv",
     "write_fits_csv",
-    "read_fits_csv",
     "write_correlations_csv",
-    "read_correlations_csv",
     "write_dyads_csv",
-    "read_dyads_csv",
     "ManifestEntry",
     "write_manifest_csv",
-    "read_manifest_csv",
 ]
 
 CURVES_HEADER = ["network", "treatment", "gamma", "distance", "mean_impact", "n_pairs"]
@@ -97,16 +84,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _read_rows(path: Path | str, expected_header: list[str]) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != expected_header:
-            raise ValidationError(
-                f"{path}: header {reader.fieldnames} does not match {expected_header}"
-            )
-        return list(reader)
-
-
 def write_curves_csv(path: Path | str, cells: list[StudyCell]) -> None:
     rows = []
     for cell in cells:
@@ -124,23 +101,6 @@ def write_curves_csv(path: Path | str, cells: list[StudyCell]) -> None:
                 ]
             )
     atomic_write_text(path, _csv_text(CURVES_HEADER, rows))
-
-
-def read_curves_csv(path: Path | str) -> dict[tuple[str, Treatment, float], DecayCurve]:
-    grouped: dict[tuple[str, Treatment, float], list[CurvePoint]] = {}
-    for row in _read_rows(path, CURVES_HEADER):
-        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
-        grouped.setdefault(key, []).append(
-            CurvePoint(
-                distance=int(row["distance"]),
-                mean_impact=float(row["mean_impact"]),
-                n_pairs=int(row["n_pairs"]),
-            )
-        )
-    return {
-        key: DecayCurve(gamma=key[2], treatment=key[1], points=tuple(points))
-        for key, points in grouped.items()
-    }
 
 
 def write_fits_csv(path: Path | str, cells: list[StudyCell]) -> None:
@@ -163,19 +123,6 @@ def write_fits_csv(path: Path | str, cells: list[StudyCell]) -> None:
     atomic_write_text(path, _csv_text(FITS_HEADER, rows))
 
 
-def read_fits_csv(path: Path | str) -> dict[tuple[str, Treatment, float], ExponentialFit]:
-    out = {}
-    for row in _read_rows(path, FITS_HEADER):
-        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
-        out[key] = ExponentialFit(
-            slope=float(row["slope"]),
-            intercept=float(row["intercept"]),
-            r_squared=float(row["r_squared"]),
-            d_range=(int(row["d_min"]), int(row["d_max"])),
-        )
-    return out
-
-
 def write_correlations_csv(path: Path | str, cells: list[StudyCell]) -> None:
     rows = []
     for cell in cells:
@@ -191,20 +138,6 @@ def write_correlations_csv(path: Path | str, cells: list[StudyCell]) -> None:
                 ]
             )
     atomic_write_text(path, _csv_text(CORRELATIONS_HEADER, rows))
-
-
-def read_correlations_csv(path: Path | str) -> list[CorrelationRecord]:
-    return [
-        CorrelationRecord(
-            network=row["network"],
-            gamma=float(row["gamma"]),
-            treatment=Treatment(row["treatment"]),
-            order=int(row["order"]),
-            pearson_r=float(row["pearson_r"]),
-            n_dyads=int(row["n_dyads"]),
-        )
-        for row in _read_rows(path, CORRELATIONS_HEADER)
-    ]
 
 
 def _dyads_header(orders: list[int]) -> list[str]:
@@ -258,26 +191,6 @@ def _dyad_chunks(
         yield "\n".join(lines) + "\n"
 
 
-def read_dyads_csv(path: Path | str) -> list[dict[str, object]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        names = reader.fieldnames or []
-        if names[:4] != ["src", "dst", "dist", "exact"]:
-            raise ValidationError(f"{path}: unexpected dyad header {names}")
-        out = []
-        for row in reader:
-            parsed: dict[str, object] = {
-                "src": row["src"],
-                "dst": row["dst"],
-                "dist": float("inf") if row["dist"] == "inf" else int(row["dist"]),
-                "exact": float(row["exact"]),
-            }
-            for name in names[4:]:
-                parsed[name] = float(row[name])
-            out.append(parsed)
-        return out
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     """Per-network summary line of a corpus run."""
@@ -303,17 +216,3 @@ def write_manifest_csv(path: Path | str, entries: list[ManifestEntry]) -> None:
         for entry in entries
     ]
     atomic_write_text(path, _csv_text(MANIFEST_HEADER, rows))
-
-
-def read_manifest_csv(path: Path | str) -> list[ManifestEntry]:
-    return [
-        ManifestEntry(
-            network=row["network"],
-            n=int(row["n"]) if row["n"] else None,
-            edges=int(row["edges"]) if row["edges"] else None,
-            mean_degree=float(row["mean_degree"]) if row["mean_degree"] else None,
-            diameter=int(row["diameter"]) if row["diameter"] else None,
-            status=row["status"],
-        )
-        for row in _read_rows(path, MANIFEST_HEADER)
-    ]

@@ -1,8 +1,14 @@
 """Eigenstructure of the (normalized) adjacency matrix.
 
-Provides the spectral radius, full dense and truncated iterative
-decompositions with matched left rows, and greedy mode selection with
-conjugate closure so that truncated sums stay real.
+Provides the spectral radius, dense and iterative decompositions with
+matched left rows, and greedy mode selection with conjugate closure so
+that truncated sums stay real.
+
+A dense decomposition is one eigensolver call: ``eigh`` for undirected
+graphs, a two-sided ``geev`` for directed ones, with the left rows solved
+from the Gram system ``(VL^H VR)^-1 VL^H`` over the kept modes and every
+mode sharing their eigenvalues. Above the dense threshold ARPACK solves
+the two sides separately and they are matched by eigenvalue.
 
 Ordering convention: eigenvalues are sorted by nonincreasing modulus,
 ties broken by descending real part and then descending imaginary part.
@@ -17,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -150,8 +157,8 @@ def _enforce_conjugate_symmetry(
 
     Eigenvalues and right vectors of a real matrix come out of LAPACK in
     exact conjugate pairs, but the matched left rows pick up independent
-    rounding (inversion for the dense route, a separate solver run for
-    the iterative one). Downstream truncated sums rely on pair
+    rounding (the Gram solve for the dense route, a separate solver run
+    for the iterative one). Downstream truncated sums rely on pair
     contributions cancelling exactly, so the partner is replaced rather
     than tolerated. Modes with a real eigenvalue are real in exact
     arithmetic (simple eigenvalue, real matrix) and get their spurious
@@ -172,8 +179,10 @@ def _enforce_conjugate_symmetry(
             left[j, :] = np.conj(left[i, :])
 
 
-def _closed_prefix(values: np.ndarray, k: int) -> int:
-    """Smallest prefix length >= k that does not split a conjugate pair."""
+def _closed_prefix(values: np.ndarray, k: int | None) -> int:
+    """Smallest prefix length >= k (all when k is None) not splitting a conjugate pair."""
+    if k is None or k >= len(values):
+        return len(values)
     partners = conjugate_partners(values)
     keep = k
     while keep < len(values) and partners[:keep].max() >= keep:
@@ -181,10 +190,15 @@ def _closed_prefix(values: np.ndarray, k: int) -> int:
     return keep
 
 
-def _dense_eig(solver, matrix: np.ndarray):
+def _cut(values: np.ndarray, right: np.ndarray, left: np.ndarray, keep: int):
+    """The first ``keep`` modes, as contiguous arrays."""
+    return values[:keep], np.ascontiguousarray(right[:, :keep]), np.ascontiguousarray(left[:keep])
+
+
+def _dense_eig(solver, matrix: np.ndarray, **options):
     """Run a dense LAPACK eigensolver; its failure is a ConvergenceError."""
     try:
-        return solver(matrix)
+        return solver(matrix, **options)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from exc
 
@@ -197,7 +211,7 @@ def _arpack_radius(graph: Graph) -> float:
             vals = spla.eigs(matrix, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)
         else:
             vals = spla.eigsh(matrix, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
+    except spla.ArpackError as exc:
         raise ConvergenceError(f"spectral radius estimation did not converge: {exc}") from exc
     return float(np.max(np.abs(vals)))
 
@@ -241,31 +255,46 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     return iterative
 
 
-def _dense_eigenpairs(graph: Graph, b: np.ndarray):
-    if graph.directed:
-        values, right = _dense_eig(np.linalg.eig, b)
-        try:
-            inverse = np.linalg.inv(right)
-        except np.linalg.LinAlgError as exc:
-            raise DefectivenessError(
-                "eigenvector matrix is singular; the matrix appears defective"
-            ) from exc
-        # inv() does not fail on a numerically singular matrix, and its
-        # left residual stays small even then; what a full decomposition
-        # promises is reconstruction, so gate on that directly
-        rebuilt_error = np.max(np.abs((right * values) @ inverse - b))
+def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
+    """Leading eigenpairs of a dense matrix from one eigensolver call."""
+    if not graph.directed:
+        values, right = _dense_eig(np.linalg.eigh, b)
+        order = _canonical_order(values.astype(complex))
+        values = values[order].astype(complex)
+        right = right[:, order].astype(complex)
+        # orthonormal basis: the left rows are the plain transpose
+        return _cut(values, right, right.T.copy(), _closed_prefix(values, k))
+    values, left, right = _dense_eig(sla.eig, b, left=True, right=True)
+    # geev may return a repeated real eigenvalue as a conjugate pair with a
+    # rounding-level imaginary part (positive member first); the real and
+    # imaginary parts of the pair's vectors span the same eigenspace
+    pairs = np.flatnonzero((values.imag > 0.0) & (values.imag <= _PAIR_TOL))
+    for vectors in (left, right):
+        vectors[:, pairs + 1] = vectors[:, pairs].imag
+        vectors[:, pairs] = vectors[:, pairs].real
+    values[pairs] = values[pairs + 1] = values[pairs].real
+    order = _canonical_order(values)
+    values, left, right = values[order], left[:, order], right[:, order]
+    keep = _closed_prefix(values, k)
+    # left and right vectors are biorthogonal across distinct eigenvalues
+    # only, so the Gram system spans every mode sharing a kept eigenvalue
+    tol = _MATCH_TOL * np.maximum(1.0, np.abs(values[:keep]))
+    near = (np.abs(values[keep:, None] - values[:keep]) <= tol).any(axis=1)
+    modes = np.concatenate([np.arange(keep), keep + np.flatnonzero(near)])
+    conj_left = left[:, modes].conj().T
+    gram = conj_left @ right[:, modes]
+    if np.linalg.cond(gram) > 1.0 / _PAIR_TOL:
+        raise DefectivenessError("left/right Gram matrix is singular; the matrix appears defective")
+    left = np.linalg.solve(gram, conj_left)
+    if keep == graph.n:
+        # what a full decomposition promises is reconstruction
+        rebuilt_error = np.max(np.abs((right * values) @ left - b))
         if rebuilt_error > 1e-6:
             raise DefectivenessError(
                 f"eigenbasis reconstruction is off by {rebuilt_error:.3e}; the matrix "
                 "appears defective (pass k to keep only leading modes)"
             )
-        order = _canonical_order(values)
-        return values[order], right[:, order], inverse[order, :]
-    values, right = _dense_eig(np.linalg.eigh, b)
-    order = _canonical_order(values.astype(complex))
-    right = right[:, order].astype(complex)
-    # orthonormal basis: the inverse is the plain transpose
-    return values[order].astype(complex), right, right.T.copy()
+    return _cut(values, right, left, keep)
 
 
 def _conjugate_closure(values: np.ndarray, vectors: np.ndarray):
@@ -327,22 +356,6 @@ def _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l):
     return values, right, left
 
 
-def _dense_topk_eigenpairs(b: np.ndarray, k: int):
-    """Top-k eigenpairs of a dense nonsymmetric matrix via two-sided eig.
-
-    Avoids inverting the full eigenvector matrix, which is singular
-    whenever the transient (acyclic) part of the graph makes the zero
-    eigenvalue defective; the leading modes themselves are unaffected by
-    that defectiveness.
-    """
-    values, right = _dense_eig(np.linalg.eig, b)
-    order = _canonical_order(values)
-    keep = _closed_prefix(values[order], k)
-    kept = order[:keep]
-    vals_l, vecs_l = _dense_eig(np.linalg.eig, b.T)
-    return _pair_left_rows(values[kept], right[:, kept], vals_l, vecs_l)
-
-
 def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
     n = graph.n
     if k > n - 2:
@@ -357,12 +370,14 @@ def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
             values = vals.astype(complex)
             order = _canonical_order(values)
             right = vecs[:, order].astype(complex)
-            return values[order], right, right.T.copy()
-        vals_r, vecs_r = spla.eigs(b_sparse, k=request, which="LM", v0=v0, tol=0)
-        vals_l, vecs_l = spla.eigs(b_sparse.T.tocsr(), k=request, which="LM", v0=v0, tol=0)
-    except spla.ArpackNoConvergence as exc:
+            values, left = values[order], right.T.copy()
+        else:
+            vals_r, vecs_r = spla.eigs(b_sparse, k=request, which="LM", v0=v0, tol=0)
+            vals_l, vecs_l = spla.eigs(b_sparse.T.tocsr(), k=request, which="LM", v0=v0, tol=0)
+            values, right, left = _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l)
+    except spla.ArpackError as exc:
         raise ConvergenceError(f"iterative decomposition did not converge: {exc}") from exc
-    return _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l)
+    return _cut(values, right, left, _closed_prefix(values, k))
 
 
 def decompose(
@@ -380,18 +395,19 @@ def decompose(
     normalize : bool
         Decompose ``B = A / rho(A)`` instead of the raw adjacency.
     k : int or None
-        Number of largest-modulus eigenpairs to keep; None keeps all n.
-        The kept set never splits a conjugate pair, so the realized count
-        can exceed k: by one for a simple complex pair, by more when a
-        complex eigenvalue repeats (two disjoint directed 3-cycles keep
-        all six modes at k=3). A full directed decomposition (k None)
-        requires a diagonalizable matrix; with k set, only the kept
-        leading modes must be clean, so sparse digraphs whose transient
-        part is defective at eigenvalue zero still decompose.
+        Number of largest-modulus eigenpairs to keep; None (or n) keeps
+        all n. The kept set never splits a conjugate pair, so the
+        realized count can exceed k: by one for a simple complex pair, by
+        more when a complex eigenvalue repeats (two disjoint directed
+        3-cycles keep all six modes at k=3). A full directed decomposition
+        requires a diagonalizable matrix; a truncated one only needs the
+        kept modes, and every mode sharing their eigenvalues, to be clean,
+        so sparse digraphs whose transient part is defective at eigenvalue
+        zero still decompose.
     dense_threshold : int
-        At or below this size dense solvers back the result; above it an
-        iterative solver computes k pairs and their matching left rows
-        (k is then required).
+        At or below this size one dense eigensolve backs the result (see
+        the module docstring); above it an iterative solver computes k
+        pairs and their matching left rows (k is then required).
     """
     if graph.n == 0 or not graph.edges:
         raise ValidationError("decomposition requires a graph with at least one edge")
@@ -415,18 +431,7 @@ def decompose(
 
     if graph.n <= dense_threshold:
         b = graph.adjacency() / rho
-        if graph.directed and k is not None and k < graph.n:
-            # two-sided route: a full inversion would fail on matrices
-            # whose transient part is defective at eigenvalue zero
-            values, right, left = _dense_topk_eigenpairs(b, k)
-        else:
-            values, right, left = _dense_eigenpairs(graph, b)
-            if k is not None and k < len(values):
-                keep = _closed_prefix(values, k)
-                values = values[:keep]
-                right = np.ascontiguousarray(right[:, :keep])
-                left = np.ascontiguousarray(left[:keep, :])
-        full = len(values) == graph.n
+        values, right, left = _dense_eigenpairs(graph, b, k)
         apply = b.__matmul__
     else:
         if k is None:
@@ -436,11 +441,6 @@ def decompose(
             )
         b_sparse = graph.adjacency_sparse() / rho
         values, right, left = _iterative_eigenpairs(graph, b_sparse, k)
-        keep = _closed_prefix(values, min(k, len(values)))
-        values = values[:keep]
-        right = np.ascontiguousarray(right[:, :keep])
-        left = np.ascontiguousarray(left[:keep, :])
-        full = False
         apply = b_sparse.__matmul__
 
     _canonicalize(values, right, left)
@@ -465,7 +465,7 @@ def decompose(
         right_vectors=right,
         left_rows=left,
         residual=residual,
-        full=full,
+        full=len(values) == graph.n,
     )
 
 

@@ -40,17 +40,10 @@ from impactfield.impact import (
     exact_propagator,
     gamma_grid,
 )
-from impactfield.io import (
-    read_correlations_csv,
-    read_curves_csv,
-    read_fits_csv,
-    write_correlations_csv,
-    write_curves_csv,
-    write_fits_csv,
-)
+from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_csv
 from impactfield.spectral import decompose, select_modes
 
-from util import arcs
+from util import arcs, read_correlations_csv, read_curves_csv, read_fits_csv
 
 
 def three_cycle():
@@ -266,29 +259,6 @@ def test_correlation_validates_kind_and_gamma() -> None:
     mismatched = approx_on(g, 0.75, order=1)
     with pytest.raises(ValidationError):
         dyad_correlation(exact, mismatched, dist)
-
-
-def test_log_correlation_linearizes_power_laws() -> None:
-    g = generate_er(n=15, p=0.3, directed=False, seed=37)
-    exact = exact_on(g, 0.75)
-    squared = ImpactMatrix(
-        n=g.n, values=exact.values**2, kind=ImpactKind.APPROX, gamma=0.75, order=1
-    )
-    dist = geodesic_distances(g)
-    assert dyad_correlation(exact, squared, dist, log_values=True) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert dyad_correlation(exact, squared, dist) < 1.0 - 1e-9
-
-
-def test_log_correlation_requires_positive_values() -> None:
-    g = three_cycle()
-    exact = exact_on(g, 0.5)
-    negative = ImpactMatrix(
-        n=3, values=-np.ones((3, 3)), kind=ImpactKind.APPROX, gamma=0.5, order=1
-    )
-    with pytest.raises(DomainError):
-        dyad_correlation(exact, negative, geodesic_distances(g), log_values=True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ import pytest
 
 import impactfield
 from impactfield.cli import main
-from impactfield.io import (
+from impactfield.graph import generate_er, serialize_edge_list
+
+from util import (
     read_correlations_csv,
     read_curves_csv,
     read_dyads_csv,
     read_manifest_csv,
+    twin_components,
 )
 
 TWO_CYCLE = "a b\n"
@@ -499,6 +502,23 @@ def test_replicate_records_undecodable_file_and_continues(tmp_path, capsys) -> N
     assert entries["net0"].status == "ok"
     assert entries["net1"].status == "ok"
     assert len(read_correlations_csv(out / "correlations.csv")) == 40
+    capsys.readouterr()
+
+
+def test_replicate_records_an_iterative_solver_failure_and_continues(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # ARPACK fails on the directed twin (every eigenvalue repeats); that is
+    # a failed treatment in the manifest, not a traceback ending the run
+    corpus = make_corpus(tmp_path, count=1)
+    twin = twin_components(generate_er(n=20, p=0.15, directed=True, seed=0))
+    (corpus / "twin.txt").write_text(serialize_edge_list(twin))
+    monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "10")
+    out = tmp_path / "out"
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
+    assert entries["twin"].status == "partial: 5 of 10 cells failed"
+    assert entries["net0"].status == "ok"
     capsys.readouterr()
 
 

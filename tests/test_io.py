@@ -10,9 +10,9 @@ import pytest
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
 from impactfield.impact import ImpactKind, ImpactMatrix
-from impactfield.io import atomic_write_text, read_dyads_csv, write_dyads_csv
+from impactfield.io import atomic_write_text, write_dyads_csv
 
-from util import arcs, rowwise_dyads_csv
+from util import arcs, read_dyads_csv, rowwise_dyads_csv
 
 # name -> (graph, treatment, orders)
 DUMP_CASES = {

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from impactfield.errors import (
     ConvergenceError,
@@ -19,10 +21,11 @@ from impactfield.errors import (
     NormalizationError,
     ValidationError,
 )
-from impactfield.graph import Graph, generate_er
+from impactfield.graph import Graph, generate_er, geodesic_distances
+from impactfield.impact import approx_impact, build_weight
 from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
 
-from util import arcs, twin_three_cycles
+from util import arcs, twin_components, twin_three_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +237,41 @@ def test_decompose_rejects_bad_k() -> None:
     [("eigvals", True, None), ("eig", True, None), ("eig", True, 3), ("eigh", False, None)],
 )
 def test_dense_solver_failure_is_a_convergence_error(monkeypatch, solver, directed, k) -> None:
-    def fail(matrix):
+    def fail(matrix, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     g = generate_er(n=20, p=0.3, directed=directed, seed=5)
-    monkeypatch.setattr(np.linalg, solver, fail)
+    # the directed decomposition is one two-sided scipy solve
+    monkeypatch.setattr(scipy.linalg if solver == "eig" else np.linalg, solver, fail)
     with pytest.raises(ConvergenceError):
         if solver == "eigvals":
             spectral_radius(g)
         else:
             decompose(g, normalize=False, k=k)
+
+
+@pytest.mark.parametrize("route", ["radius", "decomposition"])
+def test_arpack_error_is_a_convergence_error(monkeypatch, route) -> None:
+    # error 3 ("no shifts could be applied") is an ArpackError that is
+    # not an ArpackNoConvergence
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(3)
+
+    g = generate_er(n=30, p=0.2, directed=True, seed=5)
+    monkeypatch.setattr(spla, "eigs", fail)
+    with pytest.raises(ConvergenceError):
+        if route == "radius":
+            spectral_radius(g, dense_threshold=10)
+        else:
+            decompose(g, normalize=False, k=4, dense_threshold=10)
+
+
+def test_iterative_route_on_twin_components_is_a_convergence_error() -> None:
+    # every eigenvalue repeats; ARPACK either stops with an ArpackError or
+    # returns sides that do not pair, and both are convergence failures
+    twin = twin_components(generate_er(n=20, p=0.15, directed=True, seed=0))
+    with pytest.raises(ConvergenceError):
+        decompose(twin, k=6, dense_threshold=10)
 
 
 def test_nilpotent_matrix_is_reported_defective() -> None:
@@ -294,6 +322,46 @@ def test_topk_matching_respects_disconnected_duplicates() -> None:
         support_right = np.abs(dec.right_vectors[:, mode]) > 1e-12
         support_left = np.abs(dec.left_rows[mode]) > 1e-12
         assert (support_right == support_left).all()
+
+
+def test_twin_components_pair_left_and_right_within_each_eigenvalue() -> None:
+    # k=5 keeps both copies of 1 and of a complex pair; the left rows of a
+    # repeated eigenvalue must be the dual basis of its right vectors
+    component = generate_er(n=20, p=0.15, directed=True, seed=27)
+    twin = twin_components(component)
+    dec = decompose(twin, k=5)
+    assert np.max(np.abs(dec.left_rows @ dec.right_vectors - np.eye(dec.num_modes))) < 1e-8
+    b = twin.adjacency() / spectral_radius(twin)
+    residual_left = dec.left_rows @ b - dec.eigenvalues[:, None] * dec.left_rows
+    assert np.max(np.abs(residual_left)) < 1e-10
+    # the two leading modes span both copies of the Perron mode, so order 2
+    # on the twin is order 1 on each component
+    gamma = 0.875
+    twin_approx = approx_impact(
+        build_weight(twin, gamma),
+        select_modes(dec, gamma, order=2),
+        geodesic_distances(twin),
+    ).values
+    own = approx_impact(
+        build_weight(component, gamma),
+        select_modes(decompose(component, k=5), gamma, order=1),
+        geodesic_distances(component),
+    ).values
+    n = component.n
+    for block in (twin_approx[:n, :n], twin_approx[n:, n:]):
+        assert np.max(np.abs(block - own)) <= 1e-10 * np.max(np.abs(own))
+
+
+def test_repeated_real_eigenvalue_returned_as_a_rounding_level_pair() -> None:
+    # geev returns the twin's double eigenvalue 1 as 1 +- 4e-16j here; its
+    # vectors must still span both copies of the Perron mode
+    twin = twin_components(generate_er(n=20, p=0.15, directed=True, seed=29))
+    dec = decompose(twin, k=5)
+    assert np.max(np.abs(dec.eigenvalues[:2] - 1.0)) < 1e-12
+    assert np.max(np.abs(dec.left_rows @ dec.right_vectors - np.eye(dec.num_modes))) < 1e-8
+    b = twin.adjacency() / spectral_radius(twin)
+    residual = b @ dec.right_vectors - dec.right_vectors * dec.eigenvalues
+    assert np.max(np.abs(residual)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

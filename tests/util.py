@@ -11,9 +11,17 @@ from pathlib import Path
 import numpy as np
 
 from impactfield import Graph, build_weight, exact_propagator, generate_er, is_connected
+from impactfield.analysis import CorrelationRecord, CurvePoint, DecayCurve, ExponentialFit, Treatment
 from impactfield.errors import ConjugateClosureError, GraphValidationError, ValidationError
 from impactfield.graph import DistanceMatrix
 from impactfield.impact import ImpactKind, ImpactMatrix, WeightMatrix
+from impactfield.io import (
+    CORRELATIONS_HEADER,
+    CURVES_HEADER,
+    FITS_HEADER,
+    MANIFEST_HEADER,
+    ManifestEntry,
+)
 from impactfield.spectral import ModeSet
 
 
@@ -30,6 +38,12 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
 def twin_three_cycles() -> Graph:
     """Two disjoint directed 3-cycles: spectrum 1, 1, w, w, conj(w), conj(w)."""
     return arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+def twin_components(graph: Graph) -> Graph:
+    """Two disjoint copies of ``graph``: every eigenvalue of it repeats."""
+    shifted = tuple((src + graph.n, dst + graph.n, weight) for src, dst, weight in graph.edges)
+    return Graph(n=2 * graph.n, directed=graph.directed, edges=graph.edges + shifted)
 
 
 def bfs_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -191,3 +205,91 @@ def rowwise_dyads_csv(
             row.extend(repr(float(approximations[order].values[i, j])) for order in orders)
             writer.writerow(row)
     Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+
+
+def _read_rows(path: Path | str, expected_header: list[str]) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames != expected_header:
+            raise ValidationError(
+                f"{path}: header {reader.fieldnames} does not match {expected_header}"
+            )
+        return list(reader)
+
+
+def read_curves_csv(path: Path | str) -> dict[tuple[str, Treatment, float], DecayCurve]:
+    grouped: dict[tuple[str, Treatment, float], list[CurvePoint]] = {}
+    for row in _read_rows(path, CURVES_HEADER):
+        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
+        grouped.setdefault(key, []).append(
+            CurvePoint(
+                distance=int(row["distance"]),
+                mean_impact=float(row["mean_impact"]),
+                n_pairs=int(row["n_pairs"]),
+            )
+        )
+    return {
+        key: DecayCurve(gamma=key[2], treatment=key[1], points=tuple(points))
+        for key, points in grouped.items()
+    }
+
+
+def read_fits_csv(path: Path | str) -> dict[tuple[str, Treatment, float], ExponentialFit]:
+    out = {}
+    for row in _read_rows(path, FITS_HEADER):
+        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
+        out[key] = ExponentialFit(
+            slope=float(row["slope"]),
+            intercept=float(row["intercept"]),
+            r_squared=float(row["r_squared"]),
+            d_range=(int(row["d_min"]), int(row["d_max"])),
+        )
+    return out
+
+
+def read_correlations_csv(path: Path | str) -> list[CorrelationRecord]:
+    return [
+        CorrelationRecord(
+            network=row["network"],
+            gamma=float(row["gamma"]),
+            treatment=Treatment(row["treatment"]),
+            order=int(row["order"]),
+            pearson_r=float(row["pearson_r"]),
+            n_dyads=int(row["n_dyads"]),
+        )
+        for row in _read_rows(path, CORRELATIONS_HEADER)
+    ]
+
+
+def read_dyads_csv(path: Path | str) -> list[dict[str, object]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        names = reader.fieldnames or []
+        if names[:4] != ["src", "dst", "dist", "exact"]:
+            raise ValidationError(f"{path}: unexpected dyad header {names}")
+        out = []
+        for row in reader:
+            parsed: dict[str, object] = {
+                "src": row["src"],
+                "dst": row["dst"],
+                "dist": float("inf") if row["dist"] == "inf" else int(row["dist"]),
+                "exact": float(row["exact"]),
+            }
+            for name in names[4:]:
+                parsed[name] = float(row[name])
+            out.append(parsed)
+        return out
+
+
+def read_manifest_csv(path: Path | str) -> list[ManifestEntry]:
+    return [
+        ManifestEntry(
+            network=row["network"],
+            n=int(row["n"]) if row["n"] else None,
+            edges=int(row["edges"]) if row["edges"] else None,
+            mean_degree=float(row["mean_degree"]) if row["mean_degree"] else None,
+            diameter=int(row["diameter"]) if row["diameter"] else None,
+            status=row["status"],
+        )
+        for row in _read_rows(path, MANIFEST_HEADER)
+    ]
