@@ -8,7 +8,7 @@ Conventions used throughout the package:
   edge once with ``i <= j`` and expand both directions when an adjacency
   matrix is materialized.
 * Hop distances follow arc direction and ignore edge weights. A pair with
-  no connecting path is marked unreachable, never given a sentinel count.
+  no connecting path is marked unreachable and holds a hop count of 0.
 """
 
 from __future__ import annotations
@@ -235,8 +235,9 @@ class DyadIndex:
 class DistanceMatrix:
     """All-pairs hop counts with an explicit reachability mask.
 
-    ``hops[i, j]`` is meaningful only where ``reachable[i, j]`` is True;
-    unreachable pairs carry no fake distance value.
+    ``hops[i, j]`` is a distance only where ``reachable[i, j]`` is True.
+    Unreachable pairs hold 0, like the diagonal, so ``hops`` can index a
+    per-distance table directly; ``reachable`` tells the two apart.
     """
 
     n: int
@@ -246,13 +247,12 @@ class DistanceMatrix:
     @cached_property
     def dyads(self) -> DyadIndex:
         """The dyad set, computed on first use and then shared."""
-        mask = self.reachable & (self.hops >= 1)
-        labels = np.where(mask, self.hops, 0)
-        counts = np.bincount(labels.ravel(), minlength=1)
+        # unreachable pairs hold 0 hops, so hops >= 1 marks exactly the dyads
+        mask = self.hops >= 1
+        counts = np.bincount(self.hops.ravel(), minlength=1)
         # a stable sort on a narrow key is a linear-time radix sort;
-        # label 0 (diagonal and unreachable pairs) sorts first and is cut
-        key = labels.astype(np.min_scalar_type(len(counts) - 1))
-        del labels
+        # hop count 0 (diagonal and unreachable pairs) sorts first and is cut
+        key = self.hops.astype(np.min_scalar_type(len(counts) - 1))
         order = np.argsort(key, axis=None, kind="stable")
         index_type = np.int32 if self.n * self.n <= np.iinfo(np.int32).max else np.int64
         flat = order[counts[0]:].astype(index_type)

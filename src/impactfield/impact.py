@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csgraph
 
 from .errors import (
     ConjugateClosureError,
@@ -46,16 +45,15 @@ _RCOND_FLOOR = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Attenuated, radius-normalized adjacency ``W = gamma * B``.
+    """Attenuated, radius-normalized adjacency ``W = gamma * A / rho(A)``.
 
-    ``B = A / rho(A)`` has spectral radius 1, so ``rho(W) = gamma < 1``
-    and the impact series converges.
+    ``A / rho(A)`` has spectral radius 1, so ``rho(W) = gamma < 1`` and
+    the impact series converges.
     """
 
     n: int
     gamma: float
     rho: float
-    B: np.ndarray
     W: np.ndarray
 
 
@@ -73,15 +71,6 @@ class ImpactMatrix:
     kind: ImpactKind
     gamma: float
     order: int | None = None
-
-
-def _is_acyclic(graph: Graph) -> bool:
-    # no self-loops exist, so the digraph is acyclic exactly when every
-    # strongly connected component is a single node
-    n_components, _ = csgraph.connected_components(
-        graph.structure_sparse(), directed=True, connection="strong"
-    )
-    return n_components == graph.n
 
 
 def build_weight(
@@ -106,16 +95,14 @@ def build_weight(
             NegativeWeightsWarning,
             stacklevel=2,
         )
-    if graph.directed and _is_acyclic(graph):
-        # eigenvalue routines return noise for nilpotent matrices, so
-        # catch the rho = 0 case structurally
-        raise NormalizationError("cannot normalize: adjacency is nilpotent (acyclic digraph)")
     if rho is None:
         rho = spectral_radius(graph, dense_threshold=dense_threshold)
     if rho <= 0.0:
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
-    b = graph.adjacency() / rho
-    return WeightMatrix(n=graph.n, gamma=gamma, rho=rho, B=b, W=gamma * b)
+    w = graph.adjacency()
+    w /= rho
+    w *= gamma
+    return WeightMatrix(n=graph.n, gamma=gamma, rho=rho, W=w)
 
 
 def gamma_grid() -> list[float]:
@@ -236,9 +223,8 @@ def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) ->
     if modes.receive_vectors.shape[0] != weight.n or dist.n != weight.n:
         raise ValidationError("mode set, weight matrix, and distances must agree on n")
     terms = _real_terms(modes)
-    hops_safe = np.where(dist.reachable, dist.hops, 0)
-    dmax = int(hops_safe.max(initial=0))
-    exponents = np.arange(dmax + 1)
+    hops = dist.hops
+    exponents = np.arange(int(hops.max(initial=0)) + 1)
     values = np.zeros((weight.n, weight.n))
     for mode, folded in terms:
         table = modes.gains[mode] * np.power(weight.gamma * modes.eigenvalues[mode], exponents)
@@ -246,12 +232,12 @@ def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) ->
         send = modes.send_rows[mode, :]
         if folded:
             outer = np.outer(receive, send)
-            term = table.real[hops_safe] * outer.real
-            term -= table.imag[hops_safe] * outer.imag
+            term = table.real[hops] * outer.real
+            term -= table.imag[hops] * outer.imag
             term *= 2.0
         else:
             term = np.outer(receive.real, send.real)
-            term *= table.real[hops_safe]
+            term *= table.real[hops]
         values += term
     values[~dist.reachable] = 0.0
     return ImpactMatrix(

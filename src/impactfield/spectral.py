@@ -1,14 +1,18 @@
 """Eigenstructure of the (normalized) adjacency matrix.
 
 Provides the spectral radius, dense and iterative decompositions with
-matched left rows, and greedy mode selection with conjugate closure so
+dual left rows, and greedy mode selection with conjugate closure so
 that truncated sums stay real.
 
-A dense decomposition is one eigensolver call: ``eigh`` for undirected
-graphs, a two-sided ``geev`` for directed ones, with the left rows solved
-from the Gram system ``(VL^H VR)^-1 VL^H`` over the kept modes and every
-mode sharing their eigenvalues. Above the dense threshold ARPACK solves
-the two sides separately and they are matched by eigenvalue.
+Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
+above the dense threshold), so the left rows are the transposed right
+vectors. For directed graphs the left rows always come from one Gram
+solve, ``(VL^H VR)^-1 VL^H`` over the kept modes and every mode sharing
+their eigenvalues, so they are the dual basis of the right vectors even
+within a repeated eigenvalue. The left vectors come from the same
+two-sided ``geev`` call as the right ones at or below the dense
+threshold; above it, from a second ARPACK run on ``B^T``, which must
+agree with the first run on every eigenvalue it found.
 
 Ordering convention: eigenvalues are sorted by nonincreasing modulus,
 ties broken by descending real part and then descending imaginary part.
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import (
     ConjugateClosureError,
@@ -61,7 +66,7 @@ class SpectralDecomposition:
     """Eigenpairs of a (normalized) adjacency matrix, canonically ordered.
 
     ``right_vectors`` holds one unit eigenvector per column and
-    ``left_rows`` the matching left rows; for a full decomposition the
+    ``left_rows`` the dual left rows; for a full decomposition the
     left rows are the rows of the inverse eigenvector matrix, so
     ``left_rows @ right_vectors`` is the identity.
     """
@@ -156,9 +161,8 @@ def _enforce_conjugate_symmetry(
     """Overwrite each conjugate partner with the exact conjugate, in place.
 
     Eigenvalues and right vectors of a real matrix come out of LAPACK in
-    exact conjugate pairs, but the matched left rows pick up independent
-    rounding (the Gram solve for the dense route, a separate solver run
-    for the iterative one). Downstream truncated sums rely on pair
+    exact conjugate pairs, but the left rows of the Gram solve pick up
+    independent rounding. Downstream truncated sums rely on pair
     contributions cancelling exactly, so the partner is replaced rather
     than tolerated. Modes with a real eigenvalue are real in exact
     arithmetic (simple eigenvalue, real matrix) and get their spurious
@@ -195,6 +199,15 @@ def _cut(values: np.ndarray, right: np.ndarray, left: np.ndarray, keep: int):
     return values[:keep], np.ascontiguousarray(right[:, :keep]), np.ascontiguousarray(left[:keep])
 
 
+def _symmetric_modes(values: np.ndarray, vectors: np.ndarray, k: int | None):
+    """Canonically ordered, cut eigenpairs of a symmetric matrix."""
+    values = values.astype(complex)
+    order = _canonical_order(values)
+    values, right = values[order], vectors[:, order].astype(complex)
+    # orthonormal basis: the left rows are the plain transpose
+    return _cut(values, right, right.T.copy(), _closed_prefix(values, k))
+
+
 def _dense_eig(solver, matrix: np.ndarray, **options):
     """Run a dense LAPACK eigensolver; its failure is a ConvergenceError."""
     try:
@@ -216,13 +229,24 @@ def _arpack_radius(graph: Graph) -> float:
     return float(np.max(np.abs(vals)))
 
 
+def _is_acyclic(graph: Graph) -> bool:
+    # no self-loops exist, so the digraph is acyclic exactly when every
+    # strongly connected component is a single node
+    n_components, _ = csgraph.connected_components(
+        graph.structure_sparse(), directed=True, connection="strong"
+    )
+    return n_components == graph.n
+
+
 def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> float:
     """Largest eigenvalue modulus of the weighted adjacency matrix.
 
     Uses an iterative estimate with a deterministic start vector and, for
     graphs at or below the dense threshold, cross-checks it against a
-    full dense eigenvalue computation. An edgeless graph has radius 0.0,
-    which downstream normalization must reject.
+    full dense eigenvalue computation. An edgeless graph and an acyclic
+    digraph (nilpotent adjacency) have radius 0.0, decided structurally
+    because eigensolvers return noise for them; downstream normalization
+    must reject it.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -232,6 +256,8 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             NoEdgesWarning,
             stacklevel=2,
         )
+        return 0.0
+    if graph.directed and _is_acyclic(graph):
         return 0.0
     iterative: float | None = None
     if graph.n > 2:
@@ -255,15 +281,41 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     return iterative
 
 
+def _dual_rows(values, right, keep, left_values, left):
+    """Left rows dual to the right vectors of the kept modes, from one Gram solve.
+
+    ``values`` and ``right`` are the canonically ordered right eigenpairs,
+    of which the first ``keep`` are kept; ``left`` holds left eigenvectors
+    ``v`` (``v^H B = lambda v^H``) as columns, with eigenvalues
+    ``left_values``. Left and right vectors are biorthogonal across
+    distinct eigenvalues only, so the system spans every mode, on either
+    side, whose eigenvalue is within _MATCH_TOL of a kept one. The result
+    is ``(VL^H VR)^-1 VL^H`` over those modes, one row per right column,
+    the kept modes first.
+    """
+    tol = _MATCH_TOL * np.maximum(1.0, np.abs(values[:keep]))
+
+    def sharing(candidates):
+        return np.flatnonzero((np.abs(candidates[:, None] - values[:keep]) <= tol).any(axis=1))
+
+    columns = np.concatenate([np.arange(keep), keep + sharing(values[keep:])])
+    rows = sharing(left_values)
+    if len(rows) != len(columns):
+        raise ConvergenceError(
+            f"left and right eigenvectors disagree on the multiplicity of the kept "
+            f"eigenvalues ({len(rows)} left, {len(columns)} right)"
+        )
+    conj_left = left[:, rows].conj().T
+    gram = conj_left @ right[:, columns]
+    if np.linalg.cond(gram) > 1.0 / _PAIR_TOL:
+        raise DefectivenessError("left/right Gram matrix is singular; the matrix appears defective")
+    return np.linalg.solve(gram, conj_left)
+
+
 def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
     """Leading eigenpairs of a dense matrix from one eigensolver call."""
     if not graph.directed:
-        values, right = _dense_eig(np.linalg.eigh, b)
-        order = _canonical_order(values.astype(complex))
-        values = values[order].astype(complex)
-        right = right[:, order].astype(complex)
-        # orthonormal basis: the left rows are the plain transpose
-        return _cut(values, right, right.T.copy(), _closed_prefix(values, k))
+        return _symmetric_modes(*_dense_eig(np.linalg.eigh, b), k)
     values, left, right = _dense_eig(sla.eig, b, left=True, right=True)
     # geev may return a repeated real eigenvalue as a conjugate pair with a
     # rounding-level imaginary part (positive member first); the real and
@@ -276,16 +328,7 @@ def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
     order = _canonical_order(values)
     values, left, right = values[order], left[:, order], right[:, order]
     keep = _closed_prefix(values, k)
-    # left and right vectors are biorthogonal across distinct eigenvalues
-    # only, so the Gram system spans every mode sharing a kept eigenvalue
-    tol = _MATCH_TOL * np.maximum(1.0, np.abs(values[:keep]))
-    near = (np.abs(values[keep:, None] - values[:keep]) <= tol).any(axis=1)
-    modes = np.concatenate([np.arange(keep), keep + np.flatnonzero(near)])
-    conj_left = left[:, modes].conj().T
-    gram = conj_left @ right[:, modes]
-    if np.linalg.cond(gram) > 1.0 / _PAIR_TOL:
-        raise DefectivenessError("left/right Gram matrix is singular; the matrix appears defective")
-    left = np.linalg.solve(gram, conj_left)
+    left = _dual_rows(values, right, keep, values, left)
     if keep == graph.n:
         # what a full decomposition promises is reconstruction
         rebuilt_error = np.max(np.abs((right * values) @ left - b))
@@ -308,54 +351,6 @@ def _conjugate_closure(values: np.ndarray, vectors: np.ndarray):
     )
 
 
-def _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l):
-    """Assemble (values, right, left) from separately computed sides.
-
-    Each kept right eigenpair is matched to the left candidate whose
-    eigenvalue agrees and whose bilinear pairing with the right vector is
-    largest in magnitude; the magnitude criterion disambiguates repeated
-    eigenvalues (for instance identical values on disconnected
-    components, where eigenvalue distance alone could cross-match). The
-    left candidates are first closed under conjugation, since the two
-    solver runs can cut a conjugate pair on opposite sides. A one-sided
-    member of a conjugate pair gets its partner synthesized by
-    conjugation; both steps are exact because the matrix is real.
-    """
-    n = vecs_r.shape[0]
-    vals_l, vecs_l = _conjugate_closure(vals_l, vecs_l)
-    matched = []
-    available = list(range(len(vals_l)))
-    for i, value in enumerate(vals_r):
-        close = [
-            j for j in available if abs(vals_l[j] - value) <= 1e-6 * max(1.0, abs(value))
-        ]
-        if not close:
-            raise ConvergenceError(
-                f"left spectrum does not match right spectrum near eigenvalue {value!r}"
-            )
-        best = max(close, key=lambda j: abs(vecs_l[:, j] @ vecs_r[:, i]))
-        available.remove(best)
-        matched.append(best)
-
-    # right vectors stacked over their matched left vectors
-    values, stacked = _conjugate_closure(vals_r, np.vstack([vecs_r, vecs_l[:, matched]]))
-    order = _canonical_order(values)
-    values = values[order]
-    # contiguous copies: BLAS can round a strided dot product differently
-    right = np.ascontiguousarray(stacked[:n, order])
-    left_candidates = stacked[n:].T.copy()
-    left = np.zeros((len(values), n), dtype=complex)
-    for row, i in enumerate(order):
-        u_vec = left_candidates[i]
-        pairing = u_vec @ right[:, row]
-        if abs(pairing) < _PAIR_TOL * np.linalg.norm(u_vec) * np.linalg.norm(right[:, row]):
-            raise DefectivenessError(
-                f"left/right pairing vanishes near eigenvalue {values[row]!r}"
-            )
-        left[row, :] = u_vec / pairing
-    return values, right, left
-
-
 def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
     n = graph.n
     if k > n - 2:
@@ -366,18 +361,31 @@ def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
     request = min(k + 2, n - 2)
     try:
         if not graph.directed:
-            vals, vecs = spla.eigsh(b_sparse, k=request, which="LM", v0=v0, tol=0)
-            values = vals.astype(complex)
-            order = _canonical_order(values)
-            right = vecs[:, order].astype(complex)
-            values, left = values[order], right.T.copy()
-        else:
-            vals_r, vecs_r = spla.eigs(b_sparse, k=request, which="LM", v0=v0, tol=0)
-            vals_l, vecs_l = spla.eigs(b_sparse.T.tocsr(), k=request, which="LM", v0=v0, tol=0)
-            values, right, left = _pair_left_rows(vals_r, vecs_r, vals_l, vecs_l)
+            return _symmetric_modes(*spla.eigsh(b_sparse, k=request, which="LM", v0=v0, tol=0), k)
+        right_run = spla.eigs(b_sparse, k=request, which="LM", v0=v0, tol=0)
+        left_run = spla.eigs(b_sparse.T.tocsr(), k=request, which="LM", v0=v0, tol=0)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"iterative decomposition did not converge: {exc}") from exc
-    return _cut(values, right, left, _closed_prefix(values, k))
+    # the two runs can cut a conjugate pair on opposite sides; closing each
+    # is exact because the matrix is real
+    values, right = _conjugate_closure(*right_run)
+    order = _canonical_order(values)
+    values, right = values[order], right[:, order]
+    left_values, left = _conjugate_closure(*left_run)
+    # every eigenvalue of the right run, not only the kept ones, must turn up
+    # in the left run as often as in the right one
+    tol = _MATCH_TOL * np.maximum(1.0, np.abs(values))[:, None]
+    copies = (np.abs(values[:, None] - values) <= tol).sum(axis=1)
+    found = (np.abs(values[:, None] - left_values) <= tol).sum(axis=1)
+    if (found < copies).any():
+        raise ConvergenceError(
+            "left spectrum does not match right spectrum near eigenvalue "
+            f"{values[np.argmax(found < copies)]!r}"
+        )
+    keep = _closed_prefix(values, k)
+    # eigs on B^T returns u with u^T B = lambda u^T, so conj(u) is the left
+    # eigenvector in the sense of geev
+    return _cut(values, right, _dual_rows(values, right, keep, left_values, np.conj(left)), keep)
 
 
 def decompose(
@@ -407,7 +415,7 @@ def decompose(
     dense_threshold : int
         At or below this size one dense eigensolve backs the result (see
         the module docstring); above it an iterative solver computes k
-        pairs and their matching left rows (k is then required).
+        pairs and their dual left rows (k is then required).
     """
     if graph.n == 0 or not graph.edges:
         raise ValidationError("decomposition requires a graph with at least one edge")

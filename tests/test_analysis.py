@@ -345,6 +345,16 @@ def test_failed_treatment_yields_error_cells_not_an_abort() -> None:
     assert all(c.error is None for c in symmetrized)
 
 
+def test_acyclic_digraph_cells_are_validation_failures() -> None:
+    # its radius is 0 by structure; ARPACK noise against the dense zero
+    # must not turn that into a convergence failure (exit code 3)
+    rng = np.random.default_rng(0)
+    src, dst = np.nonzero(np.triu(rng.random((10, 10)) < 0.3, 1))
+    g = arcs(10, zip(src.tolist(), dst.tolist()))
+    cells = run_study(g, network="dag", treatments=(Treatment.DIRECTED,))
+    assert [cell.error_code for cell in cells] == [1] * 5
+
+
 def test_sparse_cells_record_notes_instead_of_failing() -> None:
     # the 2-cycle has one curve point and two dyads: fit and correlation
     # both degrade to notes

@@ -315,6 +315,26 @@ def test_analyze_failed_cell_names_the_cell(tmp_path, capsys) -> None:
     assert "dag/directed/gamma=0.5" in err
 
 
+def test_analyze_acyclic_digraph_exits_one(tmp_path, capsys) -> None:
+    # the radius of a DAG is 0 by structure: a validation error, not the
+    # ARPACK-versus-dense disagreement (exit 3) its noise would cause
+    dag = "a b\nb c\nc d\na c\nb d\nd e\na e\n"
+    code = main(
+        [
+            "analyze",
+            "--input",
+            write_input(tmp_path, "dag.txt", dag),
+            "--directed",
+            "--gamma",
+            "0.5",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert "spectral radius" in capsys.readouterr().err
+
+
 def test_analyze_flag_conflicts(tmp_path, capsys) -> None:
     base = [
         "analyze",

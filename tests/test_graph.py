@@ -215,6 +215,15 @@ def test_distances_two_components() -> None:
     assert dist.distance(0, 1) == 1
 
 
+def test_unreachable_pairs_hold_zero_hops() -> None:
+    # approx_impact and the dyad index read hops without the mask
+    for directed in (False, True):
+        dist = geodesic_distances(arcs(5, [(0, 1), (1, 2), (3, 4)], directed=directed))
+        assert not dist.reachable[0, 3] and not dist.reachable[4, 2]
+        assert (dist.hops[~dist.reachable] == 0).all()
+        assert dist.hops[0, 2] == 2
+
+
 def test_distances_ignore_weights() -> None:
     g = Graph(n=3, directed=True, edges=((0, 1, 100.0), (1, 2, 0.001)))
     dist = geodesic_distances(g)

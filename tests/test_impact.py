@@ -162,7 +162,7 @@ def test_symmetric_route_matches_lu_on_identity_corpus() -> None:
 )
 def test_singular_system_is_refused_on_both_routes(w) -> None:
     w = np.array(w)
-    weight = WeightMatrix(n=2, gamma=0.5, rho=1.0, B=2.0 * w, W=w)
+    weight = WeightMatrix(n=2, gamma=0.5, rho=1.0, W=w)
     with pytest.raises(SolverError):
         exact_propagator(weight)
 
@@ -295,12 +295,13 @@ def test_repeated_complex_modes_select_and_approximate() -> None:
 
 
 def test_first_order_matches_raw_eigh_reimplementation() -> None:
-    # independent route: eigh on the symmetric normalized adjacency,
-    # principal vector taken directly, formula written out entrywise
+    # independent route: eigh on the symmetric weight matrix, whose
+    # eigenvalues are gamma * lam, principal vector taken directly,
+    # formula written out entrywise
     g = generate_er(n=18, p=0.3, directed=False, seed=307)
     gamma = 0.875
     w = build_weight(g, gamma=gamma)
-    eigenvalues, vectors = np.linalg.eigh(w.B)
+    eigenvalues, vectors = np.linalg.eigh(w.W)
     top = np.argmax(eigenvalues)
     s = vectors[:, top]
     if s[np.argmax(np.abs(s))] < 0:
@@ -312,8 +313,8 @@ def test_first_order_matches_raw_eigh_reimplementation() -> None:
             d = dist.distance(i, j)
             if d is None:
                 continue
-            lam = eigenvalues[top]
-            expected[i, j] = (gamma * lam) ** d / (1.0 - gamma * lam) * s[i] * s[j]
+            mu = eigenvalues[top]
+            expected[i, j] = mu**d / (1.0 - mu) * s[i] * s[j]
     modes = select_modes(decompose(g), gamma=gamma, order=1)
     approx = approx_impact(w, modes, dist)
     assert np.max(np.abs(approx.values - expected)) < 1e-10

@@ -59,6 +59,14 @@ def test_radius_of_edgeless_graph_is_zero_with_warning() -> None:
         assert spectral_radius(g) == 0.0
 
 
+def test_radius_of_acyclic_digraph_is_zero() -> None:
+    # nilpotent adjacency: ARPACK alone returns noise like 5e-05 here, so
+    # the zero must come from the structure on both sides of the threshold
+    g = arcs(5, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (3, 4), (0, 4)])
+    assert spectral_radius(g) == 0.0
+    assert spectral_radius(g, dense_threshold=2) == 0.0
+
+
 def test_radius_scales_with_weights() -> None:
     g = arcs(2, [(0, 1)], directed=False, weight=3.5)
     assert spectral_radius(g) == pytest.approx(3.5, abs=1e-12)
@@ -448,6 +456,65 @@ def test_iterative_route_survives_a_pair_cut_apart_between_sides() -> None:
     assert np.max(np.abs(dense.eigenvalues[:m] - iterative.eigenvalues[:m])) < 1e-10
     assert np.max(np.abs(dense.right_vectors[:, :m] - iterative.right_vectors[:, :m])) < 1e-8
     assert np.max(np.abs(dense.left_rows[:m] - iterative.left_rows[:m])) < 1e-8
+
+
+def test_iterative_left_rows_are_dual_to_a_mixed_repeated_eigenbasis(monkeypatch) -> None:
+    # any basis of a repeated eigenvalue's eigenspace is a valid ARPACK
+    # answer; this fake returns the dense eigenpairs with the two copies
+    # of every twin eigenvalue mixed, a, b -> a + 0.5 b, a - 2 b
+    def mixed_eigs(matrix, k, return_eigenvectors=True, **kwargs):
+        values, vectors = np.linalg.eig(matrix.toarray())
+        order = np.argsort(-np.abs(values), kind="stable")[:k]
+        values, vectors = values[order], vectors[:, order]
+        twins = np.triu(np.abs(values[:, None] - values) <= 1e-8, 1)
+        for a, b in zip(*np.nonzero(twins)):
+            first, second = vectors[:, a].copy(), vectors[:, b].copy()
+            vectors[:, a] = first + 0.5 * second
+            vectors[:, b] = first - 2.0 * second
+        return (values, vectors) if return_eigenvectors else values
+
+    twin = twin_components(generate_er(n=20, p=0.15, directed=True, seed=27))
+    dense = decompose(twin, k=5)
+    monkeypatch.setattr(spla, "eigs", mixed_eigs)
+    dec = decompose(twin, k=5, dense_threshold=10)
+    assert np.max(np.abs(dec.left_rows @ dec.right_vectors - np.eye(dec.num_modes))) < 1e-8
+    assert dec.num_modes == dense.num_modes
+    projector = dense.right_vectors @ dense.left_rows
+    assert np.max(np.abs(dec.right_vectors @ dec.left_rows - projector)) < 1e-10
+
+
+def _probe_digraphs():
+    """Sparse ER digraphs, n 30-150 and mean degree 1.5-5, for the ARPACK route.
+
+    Nineteen seeded draws, then a graph on which both ARPACK runs miss the
+    pair at |lambda| 0.461 and agree on every kept eigenvalue; only a pair
+    further down, which the right run returns and the left run does not,
+    gives the miss away.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(19):
+        n = int(rng.integers(30, 151))
+        p = float(rng.uniform(1.5, 5.0)) / (n - 1)
+        yield generate_er(n=n, p=p, directed=True, seed=int(rng.integers(2**31)))
+    yield generate_er(n=147, p=4.7 / 146, directed=True, seed=1878727472)
+
+
+def test_iterative_route_refuses_or_matches_the_dense_projector() -> None:
+    # ARPACK's output varies with BLAS threading, so each graph may be
+    # refused; what is accepted must be the dense answer
+    accepted = 0
+    for index, g in enumerate(_probe_digraphs()):
+        dense = decompose(g, k=6)
+        try:
+            iterative = decompose(g, k=6, dense_threshold=10)
+        except ConvergenceError:
+            continue
+        accepted += 1
+        assert iterative.num_modes == dense.num_modes, index
+        projector = dense.right_vectors @ dense.left_rows
+        error = np.max(np.abs(iterative.right_vectors @ iterative.left_rows - projector))
+        assert error < 1e-10, (index, error)
+    assert accepted >= 15
 
 
 # ---------------------------------------------------------------------------

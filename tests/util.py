@@ -154,24 +154,21 @@ def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> Impa
     """Exact propagator recomputed through its distance factorization.
 
     For a pair at hop distance d the propagator entry equals
-    ``gamma^d * (B^d (I - W)^-1)[i, j]``; walks shorter than the geodesic
-    do not exist, so the factorization is an identity, not an
-    approximation. Serves as a structural self-check of exact_propagator.
+    ``(W^d (I - W)^-1)[i, j]``; walks shorter than the geodesic do not
+    exist, so the factorization is an identity, not an approximation.
+    Serves as a structural self-check of exact_propagator.
     """
     if dist.n != weight.n:
         raise ValidationError("weight matrix and distances must agree on n")
     propagator = exact_propagator(weight).values
     out = np.zeros((weight.n, weight.n))
-    hops_safe = np.where(dist.reachable, dist.hops, 0)
-    dmax = int(hops_safe.max(initial=0))
+    dmax = int(dist.hops.max(initial=0))
     current = propagator
-    scale = 1.0
     for d in range(dmax + 1):
         mask = dist.reachable & (dist.hops == d)
-        out[mask] = scale * current[mask]
+        out[mask] = current[mask]
         if d < dmax:
-            current = weight.B @ current
-            scale *= weight.gamma
+            current = weight.W @ current
     return ImpactMatrix(n=weight.n, values=out, kind=ImpactKind.EXACT, gamma=weight.gamma)
 
 
