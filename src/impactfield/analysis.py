@@ -294,16 +294,7 @@ def run_study(
                 treated, normalize=True, k=k, dense_threshold=dense_threshold
             )
         except ImpactfieldError as exc:
-            for gamma in gammas:
-                cells.append(
-                    StudyCell(
-                        network=network,
-                        treatment=treatment,
-                        gamma=gamma,
-                        error=str(exc),
-                        error_code=exc.exit_code,
-                    )
-                )
+            cells.extend(_failed_cell(network, treatment, gamma, exc) for gamma in gammas)
             continue
         for gamma in gammas:
             try:
@@ -317,22 +308,25 @@ def run_study(
                         treatment,
                         gamma,
                         orders,
-                        dense_threshold,
                         fit_range,
                         keep_matrices,
                     )
                 )
             except ImpactfieldError as exc:
-                cells.append(
-                    StudyCell(
-                        network=network,
-                        treatment=treatment,
-                        gamma=gamma,
-                        error=str(exc),
-                        error_code=exc.exit_code,
-                    )
-                )
+                cells.append(_failed_cell(network, treatment, gamma, exc))
     return cells
+
+
+def _failed_cell(
+    network: str, treatment: Treatment, gamma: float, exc: ImpactfieldError
+) -> StudyCell:
+    return StudyCell(
+        network=network,
+        treatment=treatment,
+        gamma=gamma,
+        error=str(exc),
+        error_code=exc.exit_code,
+    )
 
 
 def _run_cell(
@@ -344,11 +338,10 @@ def _run_cell(
     treatment: Treatment,
     gamma: float,
     orders: tuple[int, ...],
-    dense_threshold: int,
     fit_range: tuple[int, int],
     keep_matrices: bool,
 ) -> StudyCell:
-    weight = build_weight(treated, gamma, dense_threshold=dense_threshold, rho=rho)
+    weight = build_weight(treated, gamma, rho=rho)
     exact = exact_propagator(weight)
     notes: list[str] = []
     curve = mean_impact_by_distance(exact, dist, treatment=treatment)

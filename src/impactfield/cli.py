@@ -10,29 +10,27 @@ Three subcommands::
 
 ``--input`` also accepts an inline generator spec such as
 ``er:n=300,p=0.02`` or ``pa:n=200,m=2`` so large synthetic runs need no
-intermediate file. Exit codes: 0 success, 1 validation problem, 2 parse
-failure, 3 numerical failure. The environment variable
-IMPACTFIELD_DENSE_THRESHOLD overrides the dense/iterative eigensolver
-cutoff. Outputs are deterministic: the same inputs and seed produce
-byte-identical files.
+intermediate file. A spec takes ``generate``'s parameters and pairing
+rules: ``er`` needs n and p (optional directed and seed), ``pa`` needs
+n and m (optional seed); the seed defaults to ``--seed``. Exit codes:
+0 success, 1 validation problem (including a malformed spec or an
+unusable ``--out``), 2 parse failure, 3 numerical failure. The
+environment variable IMPACTFIELD_DENSE_THRESHOLD overrides the
+dense/iterative eigensolver cutoff. Outputs are deterministic: the
+same inputs and seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (
-    DEFAULT_FIT_RANGE,
-    StudyCell,
-    Treatment,
-    run_study,
-    validate_study_options,
-)
+from .analysis import StudyCell, Treatment, run_study, validate_study_options
 from .errors import EdgeListParseError, ImpactfieldError, ValidationError
 from .graph import (
     Graph,
@@ -54,38 +52,18 @@ from .io import (
 )
 from .spectral import DEFAULT_DENSE_THRESHOLD
 
-__all__ = ["RunConfig", "cmd_analyze", "cmd_generate", "cmd_replicate", "main"]
+__all__ = ["main"]
 
 ENV_DENSE_THRESHOLD = "IMPACTFIELD_DENSE_THRESHOLD"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one analyze run."""
-
-    input: str
-    directed: bool
-    treatments: tuple[Treatment, ...]
-    gammas: tuple[float, ...]
-    orders: tuple[int, ...]
-    include_exact: bool
-    out_dir: str
-    seed: int = 0
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD
-    fit_range: tuple[int, int] = DEFAULT_FIT_RANGE
-
-    def validate(self) -> None:
-        if not self.treatments:
-            raise ValidationError("at least one treatment is required")
-        if Treatment.DIRECTED in self.treatments and not self.directed:
-            raise ValidationError("directed treatment is inconsistent with undirected input")
-        validate_study_options(self.gammas, self.orders, self.fit_range)
-        if self.dense_threshold < 1:
-            raise ValidationError("dense threshold must be positive")
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if not os.access(out, os.W_OK):
-            raise ValidationError(f"output directory {out} is not writable")
+# how each key of an inline er:/pa: spec is read
+_SPEC_FIELDS = {
+    "n": int,
+    "p": float,
+    "m": int,
+    "seed": int,
+    "directed": lambda value: value.lower() in ("1", "true", "yes"),
+}
 
 
 def _dense_threshold_from_env() -> int:
@@ -101,32 +79,105 @@ def _dense_threshold_from_env() -> int:
     return value
 
 
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        raise ValidationError(f"{what} must be a comma-separated integer list, got {text!r}")
+    if not values:
+        raise ValidationError(f"{what} must not be empty")
+    return values
+
+
+def _study_options(args: argparse.Namespace) -> dict:
+    """Parse and validate the sweep options of ``analyze`` and ``replicate``.
+
+    The result is the keyword arguments they pass to ``run_study``.
+    """
+    gammas = args.gamma or gamma_grid()
+    orders = _parse_int_list(args.orders, "--orders")
+    fit_range = _parse_int_list(args.fit_range, "--fit-range")
+    if len(fit_range) != 2:
+        raise ValidationError("--fit-range must be MIN,MAX")
+    validate_study_options(gammas, orders, fit_range)
+    return {
+        "gammas": gammas,
+        "orders": orders,
+        "fit_range": fit_range,
+        "dense_threshold": _dense_threshold_from_env(),
+    }
+
+
+def _output_dir(text: str | Path) -> Path:
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc}") from None
+    if not os.access(out, os.W_OK):
+        raise ValidationError(f"output directory {out} is not writable")
+    return out
+
+
+def _read_edge_list(path: Path, directed: bool) -> Graph:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            graph = parse_edge_list(handle, directed=directed)
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"cannot decode input {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read input {path}: {exc}") from exc
+    if graph.n == 0:
+        raise ValidationError("no edges in input")
+    return graph
+
+
+def _write_tables(out: Path, cells: list[StudyCell]) -> None:
+    write_curves_csv(out / "curves.csv", cells)
+    write_fits_csv(out / "fits.csv", cells)
+    write_correlations_csv(out / "correlations.csv", cells)
+
+
+def _synthetic_graph(
+    kind: str, n: int, seed: int, p: float | None = None, m: int | None = None,
+    directed: bool = False,
+) -> tuple[Graph, str]:
+    """One er/pa graph and its edge-list header line."""
+    if kind == "er":
+        if p is None:
+            raise ValidationError("er requires p")
+        if m is not None:
+            raise ValidationError("m does not apply to er")
+        graph = generate_er(n=n, p=p, directed=directed, seed=seed)
+        return graph, f"# er n={n} p={p!r} directed={directed} seed={seed}\n"
+    if kind == "pa":
+        if m is None:
+            raise ValidationError("pa requires m")
+        if p is not None:
+            raise ValidationError("p does not apply to pa")
+        if directed:
+            raise ValidationError("pa graphs are undirected")
+        return generate_preferential(n=n, m=m, seed=seed), f"# pa n={n} m={m} seed={seed}\n"
+    raise ValidationError(f"unknown generator kind {kind!r}")
+
+
 def _parse_generator_spec(spec: str, directed: bool, default_seed: int) -> Graph:
     kind, _, rest = spec.partition(":")
-    params: dict[str, str] = {}
+    params: dict = {"seed": default_seed}
     for item in filter(None, rest.split(",")):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValidationError(f"generator spec item {item!r} is not key=value")
-        params[key.strip()] = value.strip()
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or key not in _SPEC_FIELDS:
+            raise ValidationError(f"generator spec {spec!r}: {item!r} is not a known key=value")
+        try:
+            params[key] = _SPEC_FIELDS[key](value)
+        except ValueError:
+            raise ValidationError(f"generator spec {spec!r}: {key} is not a number") from None
+    if "n" not in params:
+        raise ValidationError(f"generator spec {spec!r} is missing 'n'")
     try:
-        if kind == "er":
-            graph = generate_er(
-                n=int(params["n"]),
-                p=float(params["p"]),
-                directed=params.get("directed", "false").lower() in ("1", "true", "yes"),
-                seed=int(params.get("seed", default_seed)),
-            )
-        elif kind == "pa":
-            graph = generate_preferential(
-                n=int(params["n"]),
-                m=int(params["m"]),
-                seed=int(params.get("seed", default_seed)),
-            )
-        else:
-            raise ValidationError(f"unknown generator kind {kind!r}")
-    except KeyError as exc:
-        raise ValidationError(f"generator spec {spec!r} is missing {exc.args[0]!r}") from None
+        graph, _ = _synthetic_graph(kind, **params)
+    except ValidationError as exc:
+        raise ValidationError(f"generator spec {spec!r}: {exc}") from None
     if graph.directed != directed:
         raise ValidationError(
             "generator spec directedness does not match the --directed/--undirected flag"
@@ -134,44 +185,28 @@ def _parse_generator_spec(spec: str, directed: bool, default_seed: int) -> Graph
     return graph
 
 
-def _read_edge_list(path: Path, directed: bool) -> Graph:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_edge_list(handle, directed=directed)
-    except UnicodeDecodeError as exc:
-        raise EdgeListParseError(f"cannot decode input {path}: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"cannot read input {path}: {exc}") from exc
-
-
-def _load_input(config: RunConfig) -> tuple[str, Graph]:
-    if config.input.startswith(("er:", "pa:")):
-        network = config.input.replace(":", "-").replace(",", "-").replace("=", "")
-        return network, _parse_generator_spec(config.input, config.directed, config.seed)
-    path = Path(config.input)
-    return path.stem, _read_edge_list(path, config.directed)
-
-
-def cmd_analyze(config: RunConfig) -> int:
+def _analyze(args: argparse.Namespace) -> int:
     """Run the study sweep for one network and write the result CSVs."""
-    config.validate()
-    network, graph = _load_input(config)
-    if graph.n == 0:
-        raise ValidationError("no edges in input")
+    if args.gamma and args.gamma_grid:
+        raise ValidationError("--gamma and --gamma-grid are mutually exclusive")
+    if args.symmetrize and not args.directed:
+        raise ValidationError("--symmetrize does not apply to undirected input")
+    study = _study_options(args)
+    out = _output_dir(args.out)
+    if args.input.startswith(("er:", "pa:")):
+        network = args.input.replace(":", "-").replace(",", "-").replace("=", "")
+        graph = _parse_generator_spec(args.input, args.directed, args.seed)
+    else:
+        network = Path(args.input).stem
+        graph = _read_edge_list(Path(args.input), args.directed)
+    # run_study's default treatments are both for directed input and the
+    # symmetrized one for undirected input; without --symmetrize a directed
+    # network keeps only its raw treatment
+    treatments = (Treatment.DIRECTED,) if args.directed and not args.symmetrize else None
     cells = run_study(
-        graph,
-        gammas=list(config.gammas),
-        orders=config.orders,
-        network=network,
-        dense_threshold=config.dense_threshold,
-        fit_range=config.fit_range,
-        keep_matrices=config.include_exact,
-        treatments=config.treatments,
+        graph, network=network, keep_matrices=args.dyads, treatments=treatments, **study
     )
-    out = Path(config.out_dir)
-    write_curves_csv(out / "curves.csv", cells)
-    write_fits_csv(out / "fits.csv", cells)
-    write_correlations_csv(out / "correlations.csv", cells)
+    _write_tables(out, cells)
     exit_code = 0
     for cell in cells:
         if cell.error is not None:
@@ -182,7 +217,7 @@ def cmd_analyze(config: RunConfig) -> int:
             )
             exit_code = max(exit_code, cell.error_code)
             continue
-        if config.include_exact and cell.exact is not None:
+        if args.dyads and cell.exact is not None:
             write_dyads_csv(
                 out / f"dyads_{cell.treatment.value}_{cell.gamma!r}.csv",
                 graph,
@@ -199,49 +234,27 @@ def cmd_analyze(config: RunConfig) -> int:
     return exit_code
 
 
-def cmd_generate(kind: str, n: int, seed: int, out_path: str, p: float | None = None,
-                 m: int | None = None, directed: bool = False) -> int:
+def _generate(args: argparse.Namespace) -> int:
     """Write a synthetic edge list; regeneration is byte-identical."""
-    if kind == "er":
-        if p is None:
-            raise ValidationError("generate er requires --p")
-        if m is not None:
-            raise ValidationError("--m does not apply to er")
-        graph = generate_er(n=n, p=p, directed=directed, seed=seed)
-        header = f"# er n={n} p={p!r} directed={directed} seed={seed}\n"
-    elif kind == "pa":
-        if m is None:
-            raise ValidationError("generate pa requires --m")
-        if p is not None:
-            raise ValidationError("--p does not apply to pa")
-        if directed:
-            raise ValidationError("pa graphs are undirected")
-        graph = generate_preferential(n=n, m=m, seed=seed)
-        header = f"# pa n={n} m={m} seed={seed}\n"
-    else:
-        raise ValidationError(f"unknown generator kind {kind!r}")
-    path = Path(out_path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, header + serialize_edge_list(graph))
+    graph, header = _synthetic_graph(
+        args.kind, n=args.n, seed=args.seed, p=args.p, m=args.m, directed=args.directed
+    )
+    path = Path(args.out)
+    _output_dir(path.parent)
+    try:
+        atomic_write_text(path, header + serialize_edge_list(graph))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
     print(f"wrote {graph.num_edges} edges over {graph.n} nodes to {path}")
     return 0
 
 
 def _replicate_one(
-    path_str: str,
-    directed: bool,
-    gammas: tuple[float, ...],
-    orders: tuple[int, ...],
-    fit_range: tuple[int, int],
-    dense_threshold: int,
+    path: Path, directed: bool, study: dict
 ) -> tuple[ManifestEntry, list[StudyCell]]:
-    path = Path(path_str)
     network = path.stem
     try:
         graph = _read_edge_list(path, directed)
-        if graph.n == 0:
-            raise ValidationError("no edges in input")
         entry = ManifestEntry(
             network=network,
             n=graph.n,
@@ -250,49 +263,18 @@ def _replicate_one(
             diameter=largest_component_diameter(graph),
             status="ok",
         )
-        cells = run_study(
-            graph,
-            gammas=list(gammas),
-            orders=orders,
-            network=network,
-            dense_threshold=dense_threshold,
-            fit_range=fit_range,
-        )
+        cells = run_study(graph, network=network, **study)
     except ImpactfieldError as exc:
-        return (
-            ManifestEntry(
-                network=network,
-                n=None,
-                edges=None,
-                mean_degree=None,
-                diameter=None,
-                status=f"error: {exc}",
-            ),
-            [],
-        )
-    failed = [cell for cell in cells if cell.error is not None]
+        return ManifestEntry(network, None, None, None, None, status=f"error: {exc}"), []
+    failed = sum(cell.error is not None for cell in cells)
     if failed:
-        entry = ManifestEntry(
-            network=entry.network,
-            n=entry.n,
-            edges=entry.edges,
-            mean_degree=entry.mean_degree,
-            diameter=entry.diameter,
-            status=f"partial: {len(failed)} of {len(cells)} cells failed",
+        entry = dataclasses.replace(
+            entry, status=f"partial: {failed} of {len(cells)} cells failed"
         )
     return entry, cells
 
 
-def cmd_replicate(
-    corpus_dir: str,
-    out_dir: str,
-    workers: int = 1,
-    directed: bool = True,
-    gammas: tuple[float, ...] | None = None,
-    orders: tuple[int, ...] = (1, 2),
-    fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-) -> int:
+def _replicate(args: argparse.Namespace) -> int:
     """Run the analyze pipeline over every edge-list file in a directory.
 
     Networks are processed independently (optionally in parallel); a
@@ -300,46 +282,26 @@ def cmd_replicate(
     Output row order is canonical, so results do not depend on worker
     count.
     """
-    corpus = Path(corpus_dir)
+    study = _study_options(args)
+    corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise ValidationError(f"corpus directory {corpus} does not exist")
-    files = sorted(
-        str(p) for p in corpus.iterdir() if p.is_file() and not p.name.startswith(".")
-    )
+    files = sorted(p for p in corpus.iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise ValidationError(f"no inputs: corpus directory {corpus} has no files")
-    if workers < 1:
+    if args.workers < 1:
         raise ValidationError("workers must be at least 1")
-    gammas = tuple(gamma_grid()) if gammas is None else gammas
-    validate_study_options(gammas, orders, fit_range)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
 
-    results: list[tuple[ManifestEntry, list[StudyCell]]]
-    if workers == 1 or len(files) == 1:
-        results = [
-            _replicate_one(path, directed, gammas, orders, fit_range, dense_threshold)
-            for path in files
-        ]
+    job = functools.partial(_replicate_one, directed=not args.undirected, study=study)
+    if args.workers == 1 or len(files) == 1:
+        results = [job(path) for path in files]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _replicate_one,
-                    files,
-                    [directed] * len(files),
-                    [gammas] * len(files),
-                    [orders] * len(files),
-                    [fit_range] * len(files),
-                    [dense_threshold] * len(files),
-                )
-            )
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(job, files))
 
     entries = [entry for entry, _ in results]
-    cells = [cell for _, cell_list in results for cell in cell_list]
-    write_curves_csv(out / "curves.csv", cells)
-    write_fits_csv(out / "fits.csv", cells)
-    write_correlations_csv(out / "correlations.csv", cells)
+    _write_tables(out, [cell for _, cells in results for cell in cells])
     write_manifest_csv(out / "manifest.csv", entries)
     for entry in entries:
         print(f"{entry.network}: {entry.status}")
@@ -354,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="study sweep for one network")
+    analyze.set_defaults(run=_analyze)
     analyze.add_argument("--input", required=True, help="edge-list file or er:/pa: generator spec")
     direction = analyze.add_mutually_exclusive_group(required=True)
     direction.add_argument("--directed", dest="directed", action="store_const", const=True)
@@ -372,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", required=True)
 
     generate = sub.add_parser("generate", help="write a synthetic edge list")
+    generate.set_defaults(run=_generate)
     generate.add_argument("kind", choices=["er", "pa"])
     generate.add_argument("--n", type=int, required=True)
     generate.add_argument("--p", type=float, default=None)
@@ -381,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True)
 
     replicate = sub.add_parser("replicate", help="analyze every file in a corpus directory")
+    replicate.set_defaults(run=_replicate)
     replicate.add_argument("--corpus", required=True)
     replicate.add_argument("--out", required=True)
     replicate.add_argument("--workers", type=int, default=1)
@@ -393,76 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(item) for item in text.split(",") if item.strip())
-    except ValueError:
-        raise ValidationError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise ValidationError(f"{what} must not be empty")
-    return values
-
-
-def _parse_fit_range(text: str) -> tuple[int, int]:
-    fit_range = _parse_int_list(text, "--fit-range")
-    if len(fit_range) != 2:
-        raise ValidationError("--fit-range must be MIN,MAX")
-    return fit_range[0], fit_range[1]
-
-
-def _analyze_config(args: argparse.Namespace) -> RunConfig:
-    if args.gamma and args.gamma_grid:
-        raise ValidationError("--gamma and --gamma-grid are mutually exclusive")
-    gammas = tuple(args.gamma) if args.gamma else tuple(gamma_grid())
-    if args.directed:
-        treatments: tuple[Treatment, ...] = (Treatment.DIRECTED,)
-        if args.symmetrize:
-            treatments = (Treatment.DIRECTED, Treatment.SYMMETRIZED)
-    else:
-        if args.symmetrize:
-            raise ValidationError("--symmetrize does not apply to undirected input")
-        treatments = (Treatment.SYMMETRIZED,)
-    return RunConfig(
-        input=args.input,
-        directed=args.directed,
-        treatments=treatments,
-        gammas=gammas,
-        orders=_parse_int_list(args.orders, "--orders"),
-        include_exact=args.dyads,
-        out_dir=args.out,
-        seed=args.seed,
-        dense_threshold=_dense_threshold_from_env(),
-        fit_range=_parse_fit_range(args.fit_range),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(_analyze_config(args))
-        if args.command == "generate":
-            return cmd_generate(
-                kind=args.kind,
-                n=args.n,
-                seed=args.seed,
-                out_path=args.out,
-                p=args.p,
-                m=args.m,
-                directed=args.directed,
-            )
-        if args.command == "replicate":
-            return cmd_replicate(
-                corpus_dir=args.corpus,
-                out_dir=args.out,
-                workers=args.workers,
-                directed=not args.undirected,
-                gammas=tuple(args.gamma) if args.gamma else None,
-                orders=_parse_int_list(args.orders, "--orders"),
-                fit_range=_parse_fit_range(args.fit_range),
-                dense_threshold=_dense_threshold_from_env(),
-            )
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ImpactfieldError as exc:
         print(f"impactfield: error: {exc}", file=sys.stderr)
         return exc.exit_code

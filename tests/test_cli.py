@@ -27,6 +27,9 @@ from util import (
     twin_components,
 )
 
+# one bad value per study option, shared by analyze and replicate
+BAD_STUDY_OPTIONS = [["--gamma", "1.5"], ["--orders", "0"], ["--fit-range", "6,1"]]
+
 TWO_CYCLE = "a b\n"
 TRIANGLE = "a b\nb c\nc a\n"
 PAW = "a b\nb c\nc a\na d\n"  # triangle plus a pendant, nothing degenerate
@@ -197,6 +200,27 @@ def test_analyze_generator_spec_input(tmp_path) -> None:
     assert records and all(record.network == "er-n30-p0.15-seed5" for record in records)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "er:n=abc,p=0.1",
+        "er:n=30,p=high",
+        "pa:n=30,m=2.5",
+        "er:n=30,p=0.1,seed=x",
+        "er:n=10,p=0.1,m=2",  # generate's pairing rule: m does not apply to er
+        "er:n=30,p=0.1,size=3",
+    ],
+)
+def test_analyze_rejects_malformed_generator_spec(tmp_path, capsys, spec) -> None:
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", spec, "--undirected", "--gamma", "0.5", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("impactfield: error:") and spec in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_analyze_is_deterministic(tmp_path) -> None:
     spec = ["analyze", "--input", "er:n=25,p=0.2,seed=9", "--undirected", "--gamma-grid"]
     code_a = main(spec + ["--out", str(tmp_path / "a")])
@@ -206,21 +230,16 @@ def test_analyze_is_deterministic(tmp_path) -> None:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_analyze_rejects_gamma_outside_unit_interval(tmp_path, capsys) -> None:
-    code = main(
-        [
-            "analyze",
-            "--input",
-            write_input(tmp_path, "pair.txt", TWO_CYCLE),
-            "--undirected",
-            "--gamma",
-            "1.5",
-            "--out",
-            str(tmp_path / "out"),
-        ]
-    )
+@pytest.mark.parametrize("option", BAD_STUDY_OPTIONS)
+def test_analyze_rejects_bad_study_options_up_front(tmp_path, capsys, option) -> None:
+    out = tmp_path / "out"
+    pair = write_input(tmp_path, "pair.txt", TWO_CYCLE)
+    code = main(["analyze", "--input", pair, "--undirected", "--out", str(out)] + option)
     assert code == 1
-    assert "gamma" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("impactfield: error:")
+    assert {"--gamma": "gamma", "--orders": "order", "--fit-range": "fit range"}[option[0]] in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_analyze_missing_input_file(tmp_path, capsys) -> None:
@@ -542,9 +561,7 @@ def test_replicate_records_an_iterative_solver_failure_and_continues(
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "option", [["--gamma", "1.5"], ["--orders", "0"], ["--fit-range", "6,1"]]
-)
+@pytest.mark.parametrize("option", BAD_STUDY_OPTIONS)
 def test_replicate_rejects_bad_study_options_up_front(tmp_path, capsys, option) -> None:
     corpus = make_corpus(tmp_path, count=1)
     out = tmp_path / "out"
@@ -577,6 +594,37 @@ def test_replicate_undirected_flag(tmp_path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# output paths
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate", "replicate"])
+def test_out_below_a_regular_file_is_a_validation_error(tmp_path, capsys, command) -> None:
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = str(blocker / "out")
+    if command == "analyze":
+        pair = write_input(tmp_path, "pair.txt", TWO_CYCLE)
+        argv = ["analyze", "--input", pair, "--undirected", "--gamma", "0.5", "--out", out]
+    elif command == "generate":
+        argv = ["generate", "er", "--n", "10", "--p", "0.2", "--seed", "1",
+                "--out", str(blocker / "out" / "er.txt")]
+    else:
+        argv = ["replicate", "--corpus", str(make_corpus(tmp_path, count=1)), "--out", out]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("impactfield: error:")
+    assert not list(tmp_path.rglob("*.csv"))
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_generate_out_naming_a_directory_is_a_validation_error(tmp_path, capsys) -> None:
+    argv = ["generate", "er", "--n", "10", "--p", "0.2", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("impactfield: error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # installed entry point
 
 
@@ -597,6 +645,7 @@ def test_module_reports_usage_without_args() -> None:
         [sys.executable, "-c", "from impactfield.cli import main; main([])"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(impactfield.__file__).parent.parent)},
     )
     assert result.returncode == 2  # argparse usage failure
     assert "usage" in result.stderr
