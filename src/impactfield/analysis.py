@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .errors import (
     DomainError,
@@ -201,13 +202,13 @@ def dyad_correlation(
     x_mean, y_mean = x.mean(), y.mean()
     x -= x_mean
     y -= y_mean
-    x_ss, y_ss = np.dot(x, x), np.dot(y, y)
+    x_ss, y_ss = ddot(x, x), ddot(y, y)
     # a spread at rounding level is no variance: impact that is constant
     # in exact arithmetic must not be correlated on its rounding noise
     if x_ss <= x.size * (FLAT_RTOL * x_mean) ** 2 or y_ss <= y.size * (FLAT_RTOL * y_mean) ** 2:
         raise UndefinedCorrelationError("zero variance in at least one impact vector")
     denom = float(np.sqrt(x_ss * y_ss))
-    return float(min(1.0, max(-1.0, np.dot(x, y) / denom)))
+    return float(min(1.0, max(-1.0, ddot(x, y) / denom)))
 
 
 def validate_study_options(

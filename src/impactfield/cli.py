@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .analysis import StudyCell, Treatment, run_study, validate_study_options
@@ -264,8 +265,8 @@ def _replicate_one(
             status="ok",
         )
         cells = run_study(graph, network=network, **study)
-    except ImpactfieldError as exc:
-        return ManifestEntry(network, None, None, None, None, status=f"error: {exc}"), []
+    except (ImpactfieldError, MemoryError) as exc:
+        return _failed_network(network, exc)
     failed = sum(cell.error is not None for cell in cells)
     if failed:
         entry = dataclasses.replace(
@@ -274,11 +275,27 @@ def _replicate_one(
     return entry, cells
 
 
+def _failed_network(network: str, exc: BaseException) -> tuple[ManifestEntry, list[StudyCell]]:
+    """The manifest row of a network whose run ended in ``exc``."""
+    message = str(exc) if isinstance(exc, ImpactfieldError) else f"{type(exc).__name__}: {exc}"
+    return ManifestEntry(network, None, None, None, None, status=f"error: {message}"), []
+
+
+def _collect(future: concurrent.futures.Future, path: Path):
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        # a worker died (killed, out of memory, os._exit); every network
+        # it held, and every one still queued, is lost with it
+        return _failed_network(path.stem, exc)
+
+
 def _replicate(args: argparse.Namespace) -> int:
     """Run the analyze pipeline over every edge-list file in a directory.
 
     Networks are processed independently (optionally in parallel); a
-    failing network is logged in the manifest and the run continues.
+    failing network, including one that runs out of memory or whose
+    worker process dies, is logged in the manifest and the run continues.
     Output row order is canonical, so results do not depend on worker
     count.
     """
@@ -298,7 +315,8 @@ def _replicate(args: argparse.Namespace) -> int:
         results = [job(path) for path in files]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(job, files))
+            futures = [pool.submit(job, path) for path in files]
+            results = [_collect(future, path) for future, path in zip(futures, files)]
 
     entries = [entry for entry, _ in results]
     _write_tables(out, [cell for _, cells in results for cell in cells])

@@ -14,6 +14,17 @@ two-sided ``geev`` call as the right ones at or below the dense
 threshold; above it, from a second ARPACK run on ``B^T``, which must
 agree with the first run on every eigenvalue it found.
 
+Every eigensolve and linear solve, here and in ``impact``, goes through
+``scipy.linalg``, the eigenpair residual is one sparse product, and the
+dyad-length dot products of ``analysis`` use scipy's BLAS; none of them
+calls ``numpy.linalg`` or ``np.dot``. numpy and scipy ship separate
+OpenBLAS builds, and switching between their thread pools on every
+stage leaves the idle pool spinning while the other one wants the
+cores. Products with k rows or columns (the Gram matrix of the kept
+modes) stay in numpy, as does the reconstruction check of a full
+decomposition. ``OPENBLAS_NUM_THREADS`` still sets the size of both
+pools.
+
 Ordering convention: eigenvalues are sorted by nonincreasing modulus,
 ties broken by descending real part and then descending imaginary part.
 Right eigenvectors are unit 2-norm with their largest-magnitude entry
@@ -269,9 +280,13 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             if graph.n > dense_threshold:
                 raise
     if graph.n <= dense_threshold:
-        # an undirected adjacency is symmetric, so the symmetric solver suffices
-        solver = np.linalg.eigvals if graph.directed else np.linalg.eigvalsh
-        dense = float(np.max(np.abs(_dense_eig(solver, graph.adjacency()))))
+        # an undirected adjacency is symmetric, so the symmetric solver
+        # (syevd, see _dense_eigenpairs) suffices
+        if graph.directed:
+            spectrum = _dense_eig(sla.eigvals, graph.adjacency())
+        else:
+            spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
+        dense = float(np.max(np.abs(spectrum)))
         if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
             raise ConvergenceError(
                 f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
@@ -307,15 +322,19 @@ def _dual_rows(values, right, keep, left_values, left):
         )
     conj_left = left[:, rows].conj().T
     gram = conj_left @ right[:, columns]
-    if np.linalg.cond(gram) > 1.0 / _PAIR_TOL:
+    singular = sla.svdvals(gram)
+    # written so that an all-zero (or NaN) Gram matrix is singular too
+    if not singular[-1] > _PAIR_TOL * singular[0]:
         raise DefectivenessError("left/right Gram matrix is singular; the matrix appears defective")
-    return np.linalg.solve(gram, conj_left)
+    return sla.solve(gram, conj_left, assume_a="gen")
 
 
 def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
     """Leading eigenpairs of a dense matrix from one eigensolver call."""
     if not graph.directed:
-        return _symmetric_modes(*_dense_eig(np.linalg.eigh, b), k)
+        # driver evd is LAPACK syevd, as in numpy's eigh; scipy's default
+        # (evr) is slower at these sizes and gives other bits
+        return _symmetric_modes(*_dense_eig(sla.eigh, b, driver="evd"), k)
     values, left, right = _dense_eig(sla.eig, b, left=True, right=True)
     # geev may return a repeated real eigenvalue as a conjugate pair with a
     # rounding-level imaginary part (positive member first); the real and
@@ -437,19 +456,16 @@ def decompose(
         if rho == 0.0:
             raise NormalizationError("cannot normalize: spectral radius is zero")
 
+    b_sparse = graph.adjacency_sparse() / rho
     if graph.n <= dense_threshold:
-        b = graph.adjacency() / rho
-        values, right, left = _dense_eigenpairs(graph, b, k)
-        apply = b.__matmul__
+        values, right, left = _dense_eigenpairs(graph, graph.adjacency() / rho, k)
     else:
         if k is None:
             raise ValidationError(
                 "full decomposition above the dense threshold is not supported; "
                 "pass k or raise the threshold"
             )
-        b_sparse = graph.adjacency_sparse() / rho
         values, right, left = _iterative_eigenpairs(graph, b_sparse, k)
-        apply = b_sparse.__matmul__
 
     _canonicalize(values, right, left)
     _enforce_conjugate_symmetry(values, right, left)
@@ -459,12 +475,7 @@ def decompose(
         raise DefectivenessError(
             "left/right eigenvector pairing degenerates; matrix is near defective"
         )
-    residual = float(
-        max(
-            np.linalg.norm(apply(right[:, mode]) - values[mode] * right[:, mode])
-            for mode in range(len(values))
-        )
-    )
+    residual = float(np.linalg.norm(b_sparse @ right - right * values, axis=0).max())
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}")
     return SpectralDecomposition(

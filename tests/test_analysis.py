@@ -287,6 +287,22 @@ def test_undirected_study_runs_single_treatment() -> None:
     assert sum(len(cell.correlations) for cell in cells) == 10
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_study_calls_no_numpy_lapack(monkeypatch, directed) -> None:
+    # numpy and scipy each bring an OpenBLAS thread pool; a study that
+    # alternates between them makes the idle pool spin, so every dense
+    # solve and dyad-sized dot must go through scipy
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy BLAS/LAPACK called on the study path")
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "solve", "inv", "cond", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "dot", forbidden)
+    g = generate_er(60, 0.08, directed=directed, seed=3)
+    cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
+    assert cells and all(cell.error is None for cell in cells)
+
+
 def test_study_respects_gamma_and_order_selection() -> None:
     g = generate_er(n=15, p=0.25, directed=False, seed=47)
     cells = run_study(g, gammas=[0.9, 0.5], orders=(3,), network="x")

@@ -7,6 +7,9 @@ entry point itself.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import impactfield
+from impactfield import cli
 from impactfield.cli import main
 from impactfield.graph import generate_er, serialize_edge_list
 
@@ -303,11 +308,11 @@ def test_analyze_undecodable_input_exits_two(tmp_path, capsys) -> None:
 
 
 def test_analyze_dense_eigensolver_failure_exits_three(tmp_path, capsys, monkeypatch) -> None:
-    def fail(matrix):
+    def fail(matrix, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     for solver in ("eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, solver, fail)
+        monkeypatch.setattr(scipy.linalg, solver, fail)
     code = main(["analyze", "--input", write_input(tmp_path, "paw.txt", PAW), "--undirected",
                  "--gamma", "0.5", "--out", str(tmp_path / "out")])
     assert code == 3
@@ -558,6 +563,56 @@ def test_replicate_records_an_iterative_solver_failure_and_continues(
     entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
     assert entries["twin"].status == "partial: 5 of 10 cells failed"
     assert entries["net0"].status == "ok"
+    capsys.readouterr()
+
+
+def test_replicate_records_a_dead_worker_and_continues(tmp_path, monkeypatch, capsys) -> None:
+    # a worker that dies (killed, or out of memory under the OOM killer)
+    # breaks the process pool; every network it takes down gets an error
+    # row and the run still writes its tables
+    corpus = make_corpus(tmp_path)
+    study = cli.run_study
+
+    def crash_on_net1(graph, network, **options):
+        if network == "net1":
+            os._exit(1)
+        return study(graph, network=network, **options)
+
+    monkeypatch.setattr(cli, "run_study", crash_on_net1)
+    # forked workers inherit the patched study
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork),
+    )
+    out = tmp_path / "out"
+    code = main(["replicate", "--corpus", str(corpus), "--out", str(out), "--workers", "2"])
+    assert code == 0
+    entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
+    assert sorted(entries) == ["net0", "net1", "net2"]
+    assert entries["net1"].status.startswith("error:")
+    assert all((out / name).exists() for name in ("curves.csv", "fits.csv", "correlations.csv"))
+    capsys.readouterr()
+
+
+def test_replicate_records_a_memory_error_and_continues(tmp_path, monkeypatch, capsys) -> None:
+    corpus = make_corpus(tmp_path, count=2)
+    study = cli.run_study
+
+    def exhaust_on_net0(graph, network, **options):
+        if network == "net0":
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return study(graph, network=network, **options)
+
+    monkeypatch.setattr(cli, "run_study", exhaust_on_net0)
+    out = tmp_path / "out"
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
+    assert sorted(entries) == ["net0", "net1"]
+    assert entries["net0"].status.startswith("error:")
+    assert entries["net1"].status == "ok"
+    assert len(read_correlations_csv(out / "correlations.csv")) == 20
     capsys.readouterr()
 
 
