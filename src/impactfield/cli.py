@@ -133,10 +133,21 @@ def _read_edge_list(path: Path, directed: bool) -> Graph:
     return graph
 
 
+def _write(writer, path: Path, *args) -> None:
+    """Run one file writer; a write that fails is a validation error naming the file.
+
+    The writer removes its temp file, so no partial output is left behind.
+    """
+    try:
+        writer(path, *args)
+    except (OSError, BrokenProcessPool) as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _write_tables(out: Path, cells: list[StudyCell]) -> None:
-    write_curves_csv(out / "curves.csv", cells)
-    write_fits_csv(out / "fits.csv", cells)
-    write_correlations_csv(out / "correlations.csv", cells)
+    _write(write_curves_csv, out / "curves.csv", cells)
+    _write(write_fits_csv, out / "fits.csv", cells)
+    _write(write_correlations_csv, out / "correlations.csv", cells)
 
 
 def _synthetic_graph(
@@ -219,7 +230,8 @@ def _analyze(args: argparse.Namespace) -> int:
             exit_code = max(exit_code, cell.error_code)
             continue
         if args.dyads and cell.exact is not None:
-            write_dyads_csv(
+            _write(
+                write_dyads_csv,
                 out / f"dyads_{cell.treatment.value}_{cell.gamma!r}.csv",
                 graph,
                 cell.distances,
@@ -242,10 +254,7 @@ def _generate(args: argparse.Namespace) -> int:
     )
     path = Path(args.out)
     _output_dir(path.parent)
-    try:
-        atomic_write_text(path, header + serialize_edge_list(graph))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
+    _write(atomic_write_text, path, header + serialize_edge_list(graph))
     print(f"wrote {graph.num_edges} edges over {graph.n} nodes to {path}")
     return 0
 
@@ -281,13 +290,18 @@ def _failed_network(network: str, exc: BaseException) -> tuple[ManifestEntry, li
     return ManifestEntry(network, None, None, None, None, status=f"error: {message}"), []
 
 
-def _collect(future: concurrent.futures.Future, path: Path):
+def _collect(future: concurrent.futures.Future, job, path: Path):
     try:
         return future.result()
-    except BrokenProcessPool as exc:
-        # a worker died (killed, out of memory, os._exit); every network
-        # it held, and every one still queued, is lost with it
-        return _failed_network(path.stem, exc)
+    except BrokenProcessPool:
+        # a worker died (killed, out of memory, os._exit) and broke the
+        # pool, losing every network it held or had queued; rerun this
+        # one alone, so only a network that dies again is an error
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+            try:
+                return alone.submit(job, path).result()
+            except BrokenProcessPool as exc:
+                return _failed_network(path.stem, exc)
 
 
 def _replicate(args: argparse.Namespace) -> int:
@@ -295,7 +309,8 @@ def _replicate(args: argparse.Namespace) -> int:
 
     Networks are processed independently (optionally in parallel); a
     failing network, including one that runs out of memory or whose
-    worker process dies, is logged in the manifest and the run continues.
+    worker process dies even when rerun alone, is logged in the manifest
+    and the run continues.
     Output row order is canonical, so results do not depend on worker
     count.
     """
@@ -316,11 +331,11 @@ def _replicate(args: argparse.Namespace) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = [pool.submit(job, path) for path in files]
-            results = [_collect(future, path) for future, path in zip(futures, files)]
+            results = [_collect(future, job, path) for future, path in zip(futures, files)]
 
     entries = [entry for entry, _ in results]
     _write_tables(out, [cell for _, cells in results for cell in cells])
-    write_manifest_csv(out / "manifest.csv", entries)
+    _write(write_manifest_csv, out / "manifest.csv", entries)
     for entry in entries:
         print(f"{entry.network}: {entry.status}")
     return 0

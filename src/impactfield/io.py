@@ -9,12 +9,15 @@ partial file behind.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import csv
+import functools
 import io
 import itertools
 import os
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +41,8 @@ CURVES_HEADER = ["network", "treatment", "gamma", "distance", "mean_impact", "n_
 FITS_HEADER = ["network", "treatment", "gamma", "d_min", "d_max", "slope", "intercept", "r_squared"]
 CORRELATIONS_HEADER = ["network", "treatment", "gamma", "order", "pearson_r", "n_dyads"]
 MANIFEST_HEADER = ["network", "n", "edges", "mean_degree", "diameter", "status"]
+# source rows per formatting task of the dyad dump
+DYAD_BLOCK_ROWS = 32
 
 
 def _fmt(value: float) -> str:
@@ -161,34 +166,83 @@ def write_dyads_csv(
     """Joint per-dyad dump: every off-diagonal ordered pair, row-major.
 
     Unreachable pairs are kept, with ``inf`` in the distance column.
+    Blocks of source rows are formatted in worker processes, one per
+    usable CPU, and written in row order, so the bytes do not depend on
+    the CPU count.
     """
     orders = sorted(approximations)
-    matrices = [exact] + [approximations[order] for order in orders]
-    atomic_write_text(path, _dyad_chunks(graph, dist, orders, matrices))
-
-
-def _dyad_chunks(
-    graph: Graph, dist: DistanceMatrix, orders: list[int], matrices: list[ImpactMatrix]
-) -> Iterator[str]:
-    """The header, then one chunk of lines per source node, built column by column."""
-    yield _csv_text(_dyads_header(orders), [])
     n = graph.n
+    header = _csv_text(_dyads_header(orders), [])
     if n < 2:
+        atomic_write_text(path, header)
         return
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
     # hop counts become text by table lookup; unreachable pairs take the last slot
     unreachable = int(dist.hops.max(initial=0)) + 1
     hop_text = np.array([str(d) for d in range(unreachable)] + ["inf"], dtype=object)
-    for i in range(n):
-        columns = [
-            itertools.repeat(labels[i]),
-            labels,
-            hop_text[np.where(dist.reachable[i], dist.hops[i], unreachable)].tolist(),
-        ]
-        columns.extend(map(repr, matrix.values[i].tolist()) for matrix in matrices)
-        lines = list(map(",".join, zip(*columns)))
-        del lines[i]  # the diagonal pair
-        yield "\n".join(lines) + "\n"
+    values = [exact.values] + [approximations[order].values for order in orders]
+    starts = range(0, n, DYAD_BLOCK_ROWS)
+    rows = [slice(start, start + DYAD_BLOCK_ROWS) for start in starts]
+    block = functools.partial(_dyad_block, labels=labels, hop_text=hop_text)
+    with _block_map(len(rows)) as mapper:
+        blocks = mapper(
+            block,
+            starts,
+            (dist.hops[r] for r in rows),
+            (dist.reachable[r] for r in rows),
+            ([matrix[r] for matrix in values] for r in rows),
+        )
+        atomic_write_text(path, itertools.chain([header], blocks))
+
+
+def _dyad_block(
+    start: int,
+    hops: np.ndarray,
+    reachable: np.ndarray,
+    values: list[np.ndarray],
+    labels: list[str],
+    hop_text: np.ndarray,
+) -> str:
+    """The dump's lines for the source rows from ``start`` on, one per row of the slices.
+
+    Lines are built column by column; the diagonal pair is dropped.
+    """
+    unreachable = len(hop_text) - 1
+    hop_rows = hop_text[np.where(reachable, hops, unreachable)].tolist()
+    value_rows = [block.tolist() for block in values]
+    lines = []
+    for offset, hop_row in enumerate(hop_rows):
+        i = start + offset
+        columns = [itertools.repeat(labels[i]), labels, hop_row]
+        columns.extend(map(repr, block[offset]) for block in value_rows)
+        row = list(map(",".join, zip(*columns)))
+        del row[i]  # the diagonal pair
+        lines.extend(row)
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def _block_map(blocks: int) -> Iterator[Callable]:
+    """An ordered ``map`` over worker processes, one per usable CPU.
+
+    The builtin ``map`` serves when there is one CPU or one block. Work
+    still queued when the consumer fails is cancelled.
+    """
+    workers = min(_usable_cpus(), blocks)
+    if workers < 2:
+        yield map
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

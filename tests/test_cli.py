@@ -568,8 +568,9 @@ def test_replicate_records_an_iterative_solver_failure_and_continues(
 
 def test_replicate_records_a_dead_worker_and_continues(tmp_path, monkeypatch, capsys) -> None:
     # a worker that dies (killed, or out of memory under the OOM killer)
-    # breaks the process pool; every network it takes down gets an error
-    # row and the run still writes its tables
+    # breaks the process pool; the networks lost with it are rerun alone,
+    # only the one that dies again gets an error row, and the run still
+    # writes its tables
     corpus = make_corpus(tmp_path)
     study = cli.run_study
 
@@ -591,8 +592,11 @@ def test_replicate_records_a_dead_worker_and_continues(tmp_path, monkeypatch, ca
     assert code == 0
     entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
     assert sorted(entries) == ["net0", "net1", "net2"]
-    assert entries["net1"].status.startswith("error:")
-    assert all((out / name).exists() for name in ("curves.csv", "fits.csv", "correlations.csv"))
+    assert entries["net1"].status.startswith("error: BrokenProcessPool")
+    assert entries["net0"].status == entries["net2"].status == "ok"
+    assert {row.network for row in read_correlations_csv(out / "correlations.csv")} == {
+        "net0", "net2"
+    }
     capsys.readouterr()
 
 
@@ -670,6 +674,61 @@ def test_out_below_a_regular_file_is_a_validation_error(tmp_path, capsys, comman
     assert capsys.readouterr().err.startswith("impactfield: error:")
     assert not list(tmp_path.rglob("*.csv"))
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("analyze", "fits.csv"),
+        ("analyze", "dyads_symmetrized_0.5.csv"),
+        ("replicate", "curves.csv"),
+        ("replicate", "manifest.csv"),
+    ],
+)
+def test_failed_output_write_is_a_validation_error(tmp_path, capsys, command, blocked) -> None:
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "analyze":
+        paw = write_input(tmp_path, "paw.txt", PAW)
+        argv = ["analyze", "--input", paw, "--undirected", "--gamma", "0.5", "--dyads"]
+    else:
+        argv = ["replicate", "--corpus", str(make_corpus(tmp_path, count=1))]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"impactfield: error: cannot write {out / blocked}:")
+    assert "Traceback" not in err
+    assert (out / blocked).is_dir()
+    assert not [path for path in out.iterdir() if path.name.startswith(".")]
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+def test_dead_dyad_format_worker_is_a_validation_error(tmp_path, monkeypatch, capsys) -> None:
+    argv = ["analyze", "--input", "er:n=80,p=0.05", "--undirected", "--gamma", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "tables")]) == 0
+    # two CPUs, so the several blocks of the dump go to a pool of forked
+    # workers, each of which dies on its first block
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(impactfield.io, "_dyad_block", _die)
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork),
+    )
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--dyads", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"impactfield: error: cannot write {out / 'dyads_symmetrized_0.5.csv'}:")
+    assert "Traceback" not in err
+    tables = ["correlations.csv", "curves.csv", "fits.csv"]
+    assert sorted(path.name for path in out.iterdir()) == tables
+    for name in tables:
+        assert (out / name).read_bytes() == (tmp_path / "tables" / name).read_bytes()
 
 
 def test_generate_out_naming_a_directory_is_a_validation_error(tmp_path, capsys) -> None:

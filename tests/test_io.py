@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
 from impactfield.impact import ImpactKind, ImpactMatrix
-from impactfield.io import atomic_write_text, write_dyads_csv
+from impactfield.io import DYAD_BLOCK_ROWS, atomic_write_text, write_dyads_csv
 
 from util import arcs, read_dyads_csv, rowwise_dyads_csv
 
@@ -74,6 +76,49 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
         assert row["exact"] == exact.values[i, j]
         for order in orders:
             assert row[f"approx{order}"] == approximations[order].values[i, j]
+
+
+def _two_component_digraph(n: int) -> Graph:
+    """A random digraph on two strongly connected halves, labels that need CSV quoting."""
+    rng = np.random.default_rng(3)
+    label = [f'v{i},"q"' if i % 3 else f"v{i}" for i in range(n)]
+    lines = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        pairs = {(i, i + 1 if i + 1 < hi else lo) for i in range(lo, hi)}  # a cycle
+        pairs |= {(a, b) for a, b in rng.integers(lo, hi, (2 * (hi - lo), 2)).tolist() if a != b}
+        lines += [f"{label[a]} {label[b]}" for a, b in sorted(pairs)]
+    return parse_edge_list("\n".join(lines) + "\n", directed=True)
+
+
+@pytest.mark.parametrize("treatment", list(Treatment))
+def test_dyad_dump_over_several_blocks_matches_on_any_cpu_count(
+    tmp_path, monkeypatch, treatment
+) -> None:
+    # three whole blocks and a partial one; half the pairs are unreachable
+    graph = _two_component_digraph(3 * DYAD_BLOCK_ROWS + 5)
+    dist, exact, approximations = _study_matrices(graph, treatment, (1, 2))
+    assert not dist.reachable.all()
+    reference = tmp_path / "reference.csv"
+    rowwise_dyads_csv(reference, graph, dist, exact, approximations)
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        path = tmp_path / f"dyads_{len(cpus)}.csv"
+        write_dyads_csv(path, graph, dist, exact, approximations)
+        assert path.read_bytes() == reference.read_bytes()
+    # two CPUs start one pool; one CPU formats in-process
+    assert pools == [{"max_workers": 2}]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "dyads_1.csv", "dyads_2.csv", "reference.csv"
+    ]
 
 
 def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
