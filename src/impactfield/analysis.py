@@ -1,8 +1,10 @@
 """Distance-decay curves, exponential fits, dyad correlations, and the
 treatment-by-gamma study sweep that ties them together.
 
-All dyad statistics run over ordered pairs at finite hop distance >= 1;
-the diagonal and unreachable pairs are excluded exactly once, here.
+All dyad statistics run over ordered pairs at finite hop distance >= 1.
+The diagonal and unreachable pairs both hold hop 0, so the dyad set is
+``hops >= 1``: the curves never read bin 0 of their per-distance sums,
+and the correlations select with ``DistanceMatrix.dyad_mask``.
 """
 
 from __future__ import annotations
@@ -127,17 +129,19 @@ def mean_impact_by_distance(
     """
     if dist.n != impact.n:
         raise ValidationError("impact matrix and distances must agree on n")
-    dyads = dist.dyads
-    if not dyads.count:
+    counts = dist.pair_counts
+    if not counts[1:].any():
         raise EmptyCurveError("no ordered pairs at finite distance >= 1")
-    values = impact.values.ravel()
+    # the diagonal and unreachable pairs hold hop 0, so they all land in
+    # bin 0, which no curve point reads
+    sums = np.bincount(dist.hops.ravel(), weights=impact.values.ravel(), minlength=len(counts))
     points = tuple(
         CurvePoint(
             distance=int(d),
-            mean_impact=float(values[dyads.flat[start:stop]].mean()),
-            n_pairs=int(stop - start),
+            mean_impact=float(sums[d] / counts[d]),
+            n_pairs=int(counts[d]),
         )
-        for d, start, stop in zip(dyads.distances, dyads.bounds[:-1], dyads.bounds[1:])
+        for d in np.flatnonzero(counts[1:]) + 1
     )
     return DecayCurve(gamma=impact.gamma, treatment=treatment, points=points)
 
@@ -194,11 +198,11 @@ def dyad_correlation(
         raise ValidationError(
             f"gamma mismatch: exact has {exact.gamma!r}, approximation {approx.gamma!r}"
         )
-    dyads = dist.dyads
-    if dyads.count < MIN_DYADS:
-        raise InsufficientDataError(f"{dyads.count} dyads; need at least {MIN_DYADS}")
-    x = exact.values[dyads.mask]
-    y = approx.values[dyads.mask]
+    count = int(dist.pair_counts[1:].sum())
+    if count < MIN_DYADS:
+        raise InsufficientDataError(f"{count} dyads; need at least {MIN_DYADS}")
+    x = exact.values[dist.dyad_mask]
+    y = approx.values[dist.dyad_mask]
     x_mean, y_mean = x.mean(), y.mean()
     x -= x_mean
     y -= y_mean
@@ -354,7 +358,7 @@ def _run_cell(
         notes.append(f"fit skipped: {exc}")
     records: list[CorrelationRecord] = []
     approximations: dict[int, ImpactMatrix] = {}
-    n_dyads = dist.dyads.count
+    n_dyads = int(dist.pair_counts[1:].sum())
     for order in orders:
         approx = approx_impact(weight, select_modes(decomposition, gamma, order), dist)
         approximations[order] = approx

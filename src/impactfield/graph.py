@@ -33,7 +33,6 @@ from .errors import (
 __all__ = [
     "Graph",
     "DistanceMatrix",
-    "DyadIndex",
     "parse_edge_list",
     "serialize_edge_list",
     "symmetrize_weak",
@@ -210,34 +209,19 @@ def symmetrize_weak(graph: Graph) -> Graph:
 
 
 @dataclass(frozen=True, eq=False)
-class DyadIndex:
-    """Ordered pairs at finite hop distance >= 1, grouped by distance.
-
-    ``mask`` marks the pairs in an n x n boolean matrix; selecting with it
-    is the fastest way to gather every dyad, in row-major order. ``flat``
-    holds their row-major flat indices stably sorted by hop count, so the
-    pairs at ``distances[g]`` are ``flat[bounds[g]:bounds[g + 1]]`` in
-    row-major order. The index dtype is int32 whenever n * n fits, which
-    halves its memory. Both arrays are read-only, as they are shared.
-    """
-
-    mask: np.ndarray
-    flat: np.ndarray
-    distances: np.ndarray
-    bounds: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.flat)
-
-
-@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop counts with an explicit reachability mask.
 
     ``hops[i, j]`` is a distance only where ``reachable[i, j]`` is True.
     Unreachable pairs hold 0, like the diagonal, so ``hops`` can index a
     per-distance table directly; ``reachable`` tells the two apart.
+
+    The dyads are the ordered pairs at finite hop distance >= 1, exactly
+    the pairs with ``hops >= 1``. ``dyad_mask`` marks them, and
+    ``pair_counts[d]`` counts the pairs at d >= 1 hops; its bin 0 lumps
+    the diagonal with the unreachable pairs and is never a distance. Both
+    arrays are computed on first use and then shared, so they are
+    read-only.
     """
 
     n: int
@@ -245,33 +229,16 @@ class DistanceMatrix:
     reachable: np.ndarray
 
     @cached_property
-    def dyads(self) -> DyadIndex:
-        """The dyad set, computed on first use and then shared."""
-        # unreachable pairs hold 0 hops, so hops >= 1 marks exactly the dyads
+    def dyad_mask(self) -> np.ndarray:
         mask = self.hops >= 1
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
         counts = np.bincount(self.hops.ravel(), minlength=1)
-        # a stable sort on a narrow key is a linear-time radix sort;
-        # hop count 0 (diagonal and unreachable pairs) sorts first and is cut
-        key = self.hops.astype(np.min_scalar_type(len(counts) - 1))
-        order = np.argsort(key, axis=None, kind="stable")
-        index_type = np.int32 if self.n * self.n <= np.iinfo(np.int32).max else np.int64
-        flat = order[counts[0]:].astype(index_type)
-        distances = np.flatnonzero(counts[1:]) + 1
-        bounds = np.concatenate(([0], np.cumsum(counts[distances])))
-        mask.flags.writeable = flat.flags.writeable = False
-        return DyadIndex(mask=mask, flat=flat, distances=distances, bounds=bounds)
-
-    def distance(self, src: int, dst: int) -> int | None:
-        """Hop count from src to dst, or None when no path exists."""
-        if self.reachable[src, dst]:
-            return int(self.hops[src, dst])
-        return None
-
-    def to_float(self) -> np.ndarray:
-        """Float view with ``inf`` marking unreachable pairs."""
-        out = self.hops.astype(float)
-        out[~self.reachable] = np.inf
-        return out
+        counts.flags.writeable = False
+        return counts
 
 
 def geodesic_distances(graph: Graph) -> DistanceMatrix:

@@ -254,10 +254,11 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
 
     Uses an iterative estimate with a deterministic start vector and, for
     graphs at or below the dense threshold, cross-checks it against a
-    full dense eigenvalue computation. An edgeless graph and an acyclic
-    digraph (nilpotent adjacency) have radius 0.0, decided structurally
-    because eigensolvers return noise for them; downstream normalization
-    must reject it.
+    full dense eigenvalue computation. A two-node graph, too small for
+    the iterative solver, takes the dense value at any threshold.
+    An edgeless graph and an acyclic digraph (nilpotent adjacency) have
+    radius 0.0, decided structurally because eigensolvers return noise
+    for them; downstream normalization must reject it.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -279,7 +280,7 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             # nothing to fall back on.
             if graph.n > dense_threshold:
                 raise
-    if graph.n <= dense_threshold:
+    if graph.n <= dense_threshold or iterative is None:
         # an undirected adjacency is symmetric, so the symmetric solver
         # (syevd, see _dense_eigenpairs) suffices
         if graph.directed:
@@ -292,7 +293,6 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
                 f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
             )
         return dense
-    assert iterative is not None
     return iterative
 
 

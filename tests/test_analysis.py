@@ -68,8 +68,9 @@ def approx_on(graph: Graph, gamma: float, order: int) -> ImpactMatrix:
 
 def test_dyad_mask_excludes_diagonal_and_unreachable() -> None:
     g = arcs(4, [(0, 1), (2, 3)], directed=False)
-    mask = geodesic_distances(g).dyads.mask
+    mask = geodesic_distances(g).dyad_mask
     assert mask.sum() == 4  # (0,1), (1,0), (2,3), (3,2)
+    assert not mask.flags.writeable
     assert not mask.diagonal().any()
     assert not mask[0, 2] and not mask[2, 0]
 
@@ -97,6 +98,35 @@ def test_curve_of_three_cycle_follows_closed_form() -> None:
         for point in curve.points:
             expected = gamma**point.distance / (1.0 - gamma**3)
             assert point.mean_impact == pytest.approx(expected, abs=1e-12)
+
+
+def test_curve_matches_brute_force_per_distance_mean() -> None:
+    # directed, with unreachable pairs; huge impact on the diagonal and at
+    # the unreachable pairs must not leak into any point, and a transposed
+    # hops would pair the nonsymmetric values with the wrong distances
+    g = generate_er(n=40, p=0.06, directed=True, seed=3)
+    dist = geodesic_distances(g)
+    assert not dist.reachable.all() and not np.array_equal(dist.hops, dist.hops.T)
+    values = np.random.default_rng(3).uniform(1.0, 2.0, (g.n, g.n))
+    values[~dist.reachable] = 1e9
+    np.fill_diagonal(values, 1e9)
+    impact = ImpactMatrix(n=g.n, values=values, kind=ImpactKind.EXACT, gamma=0.5)
+    totals: dict[int, float] = {}
+    pairs: dict[int, int] = {}
+    for i in range(g.n):
+        for j in range(g.n):
+            if i != j and dist.reachable[i, j]:
+                d = int(dist.hops[i, j])
+                totals[d] = totals.get(d, 0.0) + values[i, j]
+                pairs[d] = pairs.get(d, 0) + 1
+
+    curve = mean_impact_by_distance(impact, dist)
+    assert [p.distance for p in curve.points] == sorted(pairs)
+    for point in curve.points:
+        assert point.n_pairs == pairs[point.distance]
+        expected = totals[point.distance] / pairs[point.distance]
+        assert point.mean_impact == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert sum(p.n_pairs for p in curve.points) == dist.pair_counts[1:].sum()
 
 
 def test_curve_distances_strictly_increase() -> None:

@@ -391,6 +391,28 @@ def test_analyze_respects_dense_threshold_env(tmp_path, monkeypatch) -> None:
     assert read_correlations_csv(out / "correlations.csv")
 
 
+def test_analyze_two_nodes_above_the_dense_threshold_fails_cleanly(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # too small for the iterative route on either side of the threshold:
+    # an error with its exit code, never a traceback
+    monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "1")
+    code = main(
+        [
+            "analyze",
+            "--input",
+            write_input(tmp_path, "two.txt", TWO_CYCLE),
+            "--undirected",
+            "--gamma",
+            "0.5",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert "two/symmetrized/gamma=0.5" in capsys.readouterr().err
+
+
 def test_analyze_rejects_bad_dense_threshold_env(tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "soon")
     code = main(

@@ -22,7 +22,7 @@ from impactfield import (
 )
 from impactfield.errors import AlreadyUndirectedWarning
 
-from util import arcs, bfs_hops
+from util import arcs, bfs_hops, hop_distance
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +197,22 @@ def test_symmetrize_idempotent_via_directed_round_trip() -> None:
 
 def test_distances_on_directed_path() -> None:
     dist = geodesic_distances(arcs(3, [(0, 1), (1, 2)]))
-    assert dist.distance(0, 1) == 1
-    assert dist.distance(0, 2) == 2
-    assert dist.distance(2, 0) is None
-    assert dist.distance(1, 1) == 0
+    assert hop_distance(dist, 0, 1) == 1
+    assert hop_distance(dist, 0, 2) == 2
+    assert hop_distance(dist, 2, 0) is None
+    assert hop_distance(dist, 1, 1) == 0
 
 
 def test_distances_on_undirected_path() -> None:
     dist = geodesic_distances(arcs(3, [(0, 1), (1, 2)], directed=False))
-    assert dist.distance(2, 0) == 2
-    assert dist.distance(0, 2) == 2
+    assert hop_distance(dist, 2, 0) == 2
+    assert hop_distance(dist, 0, 2) == 2
 
 
 def test_distances_two_components() -> None:
     dist = geodesic_distances(arcs(4, [(0, 1), (2, 3)], directed=False))
-    assert dist.distance(0, 3) is None
-    assert dist.distance(0, 1) == 1
+    assert hop_distance(dist, 0, 3) is None
+    assert hop_distance(dist, 0, 1) == 1
 
 
 def test_unreachable_pairs_hold_zero_hops() -> None:
@@ -227,7 +227,7 @@ def test_unreachable_pairs_hold_zero_hops() -> None:
 def test_distances_ignore_weights() -> None:
     g = Graph(n=3, directed=True, edges=((0, 1, 100.0), (1, 2, 0.001)))
     dist = geodesic_distances(g)
-    assert dist.distance(0, 2) == 2
+    assert hop_distance(dist, 0, 2) == 2
 
 
 def test_distance_one_exactly_on_adjacent_pairs() -> None:
@@ -255,14 +255,15 @@ def test_distances_match_reference_bfs() -> None:
 def test_distances_satisfy_triangle_inequality() -> None:
     g = generate_er(n=20, p=0.2, directed=True, seed=5)
     dist = geodesic_distances(g)
-    f = dist.to_float()
+    f = np.where(dist.reachable, dist.hops, np.inf)
     for k in range(g.n):
         assert np.all(f <= f[:, k][:, None] + f[k, :][None, :] + 1e-9)
 
 
 def test_undirected_distances_are_symmetric() -> None:
     g = generate_er(n=30, p=0.1, directed=False, seed=9)
-    f = geodesic_distances(g).to_float()
+    dist = geodesic_distances(g)
+    f = np.where(dist.reachable, dist.hops, np.inf)
     assert np.array_equal(f, f.T)
 
 

@@ -36,6 +36,7 @@ from util import (
     arcs,
     complex_approx_impact,
     distance_factored_impact,
+    hop_distance,
     series_oracle,
     series_terms_for_tolerance,
     small_er_corpus,
@@ -120,7 +121,7 @@ def test_three_cycle_propagator_closed_form() -> None:
     dist = geodesic_distances(g)
     for gamma in gamma_grid():
         exact = exact_propagator(build_weight(g, gamma=gamma))
-        expected = gamma ** dist.to_float() / (1.0 - gamma**3)
+        expected = gamma ** np.where(dist.reachable, dist.hops, np.inf) / (1.0 - gamma**3)
         assert np.max(np.abs(exact.values - expected)) < 1e-10
 
 
@@ -310,7 +311,7 @@ def test_first_order_matches_raw_eigh_reimplementation() -> None:
     expected = np.zeros((g.n, g.n))
     for i in range(g.n):
         for j in range(g.n):
-            d = dist.distance(i, j)
+            d = hop_distance(dist, i, j)
             if d is None:
                 continue
             mu = eigenvalues[top]

@@ -14,7 +14,7 @@ from impactfield.graph import Graph, geodesic_distances, parse_edge_list
 from impactfield.impact import ImpactKind, ImpactMatrix
 from impactfield.io import DYAD_BLOCK_ROWS, atomic_write_text, write_dyads_csv
 
-from util import arcs, read_dyads_csv, rowwise_dyads_csv
+from util import arcs, hop_distance, read_dyads_csv, rowwise_dyads_csv
 
 # name -> (graph, treatment, orders)
 DUMP_CASES = {
@@ -71,7 +71,7 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
     assert list(rows[0])[4:] == [f"approx{order}" for order in sorted(orders)]
     for row, (i, j) in zip(rows, pairs):
         assert (row["src"], row["dst"]) == (graph.label_of(i), graph.label_of(j))
-        d = dist.distance(i, j)
+        d = hop_distance(dist, i, j)
         assert row["dist"] == (math.inf if d is None else d)
         assert row["exact"] == exact.values[i, j]
         for order in orders:

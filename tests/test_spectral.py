@@ -67,6 +67,13 @@ def test_radius_of_acyclic_digraph_is_zero() -> None:
     assert spectral_radius(g, dense_threshold=2) == 0.0
 
 
+def test_radius_of_two_nodes_above_the_dense_threshold() -> None:
+    # the iterative solver needs three nodes, so the dense value answers
+    # at any threshold
+    assert spectral_radius(arcs(2, [(0, 1)], directed=False), dense_threshold=1) == 1.0
+    assert spectral_radius(arcs(2, [(0, 1), (1, 0)]), dense_threshold=1) == 1.0
+
+
 def test_radius_scales_with_weights() -> None:
     g = arcs(2, [(0, 1)], directed=False, weight=3.5)
     assert spectral_radius(g) == pytest.approx(3.5, abs=1e-12)

@@ -35,6 +35,11 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
     return Graph(n=n, directed=directed, edges=tuple(edges))
 
 
+def hop_distance(dist: DistanceMatrix, src: int, dst: int) -> int | None:
+    """Hop count from src to dst, or None when no path exists."""
+    return int(dist.hops[src, dst]) if dist.reachable[src, dst] else None
+
+
 def twin_three_cycles() -> Graph:
     """Two disjoint directed 3-cycles: spectrum 1, 1, w, w, conj(w), conj(w)."""
     return arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -192,7 +197,7 @@ def rowwise_dyads_csv(
         for j in range(graph.n):
             if i == j:
                 continue
-            d = dist.distance(i, j)
+            d = hop_distance(dist, i, j)
             row = [
                 graph.label_of(i),
                 graph.label_of(j),
