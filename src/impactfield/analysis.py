@@ -294,7 +294,8 @@ def run_study(
             if treated.n <= dense_threshold:
                 k = min(treated.n, max(orders) + 4)
             else:
-                k = min(treated.n - 2, max(orders) + 4)
+                # k >= 1 lets decompose name a graph too small to iterate
+                k = max(1, min(treated.n - 2, max(orders) + 4))
             decomposition = decompose(
                 treated, normalize=True, k=k, dense_threshold=dense_threshold
             )
@@ -346,8 +347,8 @@ def _run_cell(
     fit_range: tuple[int, int],
     keep_matrices: bool,
 ) -> StudyCell:
-    weight = build_weight(treated, gamma, rho=rho)
-    exact = exact_propagator(weight)
+    # keep no reference to W: it is freed once inverted
+    exact = exact_propagator(build_weight(treated, gamma, rho=rho))
     notes: list[str] = []
     curve = mean_impact_by_distance(exact, dist, treatment=treatment)
     fit: ExponentialFit | None
@@ -360,7 +361,7 @@ def _run_cell(
     approximations: dict[int, ImpactMatrix] = {}
     n_dyads = int(dist.pair_counts[1:].sum())
     for order in orders:
-        approx = approx_impact(weight, select_modes(decomposition, gamma, order), dist)
+        approx = approx_impact(select_modes(decomposition, gamma, order), dist)
         approximations[order] = approx
         try:
             pearson = dyad_correlation(exact, approx, dist)

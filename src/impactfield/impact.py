@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import DistanceMatrix, Graph
-from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, conjugate_partners, spectral_radius
+from .spectral import ModeSet, conjugate_partners, spectral_radius
 
 __all__ = [
     "WeightMatrix",
@@ -73,12 +73,7 @@ class ImpactMatrix:
     order: int | None = None
 
 
-def build_weight(
-    graph: Graph,
-    gamma: float,
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-    rho: float | None = None,
-) -> WeightMatrix:
+def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> WeightMatrix:
     """Materialize ``W = gamma * A / rho(A)`` for a graph.
 
     The arc (i, j) of the input sets entry W[i, j]: whoever i points at
@@ -96,7 +91,7 @@ def build_weight(
             stacklevel=2,
         )
     if rho is None:
-        rho = spectral_radius(graph, dense_threshold=dense_threshold)
+        rho = spectral_radius(graph)
     if rho <= 0.0:
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
     w = graph.adjacency()
@@ -117,7 +112,7 @@ def _factorize(weight: WeightMatrix):
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
     gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
-    _check_rcond(*gecon(lu, np.linalg.norm(system, 1), norm="1"))
+    _check_rcond(*gecon(lu, scipy.linalg.norm(system, 1, check_finite=False), norm="1"))
     return lu, piv
 
 
@@ -134,7 +129,7 @@ def _symmetric_inverse(weight: WeightMatrix) -> np.ndarray:
     # routines work in place on the transposed view, which is the same
     # symmetric matrix in column-major order.
     system = np.eye(weight.n) - weight.W
-    anorm = np.linalg.norm(system, 1)
+    anorm = scipy.linalg.norm(system, 1, check_finite=False)
     potrf, pocon, potri = scipy.linalg.get_lapack_funcs(("potrf", "pocon", "potri"), (system,))
     factor, info = potrf(system.T, lower=False, clean=False, overwrite_a=True)
     if info != 0:
@@ -206,28 +201,26 @@ def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
     return terms
 
 
-def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
+def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
     """Spectral distance-decay approximation of the total-impact matrix.
 
     Entry (i, j) sums ``(gamma * lam)^d / (1 - gamma * lam) * s_i * s'_j``
-    over the selected modes, with d the hop count from i to j. Pairs with
-    no connecting path get 0, the limit value. The mode set must be
-    conjugate closed, so the sum is real: it is accumulated in real
-    arithmetic, each conjugate pair as twice the real part of one member,
-    and a mode without its conjugate raises ConjugateClosureError.
+    over the selected modes, with d the hop count from i to j and gamma
+    the ``modes.gamma`` they were selected for; W itself does not enter.
+    Pairs with no connecting path get 0, the limit value. The mode set
+    must be conjugate closed, so the sum is real: it is accumulated in
+    real arithmetic, each conjugate pair as twice the real part of one
+    member, and a mode without its conjugate raises ConjugateClosureError.
     """
-    if modes.gamma != weight.gamma:
-        raise ValidationError(
-            f"mode set was built for gamma={modes.gamma!r}, weight matrix has {weight.gamma!r}"
-        )
-    if modes.receive_vectors.shape[0] != weight.n or dist.n != weight.n:
-        raise ValidationError("mode set, weight matrix, and distances must agree on n")
+    n = dist.n
+    if modes.receive_vectors.shape[0] != n:
+        raise ValidationError("mode set and distances must agree on n")
     terms = _real_terms(modes)
     hops = dist.hops
     exponents = np.arange(int(hops.max(initial=0)) + 1)
-    values = np.zeros((weight.n, weight.n))
+    values = np.zeros((n, n))
     for mode, folded in terms:
-        table = modes.gains[mode] * np.power(weight.gamma * modes.eigenvalues[mode], exponents)
+        table = modes.gains[mode] * np.power(modes.gamma * modes.eigenvalues[mode], exponents)
         receive = modes.receive_vectors[:, mode]
         send = modes.send_rows[mode, :]
         if folded:
@@ -241,5 +234,5 @@ def approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) ->
         values += term
     values[~dist.reachable] = 0.0
     return ImpactMatrix(
-        n=weight.n, values=values, kind=ImpactKind.APPROX, gamma=weight.gamma, order=modes.order
+        n=n, values=values, kind=ImpactKind.APPROX, gamma=modes.gamma, order=modes.order
     )

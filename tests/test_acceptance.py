@@ -155,7 +155,7 @@ def test_criterion_2_three_cycle_closed_form():
 
             modes = select_modes(decomposition, gamma, order=2)
             assert len(modes.eigenvalues) == 3  # conjugate pair pulls in mode 3
-            approx = approx_impact(weight, modes, dist)
+            approx = approx_impact(modes, dist)
             assert np.max(np.abs(approx.values - exact.values)) <= 1e-8
 
             total = np.zeros((3, 3), dtype=complex)
@@ -221,7 +221,7 @@ def test_criterion_5_full_rank_spectral_exactness(identity_corpus):
                 weight = build_weight(graph, gamma)
                 exact = exact_propagator(weight)
                 modes = select_modes(decomposition, gamma, order=graph.n)
-                approx = approx_impact(weight, modes, dist)
+                approx = approx_impact(modes, dist)
                 gap = np.abs(approx.values - exact.values)[dist.reachable]
                 worst = max(worst, float(np.max(gap)))
         assert tested >= 20 and tested_directed >= 5

@@ -7,8 +7,10 @@ with slope ln gamma and the fit must come back with r squared 1.
 
 from __future__ import annotations
 
+import gc
 import os
 import stat
+import weakref
 
 import numpy as np
 import pytest
@@ -55,11 +57,8 @@ def exact_on(graph: Graph, gamma: float) -> ImpactMatrix:
 
 
 def approx_on(graph: Graph, gamma: float, order: int) -> ImpactMatrix:
-    from impactfield.impact import approx_impact
-
-    weight = build_weight(graph, gamma)
     modes = select_modes(decompose(graph), gamma, order)
-    return approx_impact(weight, modes, geodesic_distances(graph))
+    return approx_impact(modes, geodesic_distances(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +372,35 @@ def test_study_keeps_matrices_only_on_request() -> None:
     w = build_weight(g, 0.5)
     assert np.array_equal(kept.exact.values, exact_propagator(w).values)
     modes = select_modes(decompose(g, k=6), 0.5, 2)
-    approx = approx_impact(w, modes, kept.distances).values
+    approx = approx_impact(modes, kept.distances).values
     assert approx.shape == (g.n, g.n)
     assert np.array_equal(kept.approximations[2].values, approx)
+
+
+def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None:
+    # the approximation reads only the modes and the hop counts, so no
+    # dense W may stay alive past its inversion
+    weights: list[weakref.ref] = []
+    approximated = 0
+
+    def recording_build_weight(*args, **kwargs):
+        weight = build_weight(*args, **kwargs)
+        weights.append(weakref.ref(weight))
+        return weight
+
+    def checking_approx_impact(*args, **kwargs):
+        nonlocal approximated
+        gc.collect()
+        assert weights and all(ref() is None for ref in weights)
+        approximated += 1
+        return approx_impact(*args, **kwargs)
+
+    monkeypatch.setattr("impactfield.analysis.build_weight", recording_build_weight)
+    monkeypatch.setattr("impactfield.analysis.approx_impact", checking_approx_impact)
+    g = generate_er(n=30, p=0.15, directed=True, seed=11)
+    cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
+    assert cells and all(cell.error is None for cell in cells)
+    assert len(weights) == len(cells) and approximated == 2 * len(cells)
 
 
 def test_failed_treatment_yields_error_cells_not_an_abort() -> None:

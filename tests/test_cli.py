@@ -410,7 +410,11 @@ def test_analyze_two_nodes_above_the_dense_threshold_fails_cleanly(
         ]
     )
     assert code == 1
-    assert "two/symmetrized/gamma=0.5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "two/symmetrized/gamma=0.5" in err
+    # the message names the cause, not an internal argument
+    assert "raise the dense threshold" in err
+    assert "k must be a positive integer" not in err
 
 
 def test_analyze_rejects_bad_dense_threshold_env(tmp_path, monkeypatch, capsys) -> None:

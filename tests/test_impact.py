@@ -252,9 +252,8 @@ def test_first_order_approx_on_single_edge() -> None:
     # first-order entry at distance 1 is gamma / (1 - gamma) * 1/2 = 0.5
     # at gamma = 0.5, and the diagonal entry 1 / (1 - gamma) * 1/2 = 1.
     g = two_cycle()
-    w = build_weight(g, gamma=0.5)
     modes = select_modes(decompose(g), gamma=0.5, order=1)
-    approx = approx_impact(w, modes, geodesic_distances(g))
+    approx = approx_impact(modes, geodesic_distances(g))
     assert approx.values == pytest.approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=1e-12)
     assert approx.kind is ImpactKind.APPROX
     assert approx.order == 1
@@ -262,9 +261,8 @@ def test_first_order_approx_on_single_edge() -> None:
 
 def test_full_order_approx_on_single_edge_is_exact() -> None:
     g = two_cycle()
-    w = build_weight(g, gamma=0.5)
     modes = select_modes(decompose(g), gamma=0.5, order=2)
-    approx = approx_impact(w, modes, geodesic_distances(g))
+    approx = approx_impact(modes, geodesic_distances(g))
     expected = np.array([[4.0, 2.0], [2.0, 4.0]]) / 3.0
     assert np.max(np.abs(approx.values - expected)) < 1e-12
 
@@ -274,7 +272,7 @@ def test_three_cycle_order_two_pulls_in_the_full_spectrum() -> None:
     w = build_weight(g, gamma=0.875)
     modes = select_modes(decompose(g), gamma=0.875, order=2)
     assert modes.num_modes == 3
-    approx = approx_impact(w, modes, geodesic_distances(g))
+    approx = approx_impact(modes, geodesic_distances(g))
     exact = exact_propagator(w)
     assert np.max(np.abs(approx.values - exact.values)) < 1e-12
 
@@ -290,7 +288,7 @@ def test_repeated_complex_modes_select_and_approximate() -> None:
     for order in range(1, 7):
         modes = select_modes(dec, gamma=0.5, order=order)
         assert modes.num_modes == {1: 1, 2: 2, 3: 4}.get(order, 6)
-        approx = approx_impact(w, modes, dist)
+        approx = approx_impact(modes, dist)
         if order >= 4:
             assert np.max(np.abs(approx.values - exact.values)) <= 1e-12
 
@@ -317,7 +315,7 @@ def test_first_order_matches_raw_eigh_reimplementation() -> None:
             mu = eigenvalues[top]
             expected[i, j] = mu**d / (1.0 - mu) * s[i] * s[j]
     modes = select_modes(decompose(g), gamma=gamma, order=1)
-    approx = approx_impact(w, modes, dist)
+    approx = approx_impact(modes, dist)
     assert np.max(np.abs(approx.values - expected)) < 1e-10
 
 
@@ -330,7 +328,7 @@ def test_full_order_approx_matches_exact_on_random_graphs() -> None:
             w = build_weight(g, gamma=gamma)
             dec = decompose(g)
             modes = select_modes(dec, gamma=gamma, order=dec.num_modes)
-            approx = approx_impact(w, modes, geodesic_distances(g))
+            approx = approx_impact(modes, geodesic_distances(g))
             exact = exact_propagator(w)
             assert np.max(np.abs(approx.values - exact.values)) < 1e-6
 
@@ -338,10 +336,9 @@ def test_full_order_approx_matches_exact_on_random_graphs() -> None:
 def test_unreachable_pairs_approximate_to_zero() -> None:
     # two disjoint undirected edges: cross-component entries must be 0
     g = arcs(4, [(0, 1), (2, 3)], directed=False)
-    w = build_weight(g, gamma=0.5)
     dec = decompose(g)
     modes = select_modes(dec, gamma=0.5, order=dec.num_modes)
-    approx = approx_impact(w, modes, geodesic_distances(g))
+    approx = approx_impact(modes, geodesic_distances(g))
     for i in (0, 1):
         for j in (2, 3):
             assert approx.values[i, j] == 0.0
@@ -350,27 +347,17 @@ def test_unreachable_pairs_approximate_to_zero() -> None:
 
 def test_symmetric_input_yields_symmetric_approximation() -> None:
     g = generate_er(n=20, p=0.25, directed=False, seed=503)
-    w = build_weight(g, gamma=0.75)
     modes = select_modes(decompose(g), gamma=0.75, order=3)
-    approx = approx_impact(w, modes, geodesic_distances(g))
+    approx = approx_impact(modes, geodesic_distances(g))
     assert np.max(np.abs(approx.values - approx.values.T)) < 1e-10
-
-
-def test_approx_rejects_gamma_mismatch() -> None:
-    g = two_cycle()
-    w = build_weight(g, gamma=0.5)
-    modes = select_modes(decompose(g), gamma=0.75, order=1)
-    with pytest.raises(ValidationError):
-        approx_impact(w, modes, geodesic_distances(g))
 
 
 def test_approx_rejects_dimension_mismatch() -> None:
     g = two_cycle()
     other = three_cycle()
-    w = build_weight(g, gamma=0.5)
     modes = select_modes(decompose(g), gamma=0.5, order=1)
     with pytest.raises(ValidationError):
-        approx_impact(w, modes, geodesic_distances(other))
+        approx_impact(modes, geodesic_distances(other))
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -381,12 +368,11 @@ def test_real_kernel_matches_complex_reference(directed) -> None:
         dist = geodesic_distances(g)
         dec = decompose(g, k=10)
         for gamma in (0.5, 0.96875):
-            w = build_weight(g, gamma)
             for order in (1, 2, 3, 5, 8):
                 modes = select_modes(dec, gamma, order)
                 complex_modes += int(np.count_nonzero(modes.eigenvalues.imag))
-                reference = complex_approx_impact(w, modes, dist)
-                values = approx_impact(w, modes, dist).values
+                reference = complex_approx_impact(modes, dist)
+                values = approx_impact(modes, dist).values
                 assert np.max(np.abs(values - reference)) <= 1e-12
     assert (complex_modes > 0) == directed
 
@@ -397,7 +383,6 @@ def test_inexact_conjugate_partner_is_detected() -> None:
     from impactfield.spectral import ModeSet
 
     g = three_cycle()
-    w = build_weight(g, gamma=0.5)
     modes = select_modes(decompose(g), gamma=0.5, order=2)
     send_rows = modes.send_rows.copy()
     send_rows[2] *= 1.0 + 1e-3
@@ -412,7 +397,7 @@ def test_inexact_conjugate_partner_is_detected() -> None:
     dist = geodesic_distances(g)
     for kernel in (complex_approx_impact, approx_impact):
         with pytest.raises(ConjugateClosureError):
-            kernel(w, skewed, dist)
+            kernel(skewed, dist)
 
 
 def test_broken_conjugate_closure_is_detected() -> None:
@@ -422,7 +407,6 @@ def test_broken_conjugate_closure_is_detected() -> None:
 
     g = three_cycle()
     gamma = 0.5
-    w = build_weight(g, gamma=gamma)
     dec = decompose(g)
     lone = ModeSet(
         eigenvalues=dec.eigenvalues[1:2],
@@ -433,7 +417,7 @@ def test_broken_conjugate_closure_is_detected() -> None:
         gamma=gamma,
     )
     with pytest.raises(ConjugateClosureError):
-        approx_impact(w, lone, geodesic_distances(g))
+        approx_impact(lone, geodesic_distances(g))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from impactfield.errors import (
     ValidationError,
 )
 from impactfield.graph import Graph, generate_er, geodesic_distances
-from impactfield.impact import approx_impact, build_weight
+from impactfield.impact import approx_impact
 from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
 
 from util import arcs, twin_components, twin_three_cycles
@@ -353,12 +353,9 @@ def test_twin_components_pair_left_and_right_within_each_eigenvalue() -> None:
     # on the twin is order 1 on each component
     gamma = 0.875
     twin_approx = approx_impact(
-        build_weight(twin, gamma),
-        select_modes(dec, gamma, order=2),
-        geodesic_distances(twin),
+        select_modes(dec, gamma, order=2), geodesic_distances(twin)
     ).values
     own = approx_impact(
-        build_weight(component, gamma),
         select_modes(decompose(component, k=5), gamma, order=1),
         geodesic_distances(component),
     ).values

@@ -110,7 +110,7 @@ def small_er_corpus(count: int = 50) -> list[Graph]:
     return graphs
 
 
-def complex_approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMatrix) -> np.ndarray:
+def complex_approx_impact(modes: ModeSet, dist: DistanceMatrix) -> np.ndarray:
     """Reference approximation: every mode summed in complex arithmetic.
 
     The imaginary residue left after the sum must be negligible; a mode
@@ -118,9 +118,9 @@ def complex_approx_impact(weight: WeightMatrix, modes: ModeSet, dist: DistanceMa
     """
     hops_safe = np.where(dist.reachable, dist.hops, 0)
     exponents = np.arange(int(hops_safe.max(initial=0)) + 1)
-    accumulator = np.zeros((weight.n, weight.n), dtype=complex)
+    accumulator = np.zeros((dist.n, dist.n), dtype=complex)
     for mode in range(modes.num_modes):
-        table = modes.gains[mode] * np.power(weight.gamma * modes.eigenvalues[mode], exponents)
+        table = modes.gains[mode] * np.power(modes.gamma * modes.eigenvalues[mode], exponents)
         accumulator += table[hops_safe] * np.outer(
             modes.receive_vectors[:, mode], modes.send_rows[mode, :]
         )
