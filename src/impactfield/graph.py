@@ -241,24 +241,63 @@ class DistanceMatrix:
         return counts
 
 
+# Hop levels expanded from every node at once before the nodes whose
+# search is still going are handed to csgraph: each level costs an n^2
+# pass whatever its frontier holds, so a long geodesic is cheaper to
+# search node by node.
+_FRONTIER_LEVELS = 32
+
+
+def _hop_levels(structure: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hop counts and reachability of a 0/1 structure matrix.
+
+    Breadth-first search from every node at once, as boolean sparse times
+    dense products. Column t of ``front`` holds the nodes whose shortest
+    path to t has the current length; one product with the structure
+    moves each column a hop further back along the arcs, and the unseen
+    mask keeps only the nodes met for the first time. So ``hops[i, t]``
+    counts hops from i to t along arcs, and no transpose is needed.
+    Targets still active after ``_FRONTIER_LEVELS`` levels are searched
+    again by ``csgraph.shortest_path`` on the reversed arcs.
+    """
+    n = structure.shape[0]
+    arcs = structure.astype(bool)
+    front = np.eye(n, dtype=bool)
+    unseen = ~front
+    levels = np.zeros((n, n), dtype=np.uint8)
+    for level in range(1, _FRONTIER_LEVELS + 1):
+        # boolean products add by logical or, so no count can overflow
+        front = arcs @ front
+        front &= unseen
+        if not front.any():
+            break
+        unseen ^= front
+        np.copyto(levels, level, where=front)
+    hops = levels.astype(np.int64)
+    reachable = ~unseen
+    active = np.flatnonzero(front.any(axis=0))
+    if active.size:
+        dist = csgraph.shortest_path(
+            structure.T, method="auto", directed=True, unweighted=True, indices=active
+        )
+        found = np.isfinite(dist)
+        dist[~found] = 0.0
+        reachable[:, active] = found.T
+        hops[:, active] = dist.T
+    return hops, reachable
+
+
 def geodesic_distances(graph: Graph) -> DistanceMatrix:
     """Minimum hop counts between all ordered node pairs.
 
     Distances follow arc direction for directed graphs and ignore edge
     weights entirely (a breadth-first count, not a weighted shortest
-    path).
+    path). The search runs from every node at once, one hop level per
+    sparse product; nodes whose search outlasts a fixed number of levels
+    are finished by csgraph's per-node search, with the same counts.
     """
-    n = graph.n
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return DistanceMatrix(0, empty.astype(np.int64), empty.astype(bool))
-    dist = csgraph.shortest_path(
-        graph.structure_sparse(), method="auto", directed=graph.directed, unweighted=True
-    )
-    reachable = np.isfinite(dist)
-    hops = np.zeros((n, n), dtype=np.int64)
-    hops[reachable] = dist[reachable].astype(np.int64)
-    return DistanceMatrix(n=n, hops=hops, reachable=reachable)
+    hops, reachable = _hop_levels(graph.structure_sparse())
+    return DistanceMatrix(n=graph.n, hops=hops, reachable=reachable)
 
 
 def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:
@@ -311,11 +350,6 @@ def generate_preferential(n: int, m: int, seed: int) -> Graph:
     return Graph(n=n, directed=False, edges=tuple(edges), labels=tuple(str(i) for i in range(n)))
 
 
-def _undirected_structure(graph: Graph) -> sp.csr_matrix:
-    structure = graph.structure_sparse()
-    return structure.maximum(structure.T) if graph.directed else structure
-
-
 def is_connected(graph: Graph) -> bool:
     """True when the graph has a single weak component (or is empty)."""
     if graph.n == 0:
@@ -334,11 +368,10 @@ def largest_component_diameter(graph: Graph) -> int:
     """
     if graph.n == 0:
         raise ValidationError("diameter of an empty graph is undefined")
-    structure = _undirected_structure(graph)
+    structure = graph.structure_sparse()
+    if graph.directed:
+        structure = structure.maximum(structure.T)
     _, labels = csgraph.connected_components(structure, directed=False)
     largest = np.bincount(labels).argmax()
-    members = np.flatnonzero(labels == largest)
-    dist = csgraph.shortest_path(
-        structure[np.ix_(members, members)], method="auto", directed=False, unweighted=True
-    )
-    return int(dist.max()) if dist.size else 0
+    hops, _ = _hop_levels(structure)
+    return int(hops[labels == largest].max())

@@ -153,7 +153,7 @@ def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
     and the inverse comes from a Cholesky factorization; any other ``W``
     goes through LU. Both routes refuse a numerically singular system.
     """
-    if np.array_equal(weight.W, weight.W.T):
+    if scipy.linalg.issymmetric(weight.W):
         values = _symmetric_inverse(weight)
     else:
         lu, piv = _factorize(weight)

@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import impactfield
 from impactfield import cli
 from impactfield.cli import main
-from impactfield.graph import generate_er, serialize_edge_list
+from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
 from util import (
     read_correlations_csv,
@@ -578,11 +579,25 @@ def test_replicate_records_undecodable_file_and_continues(tmp_path, capsys) -> N
 def test_replicate_records_an_iterative_solver_failure_and_continues(
     tmp_path, monkeypatch, capsys
 ) -> None:
-    # ARPACK fails on the directed twin (every eigenvalue repeats); that is
-    # a failed treatment in the manifest, not a traceback ending the run
+    # ARPACK failing on the directed twin's decomposition is a failed
+    # treatment in the manifest, not a traceback ending the run. Whether
+    # the real solver fails on the twin depends on rounding, so the failure
+    # is injected, into the twin's multi-mode runs only.
     corpus = make_corpus(tmp_path, count=1)
     twin = twin_components(generate_er(n=20, p=0.15, directed=True, seed=0))
     (corpus / "twin.txt").write_text(serialize_edge_list(twin))
+    twin_n = parse_edge_list((corpus / "twin.txt").read_text(), directed=True).n
+    assert parse_edge_list((corpus / "net0.txt").read_text(), directed=True).n != twin_n
+    eigs = scipy.sparse.linalg.eigs
+
+    def fail_on_twin(matrix, k=6, **options):
+        if matrix.shape[0] == twin_n and k > 1:
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "injected", np.empty(0), np.empty((twin_n, 0))
+            )
+        return eigs(matrix, k=k, **options)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail_on_twin)
     monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "10")
     out = tmp_path / "out"
     assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0

@@ -21,8 +21,13 @@ from impactfield import (
     symmetrize_weak,
 )
 from impactfield.errors import AlreadyUndirectedWarning
+from impactfield.graph import _FRONTIER_LEVELS, largest_component_diameter
 
 from util import arcs, bfs_hops, hop_distance
+
+# longer than the levels expanded from every node at once, so the nodes
+# still active at the end are searched one by one
+LONG = 2 * _FRONTIER_LEVELS + 5
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,7 @@ def test_distances_two_components() -> None:
 
 
 def test_unreachable_pairs_hold_zero_hops() -> None:
-    # approx_impact and the dyad index read hops without the mask
+    # approx_impact and the decay curves' bincount read hops without the mask
     for directed in (False, True):
         dist = geodesic_distances(arcs(5, [(0, 1), (1, 2), (3, 4)], directed=directed))
         assert not dist.reachable[0, 3] and not dist.reachable[4, 2]
@@ -243,13 +248,32 @@ def test_distance_one_exactly_on_adjacent_pairs() -> None:
 
 def test_distances_match_reference_bfs() -> None:
     rng = np.random.default_rng(23)
-    for trial in range(12):
-        directed = bool(trial % 2)
-        g = generate_er(n=30, p=0.12, directed=directed, seed=int(rng.integers(1 << 30)))
+    graphs = [
+        generate_er(n=30, p=0.12, directed=bool(trial % 2), seed=int(rng.integers(1 << 30)))
+        for trial in range(12)
+    ]
+    path = [(i, i + 1) for i in range(LONG - 1)]
+    graphs += [
+        arcs(LONG, path),
+        arcs(LONG, path, directed=False),
+        arcs(LONG, path + [(LONG - 1, 0)]),  # directed cycle
+        arcs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        arcs(8, [(0, 3), (3, 5), (5, 0), (1, 6)]),  # nodes 2, 4 and 7 isolated
+        arcs(8, [(0, 3), (3, 5), (1, 6)], directed=False),
+        Graph(n=0, directed=True, edges=()),
+        Graph(n=1, directed=True, edges=()),
+        Graph(n=1, directed=False, edges=()),
+        # the directed corpus shape: n=300 at mean out-degree 2.5
+        generate_er(n=300, p=5.0 / 598.0, directed=True, seed=2000),
+        # 256 frontier nodes meet at once at the far hub
+        arcs(258, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 258)], directed=False),
+    ]
+    for g in graphs:
         dist = geodesic_distances(g)
         hops, reachable = bfs_hops(g)
+        assert dist.hops.dtype == np.int64
         assert np.array_equal(dist.reachable, reachable)
-        assert np.array_equal(dist.hops[reachable], hops[reachable])
+        assert np.array_equal(dist.hops, hops)
 
 
 def test_distances_satisfy_triangle_inequality() -> None:
@@ -265,6 +289,45 @@ def test_undirected_distances_are_symmetric() -> None:
     dist = geodesic_distances(g)
     f = np.where(dist.reachable, dist.hops, np.inf)
     assert np.array_equal(f, f.T)
+
+
+# ---------------------------------------------------------------------------
+# diameter of the largest weak component
+
+
+def test_diameter_of_undirected_path() -> None:
+    for n in (6, LONG):
+        path = arcs(n, [(i, i + 1) for i in range(n - 1)], directed=False)
+        assert largest_component_diameter(path) == n - 1
+
+
+def test_diameter_reads_the_largest_component_only() -> None:
+    # a 4-node path (diameter 3) beside a 6-node star (diameter 2)
+    g = arcs(10, [(0, 1), (1, 2), (2, 3)] + [(4, leaf) for leaf in range(5, 10)], directed=False)
+    assert largest_component_diameter(g) == 2
+
+
+def test_diameter_tie_goes_to_the_component_of_the_lowest_node() -> None:
+    path = [(0, 1), (1, 2), (2, 3)]
+    star = [(0, 1), (0, 2), (0, 3)]
+    path_then_star = path + [(s + 4, d + 4) for s, d in star]
+    star_then_path = star + [(s + 4, d + 4) for s, d in path]
+    assert largest_component_diameter(arcs(8, path_then_star, directed=False)) == 3
+    assert largest_component_diameter(arcs(8, star_then_path, directed=False)) == 2
+
+
+def test_diameter_ignores_arc_direction() -> None:
+    # no directed path joins 0 and 3, but the weak component is a 4-node path
+    assert largest_component_diameter(arcs(4, [(0, 1), (2, 1), (2, 3)])) == 3
+
+
+def test_diameter_of_a_single_node_is_zero() -> None:
+    assert largest_component_diameter(Graph(n=1, directed=True, edges=())) == 0
+
+
+def test_diameter_of_empty_graph_is_undefined() -> None:
+    with pytest.raises(ValidationError):
+        largest_component_diameter(Graph(n=0, directed=False, edges=()))
 
 
 # ---------------------------------------------------------------------------
