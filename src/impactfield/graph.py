@@ -274,7 +274,10 @@ def _hop_levels(structure: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
         unseen ^= front
         np.copyto(levels, level, where=front)
     hops = levels.astype(np.int64)
-    reachable = ~unseen
+    # invert in place: a new mask would be allocated among the freed
+    # frontier buffers, at a heap position that depends on the level
+    # count, and shift the process's peak memory from graph to graph
+    reachable = np.logical_not(unseen, out=unseen)
     active = np.flatnonzero(front.any(axis=0))
     if active.size:
         dist = csgraph.shortest_path(
