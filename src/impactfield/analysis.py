@@ -5,6 +5,12 @@ All dyad statistics run over ordered pairs at finite hop distance >= 1.
 The diagonal and unreachable pairs both hold hop 0, so the dyad set is
 ``hops >= 1``: the curves never read bin 0 of their per-distance sums,
 and the correlations select with ``DistanceMatrix.dyad_mask``.
+
+A study cell reads its matrices in one pass over blocks of rows. Each
+block adds to the per-distance sums, and its dyads' Pearson moments
+merge into running ones by the pairwise update of Chan, Golub & LeVeque
+(1979). ``mean_impact_by_distance`` and ``dyad_correlation`` are the
+same sums and moments over a single block.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ from .graph import DistanceMatrix, Graph, geodesic_distances, symmetrize_weak
 from .impact import (
     ImpactKind,
     ImpactMatrix,
-    approx_impact,
+    _real_terms,
+    _TermKernel,
     build_weight,
     exact_propagator,
     gamma_grid,
 )
-from .spectral import DEFAULT_DENSE_THRESHOLD, decompose, select_modes, spectral_radius
+from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, decompose, select_modes, spectral_radius
 
 __all__ = [
     "Treatment",
@@ -119,6 +126,28 @@ class StudyCell:
     distances: DistanceMatrix | None = None
 
 
+def _pair_counts(dist: DistanceMatrix) -> np.ndarray:
+    """Ordered pairs per hop count; raises when no pair is at distance >= 1."""
+    counts = dist.pair_counts
+    if not counts[1:].any():
+        raise EmptyCurveError("no ordered pairs at finite distance >= 1")
+    return counts
+
+
+def _curve(
+    sums: np.ndarray, counts: np.ndarray, gamma: float, treatment: Treatment | None
+) -> DecayCurve:
+    points = tuple(
+        CurvePoint(
+            distance=int(d),
+            mean_impact=float(sums[d] / counts[d]),
+            n_pairs=int(counts[d]),
+        )
+        for d in np.flatnonzero(counts[1:]) + 1
+    )
+    return DecayCurve(gamma=gamma, treatment=treatment, points=points)
+
+
 def mean_impact_by_distance(
     impact: ImpactMatrix, dist: DistanceMatrix, treatment: Treatment | None = None
 ) -> DecayCurve:
@@ -129,21 +158,10 @@ def mean_impact_by_distance(
     """
     if dist.n != impact.n:
         raise ValidationError("impact matrix and distances must agree on n")
-    counts = dist.pair_counts
-    if not counts[1:].any():
-        raise EmptyCurveError("no ordered pairs at finite distance >= 1")
-    # the diagonal and unreachable pairs hold hop 0, so they all land in
-    # bin 0, which no curve point reads
-    sums = np.bincount(dist.hops.ravel(), weights=impact.values.ravel(), minlength=len(counts))
-    points = tuple(
-        CurvePoint(
-            distance=int(d),
-            mean_impact=float(sums[d] / counts[d]),
-            n_pairs=int(counts[d]),
-        )
-        for d in np.flatnonzero(counts[1:]) + 1
-    )
-    return DecayCurve(gamma=impact.gamma, treatment=treatment, points=points)
+    counts = _pair_counts(dist)
+    sums = np.zeros(len(counts))
+    np.add.at(sums, dist.hops.ravel(), impact.values.ravel())
+    return _curve(sums, counts, impact.gamma, treatment)
 
 
 def fit_exponential(
@@ -181,6 +199,60 @@ def fit_exponential(
     )
 
 
+class _DyadMoments:
+    """Running Pearson moments of exact against approximate dyad values.
+
+    Holds the count, both means, both centred sums of squares and the
+    centred cross sum. ``merge`` adds the moments of a further block of
+    dyads by the pairwise update of Chan, Golub & LeVeque (1979);
+    ``pearson`` is the one rule that turns them into a correlation.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.x_mean = self.y_mean = 0.0
+        self.x_ss = self.y_ss = self.xy = 0.0
+
+    def merge(self, x: np.ndarray, x_mean: float, x_ss: float, y: np.ndarray) -> None:
+        """Merge a nonempty block: ``x`` centred, with its mean and centred
+        sum of squares, and ``y`` as it is, which is centred in place.
+
+        Into empty moments the share is 1 and the weight 0, so the first
+        block's moments are taken as they are.
+        """
+        y_mean, y_ss = _centre(y)
+        total = self.count + x.size
+        share = x.size / total
+        weight = self.count * share
+        dx, dy = x_mean - self.x_mean, y_mean - self.y_mean
+        self.x_mean += dx * share
+        self.y_mean += dy * share
+        self.x_ss += x_ss + dx * dx * weight
+        self.y_ss += y_ss + dy * dy * weight
+        self.xy += ddot(x, y) + dx * dy * weight
+        self.count = total
+
+    def pearson(self) -> float:
+        if self.count < MIN_DYADS:
+            raise InsufficientDataError(f"{self.count} dyads; need at least {MIN_DYADS}")
+        # a spread at rounding level is no variance: impact that is constant
+        # in exact arithmetic must not be correlated on its rounding noise
+        if (
+            self.x_ss <= self.count * (FLAT_RTOL * self.x_mean) ** 2
+            or self.y_ss <= self.count * (FLAT_RTOL * self.y_mean) ** 2
+        ):
+            raise UndefinedCorrelationError("zero variance in at least one impact vector")
+        denom = float(np.sqrt(self.x_ss * self.y_ss))
+        return float(min(1.0, max(-1.0, self.xy / denom)))
+
+
+def _centre(values: np.ndarray) -> tuple[float, float]:
+    """Centre a nonempty vector in place; return its mean and centred sum of squares."""
+    mean = values.mean()
+    values -= mean
+    return mean, ddot(values, values)
+
+
 def dyad_correlation(
     exact: ImpactMatrix,
     approx: ImpactMatrix,
@@ -198,21 +270,63 @@ def dyad_correlation(
         raise ValidationError(
             f"gamma mismatch: exact has {exact.gamma!r}, approximation {approx.gamma!r}"
         )
-    count = int(dist.pair_counts[1:].sum())
-    if count < MIN_DYADS:
-        raise InsufficientDataError(f"{count} dyads; need at least {MIN_DYADS}")
+    moments = _DyadMoments()
     x = exact.values[dist.dyad_mask]
-    y = approx.values[dist.dyad_mask]
-    x_mean, y_mean = x.mean(), y.mean()
-    x -= x_mean
-    y -= y_mean
-    x_ss, y_ss = ddot(x, x), ddot(y, y)
-    # a spread at rounding level is no variance: impact that is constant
-    # in exact arithmetic must not be correlated on its rounding noise
-    if x_ss <= x.size * (FLAT_RTOL * x_mean) ** 2 or y_ss <= y.size * (FLAT_RTOL * y_mean) ** 2:
-        raise UndefinedCorrelationError("zero variance in at least one impact vector")
-    denom = float(np.sqrt(x_ss * y_ss))
-    return float(min(1.0, max(-1.0, ddot(x, y) / denom)))
+    if x.size:
+        x_mean, x_ss = _centre(x)
+        moments.merge(x, x_mean, x_ss, approx.values[dist.dyad_mask])
+    return moments.pearson()
+
+
+def _dyad_pass(
+    exact: ImpactMatrix, dist: DistanceMatrix, mode_sets: list[ModeSet], keep: bool
+) -> tuple[np.ndarray, list[_DyadMoments], dict[int, ImpactMatrix] | None]:
+    """Curve sums and per-order correlation moments in one pass over row blocks.
+
+    ``mode_sets`` come from ``select_modes`` at rising orders, so each
+    one's real terms are a prefix of the next one's: every pair of order
+    o has a member below o, and order o + 1 only adds modes from o on.
+    Each order's block continues the running sum of the order before it,
+    term by term as ``approx_impact`` sums, so it holds the same values.
+    With ``keep`` the approximations are also returned, keyed by order.
+    """
+    n = dist.n
+    kernel = _TermKernel(mode_sets[-1], dist)
+    cuts = [len(_real_terms(modes)) for modes in mode_sets]
+    sums = np.zeros(len(dist.pair_counts))
+    moments = [_DyadMoments() for _ in mode_sets]
+    kept = None
+    if keep:
+        kept = {
+            modes.order: ImpactMatrix(
+                n, np.empty((n, n)), ImpactKind.APPROX, modes.gamma, modes.order
+            )
+            for modes in mode_sets
+        }
+    buffer = np.empty((kernel.height, n))
+    for rows in kernel.blocks:
+        exact_rows = exact.values[rows]
+        # add.at adds pair by pair in row-major order, as a single call on
+        # the whole matrix does, so the curve's bits do not depend on blocks
+        np.add.at(sums, dist.hops[rows].ravel(), exact_rows.ravel())
+        mask = dist.dyad_mask[rows]
+        x = exact_rows[mask]
+        # a block with no dyads (the rows of sinks, say) has no moments
+        if x.size:
+            x_mean, x_ss = _centre(x)
+        block = buffer[: rows.stop - rows.start]
+        block.fill(0.0)
+        done = 0
+        for modes, cut, moment in zip(mode_sets, cuts, moments):
+            kernel.add(block, rows, done, cut)
+            done = cut
+            if x.size:
+                moment.merge(x, x_mean, x_ss, block[mask])
+            if keep:
+                out = kept[modes.order].values[rows]
+                out[...] = block
+                out[~dist.reachable[rows]] = 0.0
+    return sums, moments, kept
 
 
 def validate_study_options(
@@ -349,8 +463,11 @@ def _run_cell(
 ) -> StudyCell:
     # keep no reference to W: it is freed once inverted
     exact = exact_propagator(build_weight(treated, gamma, rho=rho))
+    counts = _pair_counts(dist)
+    mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
+    sums, moments, approximations = _dyad_pass(exact, dist, mode_sets, keep_matrices)
+    curve = _curve(sums, counts, gamma, treatment)
     notes: list[str] = []
-    curve = mean_impact_by_distance(exact, dist, treatment=treatment)
     fit: ExponentialFit | None
     try:
         fit = fit_exponential(curve, *fit_range)
@@ -358,13 +475,10 @@ def _run_cell(
         fit = None
         notes.append(f"fit skipped: {exc}")
     records: list[CorrelationRecord] = []
-    approximations: dict[int, ImpactMatrix] = {}
-    n_dyads = int(dist.pair_counts[1:].sum())
-    for order in orders:
-        approx = approx_impact(select_modes(decomposition, gamma, order), dist)
-        approximations[order] = approx
+    n_dyads = int(counts[1:].sum())
+    for order, moment in zip(orders, moments):
         try:
-            pearson = dyad_correlation(exact, approx, dist)
+            pearson = moment.pearson()
         except (InsufficientDataError, UndefinedCorrelationError) as exc:
             notes.append(f"order={order} correlation suppressed: {exc}")
             continue
@@ -387,6 +501,6 @@ def _run_cell(
         correlations=tuple(records),
         notes=tuple(notes),
         exact=exact if keep_matrices else None,
-        approximations=approximations if keep_matrices else None,
+        approximations=approximations,
         distances=dist if keep_matrices else None,
     )

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _RCOND_FLOOR = 1e-14
+# entries per row block of the approximation kernel, which runs in
+# blocks of max(1, _BLOCK_ENTRIES // n) rows so that every per-term
+# temporary stays in cache
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +205,48 @@ def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
     return terms
 
 
+class _TermKernel:
+    """The real terms of a mode set, summed into blocks of approximation rows.
+
+    ``blocks`` cuts the n rows into slices of ``height`` =
+    ``max(1, _BLOCK_ENTRIES // n)`` rows, so every temporary of ``add``
+    is one block in size. Each term is the gain times
+    ``(gamma * lam)^d`` per hop count d, read from a table, times the
+    outer product of its vectors; a folded term is twice the real part
+    of one member of its conjugate pair, and any other term is real.
+    """
+
+    def __init__(self, modes: ModeSet, dist: DistanceMatrix) -> None:
+        n = dist.n
+        self.hops = dist.hops
+        exponents = np.arange(int(self.hops.max(initial=0)) + 1)
+        self.terms = []
+        for mode, folded in _real_terms(modes):
+            table = modes.gains[mode] * np.power(modes.gamma * modes.eigenvalues[mode], exponents)
+            receive = modes.receive_vectors[:, mode]
+            send = modes.send_rows[mode, :]
+            if folded:
+                self.terms.append((table.real, table.imag, receive, send))
+            else:
+                self.terms.append((table.real, None, receive.real, send.real))
+        self.height = height = max(1, _BLOCK_ENTRIES // max(n, 1))
+        self.blocks = [slice(start, min(start + height, n)) for start in range(0, n, height)]
+
+    def add(self, block: np.ndarray, rows: slice, start: int = 0, stop: int | None = None) -> None:
+        """Add terms ``start:stop`` at rows ``rows`` to ``block``."""
+        hops = self.hops[rows]
+        for real, imag, receive, send in self.terms[start:stop]:
+            outer = np.outer(receive[rows], send)
+            if imag is None:
+                outer *= real[hops]
+                block += outer
+            else:
+                term = real[hops] * outer.real
+                term -= imag[hops] * outer.imag
+                term *= 2.0
+                block += term
+
+
 def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
     """Spectral distance-decay approximation of the total-impact matrix.
 
@@ -211,28 +257,17 @@ def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
     must be conjugate closed, so the sum is real: it is accumulated in
     real arithmetic, each conjugate pair as twice the real part of one
     member, and a mode without its conjugate raises ConjugateClosureError.
+    The sum runs over blocks of rows, so no temporary is n x n.
     """
     n = dist.n
     if modes.receive_vectors.shape[0] != n:
         raise ValidationError("mode set and distances must agree on n")
-    terms = _real_terms(modes)
-    hops = dist.hops
-    exponents = np.arange(int(hops.max(initial=0)) + 1)
+    kernel = _TermKernel(modes, dist)
     values = np.zeros((n, n))
-    for mode, folded in terms:
-        table = modes.gains[mode] * np.power(modes.gamma * modes.eigenvalues[mode], exponents)
-        receive = modes.receive_vectors[:, mode]
-        send = modes.send_rows[mode, :]
-        if folded:
-            outer = np.outer(receive, send)
-            term = table.real[hops] * outer.real
-            term -= table.imag[hops] * outer.imag
-            term *= 2.0
-        else:
-            term = np.outer(receive.real, send.real)
-            term *= table.real[hops]
-        values += term
-    values[~dist.reachable] = 0.0
+    for rows in kernel.blocks:
+        block = values[rows]
+        kernel.add(block, rows)
+        block[~dist.reachable[rows]] = 0.0
     return ImpactMatrix(
         n=n, values=values, kind=ImpactKind.APPROX, gamma=modes.gamma, order=modes.order
     )

@@ -206,8 +206,12 @@ def _closed_prefix(values: np.ndarray, k: int | None) -> int:
 
 
 def _cut(values: np.ndarray, right: np.ndarray, left: np.ndarray, keep: int):
-    """The first ``keep`` modes, as contiguous arrays."""
-    return values[:keep], np.ascontiguousarray(right[:, :keep]), np.ascontiguousarray(left[:keep])
+    """The first ``keep`` modes, as C-contiguous copies.
+
+    A slice of a full basis would keep all n modes alive for as long as
+    the decomposition lives.
+    """
+    return values[:keep].copy(), right[:, :keep].copy(), left[:keep].copy()
 
 
 def _symmetric_modes(values: np.ndarray, vectors: np.ndarray, k: int | None):
@@ -216,7 +220,7 @@ def _symmetric_modes(values: np.ndarray, vectors: np.ndarray, k: int | None):
     order = _canonical_order(values)
     values, right = values[order], vectors[:, order].astype(complex)
     # orthonormal basis: the left rows are the plain transpose
-    return _cut(values, right, right.T.copy(), _closed_prefix(values, k))
+    return _cut(values, right, right.T, _closed_prefix(values, k))
 
 
 def _dense_eig(solver, matrix: np.ndarray, **options):

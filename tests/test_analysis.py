@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+import impactfield.analysis
 from impactfield.analysis import (
     CorrelationRecord,
     CurvePoint,
@@ -33,7 +34,7 @@ from impactfield.errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from impactfield.graph import Graph, generate_er, geodesic_distances
+from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize_weak
 from impactfield.impact import (
     ImpactKind,
     ImpactMatrix,
@@ -361,46 +362,96 @@ def test_study_validates_inputs() -> None:
         run_study(g, orders=(0,))
 
 
-def test_study_keeps_matrices_only_on_request() -> None:
-    g = generate_er(n=12, p=0.3, directed=False, seed=61)
-    lean = run_study(g, gammas=[0.5])[0]
-    assert lean.exact is None and lean.approximations is None and lean.distances is None
-    kept = run_study(g, gammas=[0.5], keep_matrices=True)[0]
-    assert kept.exact is not None
-    assert set(kept.approximations) == {1, 2}
-    assert kept.distances is not None
-    w = build_weight(g, 0.5)
-    assert np.array_equal(kept.exact.values, exact_propagator(w).values)
-    modes = select_modes(decompose(g, k=6), 0.5, 2)
-    approx = approx_impact(modes, kept.distances).values
-    assert approx.shape == (g.n, g.n)
-    assert np.array_equal(kept.approximations[2].values, approx)
+@pytest.mark.parametrize("directed", [False, True])
+def test_study_keeps_matrices_only_on_request(directed) -> None:
+    g = generate_er(n=12, p=0.3, directed=directed, seed=61)
+    lean = run_study(g, gammas=[0.5])
+    assert all(
+        cell.exact is None and cell.approximations is None and cell.distances is None
+        for cell in lean
+    )
+    orders = (1, 2, 3)
+    kept = run_study(g, gammas=[0.5], orders=orders, keep_matrices=True)
+    treated = {Treatment.DIRECTED: g, Treatment.SYMMETRIZED: symmetrize_weak(g) if directed else g}
+    assert [cell.treatment for cell in kept] == [cell.treatment for cell in lean]
+    assert len(kept) == 1 + directed
+    for cell in kept:
+        graph = treated[cell.treatment]
+        assert cell.error is None and cell.distances is not None
+        w = build_weight(graph, 0.5)
+        assert np.array_equal(cell.exact.values, exact_propagator(w).values)
+        # the study sums each order on from the one before; the kept
+        # matrices must still be the standalone approximations, bit for bit
+        decomposition = decompose(graph, k=max(orders) + 4)
+        assert set(cell.approximations) == set(orders)
+        for order, approx in cell.approximations.items():
+            expected = approx_impact(select_modes(decomposition, 0.5, order), cell.distances)
+            assert approx.values.shape == (g.n, g.n)
+            assert approx.order == order and approx.gamma == 0.5
+            assert np.array_equal(approx.values, expected.values)
 
 
 def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None:
-    # the approximation reads only the modes and the hop counts, so no
+    # the approximations read only the modes and the hop counts, so no
     # dense W may stay alive past its inversion
     weights: list[weakref.ref] = []
-    approximated = 0
+    passes = 0
+    dyad_pass = impactfield.analysis._dyad_pass
 
     def recording_build_weight(*args, **kwargs):
         weight = build_weight(*args, **kwargs)
         weights.append(weakref.ref(weight))
         return weight
 
-    def checking_approx_impact(*args, **kwargs):
-        nonlocal approximated
+    def checking_dyad_pass(*args, **kwargs):
+        nonlocal passes
         gc.collect()
         assert weights and all(ref() is None for ref in weights)
-        approximated += 1
-        return approx_impact(*args, **kwargs)
+        passes += 1
+        return dyad_pass(*args, **kwargs)
 
     monkeypatch.setattr("impactfield.analysis.build_weight", recording_build_weight)
-    monkeypatch.setattr("impactfield.analysis.approx_impact", checking_approx_impact)
+    monkeypatch.setattr("impactfield.analysis._dyad_pass", checking_dyad_pass)
     g = generate_er(n=30, p=0.15, directed=True, seed=11)
     cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
     assert cells and all(cell.error is None for cell in cells)
-    assert len(weights) == len(cells) and approximated == 2 * len(cells)
+    # one pass per cell builds every order's approximation
+    assert len(weights) == len(cells) and passes == len(cells)
+
+
+def sink_rows_digraph() -> Graph:
+    # nodes 0-2 are sinks, so their rows of the hop matrix hold no dyad
+    cycle = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (4, 9)]
+    return arcs(10, cycle + [(3, 0), (5, 1), (8, 2)])
+
+
+def isolated_components_graph() -> Graph:
+    # nodes 0-2 have no edge; a triangle and a path are the components
+    return arcs(11, [(3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (8, 9), (9, 10)], directed=False)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [sink_rows_digraph(), isolated_components_graph()],
+    ids=["sink-rows", "isolated-components"],
+)
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_blocked_statistics_match_the_whole_matrix_ones(monkeypatch, graph, rows) -> None:
+    # a study cell sums its curve and merges its correlation moments over
+    # blocks of rows, and blocks of 1-3 rows include some with no dyad
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", (rows or graph.n) * graph.n)
+    orders = (1, 2, 3)
+    cells = run_study(graph, gammas=[0.5, 0.9375], orders=orders, keep_matrices=True)
+    assert cells and all(cell.error is None for cell in cells)
+    # the symmetrized digraph has no sinks
+    empty = [cell for cell in cells if cell.treatment is Treatment.DIRECTED or not graph.directed]
+    assert empty and not any(cell.distances.dyad_mask[:3].any() for cell in empty)
+    for cell in cells:
+        assert cell.curve == mean_impact_by_distance(cell.exact, cell.distances, cell.treatment)
+        assert [record.order for record in cell.correlations] == list(orders)
+        for record in cell.correlations:
+            whole = dyad_correlation(cell.exact, cell.approximations[record.order], cell.distances)
+            assert record.pearson_r == pytest.approx(whole, rel=1e-12, abs=0.0)
 
 
 def test_failed_treatment_yields_error_cells_not_an_abort() -> None:

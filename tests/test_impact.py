@@ -24,13 +24,14 @@ from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     ImpactKind,
     WeightMatrix,
+    _real_terms,
     approx_impact,
     build_weight,
     equilibrium_state,
     exact_propagator,
     gamma_grid,
 )
-from impactfield.spectral import decompose, select_modes
+from impactfield.spectral import conjugate_partners, decompose, select_modes
 
 from util import (
     arcs,
@@ -418,6 +419,45 @@ def test_broken_conjugate_closure_is_detected() -> None:
     )
     with pytest.raises(ConjugateClosureError):
         approx_impact(lone, geodesic_distances(g))
+
+
+def term_data(modes) -> list[tuple]:
+    return [
+        (modes.eigenvalues[mode], folded, modes.receive_vectors[:, mode], modes.send_rows[mode])
+        for mode, folded in _real_terms(modes)
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph", [three_cycle(), twin_three_cycles()], ids=["three-cycle", "twin-three-cycles"]
+)
+def test_real_terms_of_an_order_lead_the_next_order(graph) -> None:
+    # a study cell sums order o + 1 on from order o's running sum, so
+    # order o's real terms must be the first terms of order o + 1; in the
+    # twin each complex eigenvalue repeats, and its partner is two apart
+    dec = decompose(graph)
+    partners = conjugate_partners(dec.eigenvalues)
+    assert graph.n == 3 or np.abs(partners - np.arange(graph.n)).max() > 1
+    terms = [term_data(select_modes(dec, 0.5, order)) for order in range(1, dec.num_modes + 1)]
+    assert len(terms[-1]) > len(terms[0])
+    for shorter, longer in zip(terms, terms[1:]):
+        assert len(shorter) <= len(longer)
+        for (value, folded, receive, send), term in zip(shorter, longer):
+            assert value == term[0] and folded == term[1]
+            assert np.array_equal(receive, term[2]) and np.array_equal(send, term[3])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_approximation_does_not_depend_on_its_row_blocks(monkeypatch, rows) -> None:
+    g = generate_er(n=20, p=0.15, directed=True, seed=5)
+    dist = geodesic_distances(g)
+    modes = select_modes(decompose(g), 0.875, 4)
+    assert any(folded for _, folded in _real_terms(modes))
+    whole = approx_impact(modes, dist).values
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", rows * g.n)
+    blocked = approx_impact(modes, dist).values
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(np.signbit(blocked), np.signbit(whole))
 
 
 # ---------------------------------------------------------------------------

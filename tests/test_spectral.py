@@ -190,6 +190,23 @@ def test_decomposition_is_deterministic() -> None:
     assert np.array_equal(first.left_rows, second.left_rows)
 
 
+@pytest.mark.parametrize(
+    "directed, dense_threshold",
+    [(False, 2000), (True, 2000), (False, 10), (True, 10)],
+    ids=["symmetric-dense", "directed-dense", "symmetric-iterative", "directed-iterative"],
+)
+def test_cut_decomposition_owns_only_its_modes(directed, dense_threshold) -> None:
+    # a view into the full eigenbasis would keep all n modes alive for as
+    # long as the decomposition lives (15 MB at n = 1000)
+    g = generate_er(n=60, p=0.12, directed=directed, seed=11)
+    dec = decompose(g, k=6, dense_threshold=dense_threshold)
+    assert 6 <= dec.num_modes < g.n
+    for array in (dec.eigenvalues, dec.right_vectors, dec.left_rows):
+        assert array.base is None and array.flags.c_contiguous
+    assert dec.right_vectors.shape == (g.n, dec.num_modes)
+    assert dec.left_rows.shape == (dec.num_modes, g.n)
+
+
 def test_conjugate_closure_of_full_spectrum() -> None:
     g = generate_er(n=24, p=0.2, directed=True, seed=13)
     dec = decompose(g)
