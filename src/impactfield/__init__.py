@@ -41,7 +41,6 @@ from .graph import (
     generate_er,
     generate_preferential,
     geodesic_distances,
-    is_connected,
     parse_edge_list,
     serialize_edge_list,
     symmetrize_weak,
@@ -77,7 +76,6 @@ __all__ = [
     "geodesic_distances",
     "generate_er",
     "generate_preferential",
-    "is_connected",
     "SpectralDecomposition",
     "ModeSet",
     "spectral_radius",

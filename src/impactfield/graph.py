@@ -39,7 +39,6 @@ __all__ = [
     "geodesic_distances",
     "generate_er",
     "generate_preferential",
-    "is_connected",
     "largest_component_diameter",
 ]
 
@@ -351,16 +350,6 @@ def generate_preferential(n: int, m: int, seed: int) -> Graph:
             degree[target] += 1.0
         degree[new] += float(count)
     return Graph(n=n, directed=False, edges=tuple(edges), labels=tuple(str(i) for i in range(n)))
-
-
-def is_connected(graph: Graph) -> bool:
-    """True when the graph has a single weak component (or is empty)."""
-    if graph.n == 0:
-        return True
-    n_components, _ = csgraph.connected_components(
-        graph.structure_sparse(), directed=graph.directed, connection="weak"
-    )
-    return n_components <= 1
 
 
 def largest_component_diameter(graph: Graph) -> int:

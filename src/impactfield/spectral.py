@@ -263,6 +263,11 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     An edgeless graph and an acyclic digraph (nilpotent adjacency) have
     radius 0.0, decided structurally because eigensolvers return noise
     for them; downstream normalization must reject it.
+
+    The eigensolve runs once per Graph instance and route (dense or
+    iterative); later calls on that instance, as from ``decompose`` and
+    ``build_weight``, return the stored value. An equal but distinct
+    Graph computes its own; a raising call stores nothing.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -275,6 +280,14 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
         return 0.0
     if graph.directed and _is_acyclic(graph):
         return 0.0
+    radii = vars(graph).setdefault("_spectral_radii", {})
+    dense_route = graph.n <= dense_threshold
+    if dense_route not in radii:
+        radii[dense_route] = _eigensolver_radius(graph, dense_route)
+    return radii[dense_route]
+
+
+def _eigensolver_radius(graph: Graph, dense_route: bool) -> float:
     iterative: float | None = None
     if graph.n > 2:
         try:
@@ -282,9 +295,9 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
         except ConvergenceError:
             # Dense path below settles it; above the threshold there is
             # nothing to fall back on.
-            if graph.n > dense_threshold:
+            if not dense_route:
                 raise
-    if graph.n <= dense_threshold or iterative is None:
+    if dense_route or iterative is None:
         # an undirected adjacency is symmetric, so the symmetric solver
         # (syevd, see _dense_eigenpairs) suffices
         if graph.directed:

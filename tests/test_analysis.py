@@ -14,6 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import impactfield.analysis
 from impactfield.analysis import (
@@ -331,6 +332,79 @@ def test_study_calls_no_numpy_lapack(monkeypatch, directed) -> None:
     g = generate_er(60, 0.08, directed=directed, seed=3)
     cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
     assert cells and all(cell.error is None for cell in cells)
+
+
+def test_study_runs_one_dense_radius_eigensolve_per_treatment(monkeypatch) -> None:
+    # run_study and decompose both ask for the radius of the same Graph;
+    # only the first call may solve
+    calls = {"eigvals": 0, "eigvalsh": 0}
+
+    def counting(name):
+        solver = getattr(scipy.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(scipy.linalg, name, counting(name))
+    g = generate_er(30, 0.15, directed=True, seed=3)
+    cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
+    assert len(cells) == 4 and all(cell.error is None for cell in cells)
+    assert calls == {"eigvals": 1, "eigvalsh": 1}
+
+
+def _scaled(graph: Graph, factor: float) -> Graph:
+    edges = tuple((src, dst, weight * factor) for src, dst, weight in graph.edges)
+    return Graph(graph.n, graph.directed, edges, graph.labels)
+
+
+def _reversed(graph: Graph) -> Graph:
+    edges = tuple((dst, src, weight) for src, dst, weight in graph.edges)
+    return Graph(graph.n, graph.directed, edges, graph.labels)
+
+
+def _assert_same_study(cells: list[StudyCell], other: list[StudyCell]) -> None:
+    assert len(cells) == len(other)
+    for cell, twin in zip(cells, other):
+        assert cell.error is None and twin.error is None
+        assert (cell.treatment, cell.gamma) == (twin.treatment, twin.gamma)
+        assert [(p.distance, p.n_pairs) for p in cell.curve.points] == [
+            (p.distance, p.n_pairs) for p in twin.curve.points
+        ]
+        means = np.array([p.mean_impact for p in cell.curve.points])
+        twin_means = np.array([p.mean_impact for p in twin.curve.points])
+        assert np.max(np.abs(means - twin_means) / means) <= 3e-13
+        assert [(r.order, r.n_dyads) for r in cell.correlations] == [
+            (r.order, r.n_dyads) for r in twin.correlations
+        ]
+        for record, twin_record in zip(cell.correlations, twin.correlations):
+            assert abs(record.pearson_r - twin_record.pearson_r) <= 2e-14
+
+
+def probe_graph() -> Graph:
+    return generate_er(150, 5 / 149, directed=True, seed=5)
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_study_is_invariant_under_weight_scaling(symmetrized) -> None:
+    # W = gamma * A / rho(A) does not change when A is scaled, so a radius
+    # served from another graph would show here
+    graph = symmetrize_weak(probe_graph()) if symmetrized else probe_graph()
+    base = run_study(graph, orders=(1, 2, 3))
+    for factor in (3.0, 0.25):
+        _assert_same_study(base, run_study(_scaled(graph, factor), orders=(1, 2, 3)))
+
+
+def test_study_is_invariant_under_arc_reversal() -> None:
+    # reversing every arc transposes the propagator and the hop counts,
+    # which permutes the dyads and leaves every distance class intact
+    graph = probe_graph()
+    _assert_same_study(
+        run_study(graph, orders=(1, 2, 3)), run_study(_reversed(graph), orders=(1, 2, 3))
+    )
 
 
 def test_study_respects_gamma_and_order_selection() -> None:

@@ -15,7 +15,6 @@ from impactfield import (
     generate_er,
     generate_preferential,
     geodesic_distances,
-    is_connected,
     parse_edge_list,
     serialize_edge_list,
     symmetrize_weak,
@@ -23,7 +22,7 @@ from impactfield import (
 from impactfield.errors import AlreadyUndirectedWarning
 from impactfield.graph import _FRONTIER_LEVELS, largest_component_diameter
 
-from util import arcs, bfs_hops, hop_distance
+from util import arcs, bfs_hops, hop_distance, is_connected
 
 # longer than the levels expanded from every node at once, so the nodes
 # still active at the end are searched one by one

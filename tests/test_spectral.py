@@ -106,6 +106,57 @@ def test_radius_dense_check_agrees_with_the_general_solver() -> None:
             assert spectral_radius(weighted) == pytest.approx(expected, rel=1e-13)
 
 
+def _failing_solver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_radius_is_stored_on_the_instance_not_shared_by_equal_graphs(monkeypatch) -> None:
+    g = generate_er(n=30, p=0.2, directed=True, seed=5)
+    rho = spectral_radius(g)
+    monkeypatch.setattr(scipy.linalg, "eigvals", _failing_solver)
+    assert spectral_radius(g) == rho
+    twin = Graph(g.n, g.directed, g.edges, g.labels)
+    assert twin == g
+    with pytest.raises(ConvergenceError):
+        spectral_radius(twin)
+
+
+def test_radius_is_stored_per_route(monkeypatch) -> None:
+    g = generate_er(n=30, p=0.2, directed=True, seed=5)
+    dense = spectral_radius(g)
+    calls = []
+    eigs = spla.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigs", counting)
+    iterative = spectral_radius(g, dense_threshold=10)
+    assert len(calls) == 1
+    assert iterative == pytest.approx(dense, rel=1e-8)
+    assert spectral_radius(g, dense_threshold=10) == iterative
+    assert spectral_radius(g) == dense
+    assert len(calls) == 1
+
+
+def test_radius_failure_is_not_stored(monkeypatch) -> None:
+    g = generate_er(n=30, p=0.2, directed=False, seed=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigvalsh", _failing_solver)
+        with pytest.raises(ConvergenceError):
+            spectral_radius(g)
+    expected = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
+    assert spectral_radius(g) == pytest.approx(expected, rel=1e-13)
+
+
+def test_edgeless_graph_warns_on_every_call() -> None:
+    g = Graph(n=4, directed=True, edges=())
+    for _ in range(2):
+        with pytest.warns(NoEdgesWarning):
+            assert spectral_radius(g) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # full decomposition oracles
 
@@ -269,12 +320,9 @@ def test_decompose_rejects_bad_k() -> None:
     [("eigvals", True, None), ("eig", True, None), ("eig", True, 3), ("eigh", False, None)],
 )
 def test_dense_solver_failure_is_a_convergence_error(monkeypatch, solver, directed, k) -> None:
-    def fail(matrix, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
     g = generate_er(n=20, p=0.3, directed=directed, seed=5)
     # every dense eigensolve goes through scipy.linalg
-    monkeypatch.setattr(scipy.linalg, solver, fail)
+    monkeypatch.setattr(scipy.linalg, solver, _failing_solver)
     with pytest.raises(ConvergenceError):
         if solver == "eigvals":
             spectral_radius(g)

@@ -9,8 +9,9 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from impactfield import Graph, build_weight, exact_propagator, generate_er, is_connected
+from impactfield import Graph, build_weight, exact_propagator, generate_er
 from impactfield.analysis import CorrelationRecord, CurvePoint, DecayCurve, ExponentialFit, Treatment
 from impactfield.errors import ConjugateClosureError, GraphValidationError, ValidationError
 from impactfield.graph import DistanceMatrix
@@ -73,6 +74,16 @@ def bfs_hops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
             hops[source, node] = d
             reachable[source, node] = True
     return hops, reachable
+
+
+def is_connected(graph: Graph) -> bool:
+    """True when the graph has a single weak component (or is empty)."""
+    if graph.n == 0:
+        return True
+    n_components, _ = csgraph.connected_components(
+        graph.structure_sparse(), directed=graph.directed, connection="weak"
+    )
+    return n_components <= 1
 
 
 def connected_er(n: int, p: float, count: int, start_seed: int) -> list[Graph]:
