@@ -36,6 +36,7 @@ from .impact import (
     ImpactMatrix,
     _real_terms,
     _TermKernel,
+    approx_impact,
     build_weight,
     exact_propagator,
     gamma_grid,
@@ -279,31 +280,22 @@ def dyad_correlation(
 
 
 def _dyad_pass(
-    exact: ImpactMatrix, dist: DistanceMatrix, mode_sets: list[ModeSet], keep: bool
-) -> tuple[np.ndarray, list[_DyadMoments], dict[int, ImpactMatrix] | None]:
+    exact: ImpactMatrix, dist: DistanceMatrix, mode_sets: list[ModeSet]
+) -> tuple[np.ndarray, list[_DyadMoments]]:
     """Curve sums and per-order correlation moments in one pass over row blocks.
 
     ``mode_sets`` come from ``select_modes`` at rising orders, so each
     one's real terms are a prefix of the next one's: every pair of order
     o has a member below o, and order o + 1 only adds modes from o on.
     Each order's block continues the running sum of the order before it,
-    term by term as ``approx_impact`` sums, so it holds the same values.
-    With ``keep`` the approximations are also returned, keyed by order.
+    term by term as ``approx_impact`` sums, so its dyads hold the same
+    values. Only the dyads are read, so unreachable pairs need no zeroing.
     """
-    n = dist.n
     kernel = _TermKernel(mode_sets[-1], dist)
     cuts = [len(_real_terms(modes)) for modes in mode_sets]
     sums = np.zeros(len(dist.pair_counts))
     moments = [_DyadMoments() for _ in mode_sets]
-    kept = None
-    if keep:
-        kept = {
-            modes.order: ImpactMatrix(
-                n, np.empty((n, n)), ImpactKind.APPROX, modes.gamma, modes.order
-            )
-            for modes in mode_sets
-        }
-    buffer = np.empty((kernel.height, n))
+    buffer = np.empty((kernel.height, dist.n))
     for rows in kernel.blocks:
         exact_rows = exact.values[rows]
         # add.at adds pair by pair in row-major order, as a single call on
@@ -312,21 +304,17 @@ def _dyad_pass(
         mask = dist.dyad_mask[rows]
         x = exact_rows[mask]
         # a block with no dyads (the rows of sinks, say) has no moments
-        if x.size:
-            x_mean, x_ss = _centre(x)
+        if not x.size:
+            continue
+        x_mean, x_ss = _centre(x)
         block = buffer[: rows.stop - rows.start]
         block.fill(0.0)
         done = 0
-        for modes, cut, moment in zip(mode_sets, cuts, moments):
+        for cut, moment in zip(cuts, moments):
             kernel.add(block, rows, done, cut)
             done = cut
-            if x.size:
-                moment.merge(x, x_mean, x_ss, block[mask])
-            if keep:
-                out = kept[modes.order].values[rows]
-                out[...] = block
-                out[~dist.reachable[rows]] = 0.0
-    return sums, moments, kept
+            moment.merge(x, x_mean, x_ss, block[mask])
+    return sums, moments
 
 
 def validate_study_options(
@@ -465,7 +453,7 @@ def _run_cell(
     exact = exact_propagator(build_weight(treated, gamma, rho=rho))
     counts = _pair_counts(dist)
     mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
-    sums, moments, approximations = _dyad_pass(exact, dist, mode_sets, keep_matrices)
+    sums, moments = _dyad_pass(exact, dist, mode_sets)
     curve = _curve(sums, counts, gamma, treatment)
     notes: list[str] = []
     fit: ExponentialFit | None
@@ -501,6 +489,10 @@ def _run_cell(
         correlations=tuple(records),
         notes=tuple(notes),
         exact=exact if keep_matrices else None,
-        approximations=approximations,
+        approximations=(
+            {modes.order: approx_impact(modes, dist) for modes in mode_sets}
+            if keep_matrices
+            else None
+        ),
         distances=dist if keep_matrices else None,
     )

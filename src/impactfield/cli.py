@@ -4,9 +4,11 @@ Three subcommands::
 
     impactfield analyze --input F --directed|--undirected [--symmetrize]
                         [--gamma G ...|--gamma-grid] [--orders 1,2]
-                        [--dyads] --out DIR
-    impactfield generate {er|pa} --n N [--p P|--m M] --seed S --out F
-    impactfield replicate --corpus DIR --out DIR [--workers W]
+                        [--fit-range 1,6] [--seed S] [--dyads] --out DIR
+    impactfield generate {er|pa} --n N [--p P|--m M] [--directed] --seed S
+                         --out F
+    impactfield replicate --corpus DIR --out DIR [--workers W] [--undirected]
+                          [--gamma G ...] [--orders 1,2] [--fit-range 1,6]
 
 ``--input`` also accepts an inline generator spec such as
 ``er:n=300,p=0.02`` or ``pa:n=200,m=2`` so large synthetic runs need no
@@ -326,10 +328,12 @@ def _replicate(args: argparse.Namespace) -> int:
     out = _output_dir(args.out)
 
     job = functools.partial(_replicate_one, directed=not args.undirected, study=study)
-    if args.workers == 1 or len(files) == 1:
+    # the fork start method launches every worker at the first submit
+    workers = min(args.workers, len(files))
+    if workers == 1:
         results = [job(path) for path in files]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(job, path) for path in files]
             results = [_collect(future, job, path) for future, path in zip(futures, files)]
 

@@ -25,7 +25,7 @@ class GraphValidationError(ValidationError):
 
 
 class NormalizationError(ValidationError):
-    """Adjacency cannot be normalized because its spectral radius is zero."""
+    """Adjacency cannot be normalized because its spectral radius is zero or not finite."""
 
 
 class DomainError(ValidationError):

@@ -8,7 +8,7 @@ Conventions used throughout the package:
   edge once with ``i <= j`` and expand both directions when an adjacency
   matrix is materialized.
 * Hop distances follow arc direction and ignore edge weights. A pair with
-  no connecting path is marked unreachable and holds a hop count of 0.
+  no connecting path holds a hop count of 0, as the diagonal does.
 """
 
 from __future__ import annotations
@@ -209,27 +209,32 @@ def symmetrize_weak(graph: Graph) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs hop counts with an explicit reachability mask.
+    """All-pairs hop counts; a pair with no connecting path holds 0.
 
-    ``hops[i, j]`` is a distance only where ``reachable[i, j]`` is True.
     Unreachable pairs hold 0, like the diagonal, so ``hops`` can index a
-    per-distance table directly; ``reachable`` tells the two apart.
+    per-distance table directly, and ``hops >= 1`` is exactly the set of
+    dyads: the ordered pairs at finite hop distance >= 1.
 
-    The dyads are the ordered pairs at finite hop distance >= 1, exactly
-    the pairs with ``hops >= 1``. ``dyad_mask`` marks them, and
-    ``pair_counts[d]`` counts the pairs at d >= 1 hops; its bin 0 lumps
-    the diagonal with the unreachable pairs and is never a distance. Both
-    arrays are computed on first use and then shared, so they are
-    read-only.
+    ``dyad_mask`` marks the dyads and ``reachable`` adds the diagonal to
+    them. ``pair_counts[d]`` counts the pairs at d >= 1 hops; its bin 0
+    lumps the diagonal with the unreachable pairs and is never a
+    distance. These arrays are computed from ``hops`` on first use and
+    then shared, so they are read-only.
     """
 
     n: int
     hops: np.ndarray
-    reachable: np.ndarray
 
     @cached_property
     def dyad_mask(self) -> np.ndarray:
         mask = self.hops >= 1
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def reachable(self) -> np.ndarray:
+        mask = self.hops >= 1
+        np.fill_diagonal(mask, True)
         mask.flags.writeable = False
         return mask
 
@@ -247,8 +252,8 @@ class DistanceMatrix:
 _FRONTIER_LEVELS = 32
 
 
-def _hop_levels(structure: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs hop counts and reachability of a 0/1 structure matrix.
+def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
+    """All-pairs hop counts of a 0/1 structure matrix; 0 where no path exists.
 
     Breadth-first search from every node at once, as boolean sparse times
     dense products. Column t of ``front`` holds the nodes whose shortest
@@ -273,20 +278,14 @@ def _hop_levels(structure: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
         unseen ^= front
         np.copyto(levels, level, where=front)
     hops = levels.astype(np.int64)
-    # invert in place: a new mask would be allocated among the freed
-    # frontier buffers, at a heap position that depends on the level
-    # count, and shift the process's peak memory from graph to graph
-    reachable = np.logical_not(unseen, out=unseen)
     active = np.flatnonzero(front.any(axis=0))
     if active.size:
         dist = csgraph.shortest_path(
             structure.T, method="auto", directed=True, unweighted=True, indices=active
         )
-        found = np.isfinite(dist)
-        dist[~found] = 0.0
-        reachable[:, active] = found.T
+        dist[np.isinf(dist)] = 0.0
         hops[:, active] = dist.T
-    return hops, reachable
+    return hops
 
 
 def geodesic_distances(graph: Graph) -> DistanceMatrix:
@@ -298,8 +297,7 @@ def geodesic_distances(graph: Graph) -> DistanceMatrix:
     sparse product; nodes whose search outlasts a fixed number of levels
     are finished by csgraph's per-node search, with the same counts.
     """
-    hops, reachable = _hop_levels(graph.structure_sparse())
-    return DistanceMatrix(n=graph.n, hops=hops, reachable=reachable)
+    return DistanceMatrix(n=graph.n, hops=_hop_levels(graph.structure_sparse()))
 
 
 def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:
@@ -312,6 +310,8 @@ def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:
         raise ValidationError("generate_er: n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("generate_er: p must lie in [0, 1]")
+    if seed < 0:
+        raise ValidationError("generate_er: seed must be nonnegative")
     rng = np.random.default_rng(seed)
     if directed:
         draw = rng.random((n, n)) < p
@@ -338,6 +338,8 @@ def generate_preferential(n: int, m: int, seed: int) -> Graph:
         raise ValidationError("generate_preferential: m must be at least 1")
     if m >= n:
         raise ValidationError("generate_preferential: m must be smaller than n")
+    if seed < 0:
+        raise ValidationError("generate_preferential: seed must be nonnegative")
     rng = np.random.default_rng(seed)
     degree = np.zeros(n)
     edges: list[Edge] = []
@@ -365,5 +367,4 @@ def largest_component_diameter(graph: Graph) -> int:
         structure = structure.maximum(structure.T)
     _, labels = csgraph.connected_components(structure, directed=False)
     largest = np.bincount(labels).argmax()
-    hops, _ = _hop_levels(structure)
-    return int(hops[labels == largest].max())
+    return int(_hop_levels(structure)[labels == largest].max())

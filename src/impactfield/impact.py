@@ -96,7 +96,7 @@ def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> Weight
         )
     if rho is None:
         rho = spectral_radius(graph)
-    if rho <= 0.0:
+    if not 0.0 < rho < np.inf:
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
     w = graph.adjacency()
     w /= rho

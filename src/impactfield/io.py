@@ -177,9 +177,9 @@ def write_dyads_csv(
         atomic_write_text(path, header)
         return
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
-    # hop counts become text by table lookup; unreachable pairs take the last slot
-    unreachable = int(dist.hops.max(initial=0)) + 1
-    hop_text = np.array([str(d) for d in range(unreachable)] + ["inf"], dtype=object)
+    # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
+    top = dist.hops.max(initial=0)
+    hop_text = np.array(["inf"] + [str(d) for d in range(1, top + 1)], dtype=object)
     values = [exact.values] + [approximations[order].values for order in orders]
     starts = range(0, n, DYAD_BLOCK_ROWS)
     rows = [slice(start, start + DYAD_BLOCK_ROWS) for start in starts]
@@ -189,7 +189,6 @@ def write_dyads_csv(
             block,
             starts,
             (dist.hops[r] for r in rows),
-            (dist.reachable[r] for r in rows),
             ([matrix[r] for matrix in values] for r in rows),
         )
         atomic_write_text(path, itertools.chain([header], blocks))
@@ -198,7 +197,6 @@ def write_dyads_csv(
 def _dyad_block(
     start: int,
     hops: np.ndarray,
-    reachable: np.ndarray,
     values: list[np.ndarray],
     labels: list[str],
     hop_text: np.ndarray,
@@ -207,8 +205,7 @@ def _dyad_block(
 
     Lines are built column by column; the diagonal pair is dropped.
     """
-    unreachable = len(hop_text) - 1
-    hop_rows = hop_text[np.where(reachable, hops, unreachable)].tolist()
+    hop_rows = hop_text[hops].tolist()
     value_rows = [block.tolist() for block in values]
     lines = []
     for offset, hop_row in enumerate(hop_rows):

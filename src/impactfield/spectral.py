@@ -262,7 +262,8 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     the iterative solver, takes the dense value at any threshold.
     An edgeless graph and an acyclic digraph (nilpotent adjacency) have
     radius 0.0, decided structurally because eigensolvers return noise
-    for them; downstream normalization must reject it.
+    for them; downstream normalization must reject it. A radius that
+    overflows to a non-finite value raises NormalizationError.
 
     The eigensolve runs once per Graph instance and route (dense or
     iterative); later calls on that instance, as from ``decompose`` and
@@ -283,7 +284,10 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     radii = vars(graph).setdefault("_spectral_radii", {})
     dense_route = graph.n <= dense_threshold
     if dense_route not in radii:
-        radii[dense_route] = _eigensolver_radius(graph, dense_route)
+        radius = _eigensolver_radius(graph, dense_route)
+        if not np.isfinite(radius):
+            raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
+        radii[dense_route] = radius
     return radii[dense_route]
 
 

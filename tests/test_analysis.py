@@ -69,11 +69,15 @@ def approx_on(graph: Graph, gamma: float, order: int) -> ImpactMatrix:
 
 def test_dyad_mask_excludes_diagonal_and_unreachable() -> None:
     g = arcs(4, [(0, 1), (2, 3)], directed=False)
-    mask = geodesic_distances(g).dyad_mask
+    dist = geodesic_distances(g)
+    mask = dist.dyad_mask
     assert mask.sum() == 4  # (0,1), (1,0), (2,3), (3,2)
     assert not mask.flags.writeable
     assert not mask.diagonal().any()
     assert not mask[0, 2] and not mask[2, 0]
+    # reachability is read off the hop counts: the dyads plus the diagonal
+    assert not dist.reachable.flags.writeable
+    assert np.array_equal(dist.reachable, mask | np.eye(g.n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,28 @@ def test_analyze_acyclic_digraph_exits_one(tmp_path, capsys) -> None:
     assert "spectral radius" in capsys.readouterr().err
 
 
+def test_analyze_overflowing_spectral_radius_exits_one(tmp_path, capsys) -> None:
+    # the radius of this triangle is 2e308, which overflows to inf; dividing
+    # by it would give W = 0 and an impact of 0.0 at every distance
+    heavy = "a b 1e308\nb c 1e308\na c 1e308\n"
+    out = tmp_path / "out"
+    code = main(
+        [
+            "analyze",
+            "--input",
+            write_input(tmp_path, "heavy.txt", heavy),
+            "--undirected",
+            "--gamma",
+            "0.5",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 1
+    assert "spectral radius inf" in capsys.readouterr().err
+    assert read_curves_csv(out / "curves.csv") == {}
+
+
 def test_analyze_flag_conflicts(tmp_path, capsys) -> None:
     base = [
         "analyze",
@@ -481,6 +503,22 @@ def test_generate_validates_parameter_pairing(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "er", "--n", "10", "--p", "0.3", "--seed", "-1", "--out", "x.txt"],
+        ["generate", "pa", "--n", "10", "--m", "2", "--seed", "-1", "--out", "x.txt"],
+        ["analyze", "--input", "er:n=10,p=0.3,seed=-2", "--undirected", "--out", "out"],
+    ],
+)
+def test_negative_seed_is_a_validation_error(tmp_path, capsys, argv) -> None:
+    argv = argv[:-1] + [str(tmp_path / argv[-1])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("impactfield: error:") and "seed must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_generated_file_feeds_analyze(tmp_path) -> None:
     edge_file = tmp_path / "er.txt"
     assert main(["generate", "er", "--n", "40", "--p", "0.12", "--seed", "21", "--out", str(edge_file)]) == 0
@@ -546,6 +584,24 @@ def test_replicate_is_deterministic_and_worker_invariant(tmp_path) -> None:
         }
     assert outputs["one"] == outputs["again"]
     assert outputs["one"] == outputs["two"]
+
+
+def test_replicate_pool_is_no_wider_than_the_corpus(tmp_path, monkeypatch) -> None:
+    # under the fork start method a process pool launches every worker at
+    # its first submit, so a pool wider than the corpus starts idle processes;
+    # threads stand in for the processes here
+    corpus = make_corpus(tmp_path, count=2)
+    requested = []
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    out = tmp_path / "out"
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out), "--workers", "8"]) == 0
+    assert requested == [2]
+    assert [entry.status for entry in read_manifest_csv(out / "manifest.csv")] == ["ok", "ok"]
 
 
 def test_replicate_logs_bad_network_and_continues(tmp_path, capsys) -> None:

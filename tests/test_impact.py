@@ -100,6 +100,12 @@ def test_build_weight_rejects_acyclic_digraph() -> None:
         build_weight(arcs(3, [(0, 1), (1, 2)]), gamma=0.5)
 
 
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_build_weight_rejects_non_finite_radius(rho) -> None:
+    with pytest.raises(NormalizationError):
+        build_weight(two_cycle(), gamma=0.5, rho=rho)
+
+
 def test_build_weight_warns_on_negative_weights() -> None:
     g = Graph(n=2, directed=True, edges=((0, 1, -1.0), (1, 0, 1.0)))
     with pytest.warns(NegativeWeightsWarning):

@@ -150,6 +150,13 @@ def test_radius_failure_is_not_stored(monkeypatch) -> None:
     assert spectral_radius(g) == pytest.approx(expected, rel=1e-13)
 
 
+def test_overflowing_radius_is_refused_and_not_stored() -> None:
+    heavy = Graph(n=3, directed=False, edges=((0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)))
+    with pytest.raises(NormalizationError):
+        spectral_radius(heavy)
+    assert vars(heavy).get("_spectral_radii", {}) == {}
+
+
 def test_edgeless_graph_warns_on_every_call() -> None:
     g = Graph(n=4, directed=True, edges=())
     for _ in range(2):
