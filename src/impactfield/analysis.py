@@ -449,8 +449,9 @@ def _run_cell(
     fit_range: tuple[int, int],
     keep_matrices: bool,
 ) -> StudyCell:
-    # keep no reference to W: it is freed once inverted
-    exact = exact_propagator(build_weight(treated, gamma, rho=rho))
+    # I - W is formed and inverted in W's own memory, so the cell holds
+    # one dense matrix until its pass; keep no reference to W
+    exact = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True)
     counts = _pair_counts(dist)
     mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
     sums, moments = _dyad_pass(exact, dist, mode_sets)

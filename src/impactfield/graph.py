@@ -96,36 +96,39 @@ class Graph:
     def label_of(self, index: int) -> str:
         return self.labels[index] if self.labels is not None else str(index)
 
+    @cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arc rows, columns and weights, read-only and built on first use.
+
+        An undirected edge is listed in both directions, the stored one
+        first, each pair next to the other in edge order. That order
+        fixes the CSR layout, which ARPACK's iterations depend on.
+        """
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        src, dst, weights = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+        if not self.directed:
+            src, dst = np.column_stack((src, dst)).ravel(), np.column_stack((dst, src)).ravel()
+            weights = np.repeat(weights, 2)
+        for array in (src, dst, weights):
+            array.flags.writeable = False
+        return src, dst, weights
+
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency; entry (i, j) is the arc i -> j."""
+        src, dst, weights = self._arcs
         a = np.zeros((self.n, self.n))
-        for src, dst, weight in self.edges:
-            a[src, dst] = weight
-            if not self.directed:
-                a[dst, src] = weight
+        a[src, dst] = weights
         return a
 
     def adjacency_sparse(self) -> sp.csr_matrix:
         """CSR weighted adjacency with both directions expanded."""
-        return self._sparse(weighted=True)
+        src, dst, weights = self._arcs
+        return sp.csr_matrix((weights, (src, dst)), shape=(self.n, self.n))
 
     def structure_sparse(self) -> sp.csr_matrix:
         """CSR 0/1 structure matrix, for traversals that ignore weights."""
-        return self._sparse(weighted=False)
-
-    def _sparse(self, weighted: bool) -> sp.csr_matrix:
-        rows = []
-        cols = []
-        data = []
-        for src, dst, weight in self.edges:
-            rows.append(src)
-            cols.append(dst)
-            data.append(weight if weighted else 1.0)
-            if not self.directed:
-                rows.append(dst)
-                cols.append(src)
-                data.append(weight if weighted else 1.0)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        src, dst, _ = self._arcs
+        return sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(self.n, self.n))
 
 
 def parse_edge_list(source: str | IO[str] | Iterable[str], directed: bool) -> Graph:
@@ -304,7 +307,10 @@ def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:
     """Erdos-Renyi G(n, p): each candidate pair drawn independently.
 
     Ordered pairs for directed graphs, unordered for undirected, never
-    self-pairs. Deterministic for a given seed.
+    self-pairs. Deterministic for a given seed. The uniform draws come
+    one row of candidates at a time, in the row-major order of the n x n
+    array (directed) or of its strict upper triangle (undirected), so
+    memory stays linear in n plus the edges drawn.
     """
     if n <= 0:
         raise ValidationError("generate_er: n must be positive")
@@ -313,16 +319,16 @@ def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:
     if seed < 0:
         raise ValidationError("generate_er: seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    if directed:
-        draw = rng.random((n, n)) < p
-        np.fill_diagonal(draw, False)
-        src, dst = np.nonzero(draw)
-    else:
-        upper = np.triu_indices(n, k=1)
-        keep = rng.random(upper[0].size) < p
-        src, dst = upper[0][keep], upper[1][keep]
-    edges = tuple((int(s), int(d), 1.0) for s, d in zip(src, dst))
-    return Graph(n=n, directed=directed, edges=edges, labels=tuple(str(i) for i in range(n)))
+    edges: list[Edge] = []
+    for src in range(n):
+        if directed:
+            draw = rng.random(n) < p
+            draw[src] = False
+            targets = np.flatnonzero(draw)
+        else:
+            targets = np.flatnonzero(rng.random(n - 1 - src) < p) + (src + 1)
+        edges.extend((src, int(dst), 1.0) for dst in targets)
+    return Graph(n=n, directed=directed, edges=tuple(edges), labels=tuple(str(i) for i in range(n)))
 
 
 def generate_preferential(n: int, m: int, seed: int) -> Graph:

@@ -88,7 +88,8 @@ def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> Weight
         raise ValidationError("gamma must lie strictly inside (0, 1)")
     if graph.n == 0 or not graph.edges:
         raise NormalizationError("cannot normalize: graph has no edges (spectral radius 0)")
-    if any(weight < 0.0 for _, _, weight in graph.edges):
+    src, dst, weights = graph._arcs
+    if (weights < 0.0).any():
         warnings.warn(
             "negative edge weights: no positivity guarantee for impact values",
             NegativeWeightsWarning,
@@ -98,9 +99,8 @@ def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> Weight
         rho = spectral_radius(graph)
     if not 0.0 < rho < np.inf:
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
-    w = graph.adjacency()
-    w /= rho
-    w *= gamma
+    w = np.zeros((graph.n, graph.n))
+    w[src, dst] = (weights / rho) * gamma
     return WeightMatrix(n=graph.n, gamma=gamma, rho=rho, W=w)
 
 
@@ -109,14 +109,16 @@ def gamma_grid() -> list[float]:
     return [1.0 - 2.0**-k for k in range(1, 6)]
 
 
-def _factorize(weight: WeightMatrix):
-    system = np.eye(weight.n) - weight.W
+def _factorize(system: np.ndarray):
+    # every caller hands over a system it will not read again, so LAPACK
+    # may factorize it in place; its 1-norm is taken first
+    anorm = scipy.linalg.norm(system, 1, check_finite=False)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
     try:
-        lu, piv = scipy.linalg.lu_factor(system)
+        lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
-    _check_rcond(*gecon(lu, scipy.linalg.norm(system, 1, check_finite=False), norm="1"))
+    _check_rcond(*gecon(lu, anorm, norm="1"))
     return lu, piv
 
 
@@ -127,12 +129,11 @@ def _check_rcond(rcond: float, info: int) -> None:
         )
 
 
-def _symmetric_inverse(weight: WeightMatrix) -> np.ndarray:
+def _symmetric_inverse(system: np.ndarray) -> np.ndarray:
     # rho(W) = gamma < 1 puts every eigenvalue of the symmetric I - W in
     # (1 - gamma, 1 + gamma), so it is positive definite. The Fortran
     # routines work in place on the transposed view, which is the same
     # symmetric matrix in column-major order.
-    system = np.eye(weight.n) - weight.W
     anorm = scipy.linalg.norm(system, 1, check_finite=False)
     potrf, pocon, potri = scipy.linalg.get_lapack_funcs(("potrf", "pocon", "potri"), (system,))
     factor, info = potrf(system.T, lower=False, clean=False, overwrite_a=True)
@@ -144,23 +145,38 @@ def _symmetric_inverse(weight: WeightMatrix) -> np.ndarray:
         raise SolverError(f"(I - W) could not be inverted: potri returned info={info}")
     # potri filled the lower triangle of the row-major result; mirror it
     values = inverse.T
-    for row in range(weight.n - 1):
+    for row in range(system.shape[0] - 1):
         values[row, row + 1:] = values[row + 1:, row]
     return values
 
 
-def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
+def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) -> ImpactMatrix:
     """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve.
 
     A symmetric ``W`` (undirected input, or a digraph whose arcs all come
     in equal-weight pairs) makes ``I - W`` symmetric positive definite,
     and the inverse comes from a Cholesky factorization; any other ``W``
     goes through LU. Both routes refuse a numerically singular system.
+
+    By default ``weight.W`` is left intact and ``I - W`` is a new array.
+    With ``overwrite_weight=True`` (after scipy's ``overwrite_a``),
+    ``I - W`` is formed inside ``weight.W`` and factorized there, so the
+    caller must not read ``weight.W`` again: its contents are unspecified
+    afterwards, and on the Cholesky route the returned ``values`` share
+    its buffer. The values are bitwise those of the default call.
     """
-    if scipy.linalg.issymmetric(weight.W):
-        values = _symmetric_inverse(weight)
+    symmetric = scipy.linalg.issymmetric(weight.W)
+    if overwrite_weight:
+        # 0 - W, not -W: negation would turn the +0.0 entries into -0.0,
+        # which np.eye(n) - W does not
+        system = np.subtract(0.0, weight.W, out=weight.W)
+        system[np.diag_indices_from(system)] += 1.0
     else:
-        lu, piv = _factorize(weight)
+        system = np.eye(weight.n) - weight.W
+    if symmetric:
+        values = _symmetric_inverse(system)
+    else:
+        lu, piv = _factorize(system)
         values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
     return ImpactMatrix(n=weight.n, values=values, kind=ImpactKind.EXACT, gamma=weight.gamma)
 
@@ -172,7 +188,7 @@ def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
         raise ValidationError(f"forcing vector must have shape ({weight.n},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValidationError("forcing vector must be finite")
-    lu, piv = _factorize(weight)
+    lu, piv = _factorize(np.eye(weight.n) - weight.W)
     return scipy.linalg.lu_solve((lu, piv), z)
 
 

@@ -232,7 +232,12 @@ def _dense_eig(solver, matrix: np.ndarray, **options):
 
 
 def _arpack_radius(graph: Graph) -> float:
+    # ARPACK runs on A / max|w| and the radius is scaled back, so weights
+    # near the float ceiling give an overflowing radius, not an ARPACK
+    # failure; unit weights divide by 1.0, which is exact
     matrix = graph.adjacency_sparse()
+    scale = float(np.abs(matrix.data).max(initial=0.0)) or 1.0
+    matrix.data /= scale
     v0 = np.ones(graph.n) / np.sqrt(graph.n)
     try:
         if graph.directed:
@@ -241,7 +246,7 @@ def _arpack_radius(graph: Graph) -> float:
             vals = spla.eigsh(matrix, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise ConvergenceError(f"spectral radius estimation did not converge: {exc}") from exc
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(vals))) * scale
 
 
 def _is_acyclic(graph: Graph) -> bool:

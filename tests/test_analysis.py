@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import os
 import stat
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -495,6 +496,36 @@ def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None
     assert cells and all(cell.error is None for cell in cells)
     # one pass per cell builds every order's approximation
     assert len(weights) == len(cells) and passes == len(cells)
+
+
+def test_symmetric_cell_holds_one_dense_matrix_until_its_pass(monkeypatch) -> None:
+    # W is built by one scatter and I - W is formed and inverted in W's
+    # own memory, so from the start of the cell to its pass the cell adds
+    # one n x n float array; a separate I - W would make that two
+    n = 400
+    starts: list[int] = []
+    growth: list[int] = []
+    build, dyad_pass = impactfield.analysis.build_weight, impactfield.analysis._dyad_pass
+
+    def marking_build_weight(*args, **kwargs):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return build(*args, **kwargs)
+
+    def measuring_dyad_pass(*args, **kwargs):
+        growth.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return dyad_pass(*args, **kwargs)
+
+    monkeypatch.setattr("impactfield.analysis.build_weight", marking_build_weight)
+    monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
+    tracemalloc.start()
+    try:
+        cells = run_study(g, gammas=[0.875], orders=(1, 2))
+    finally:
+        tracemalloc.stop()
+    assert [cell.error for cell in cells] == [None]
+    assert len(growth) == 1 and growth[0] < 1.5 * 8 * n * n
 
 
 def sink_rows_digraph() -> Graph:

@@ -382,6 +382,28 @@ def test_analyze_overflowing_spectral_radius_exits_one(tmp_path, capsys) -> None
     assert read_curves_csv(out / "curves.csv") == {}
 
 
+def test_overflowing_radius_exits_one_above_the_dense_threshold(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # at threshold 2 the radius comes from ARPACK alone
+    monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "2")
+    heavy = "a b 1e308\nb c 1e308\na c 1e308\n"
+    code = main(
+        [
+            "analyze",
+            "--input",
+            write_input(tmp_path, "heavy.txt", heavy),
+            "--undirected",
+            "--gamma",
+            "0.5",
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert "spectral radius inf" in capsys.readouterr().err
+
+
 def test_analyze_flag_conflicts(tmp_path, capsys) -> None:
     base = [
         "analyze",

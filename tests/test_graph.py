@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import impactfield
 
 from impactfield import (
     EdgeListParseError,
@@ -22,7 +28,15 @@ from impactfield import (
 from impactfield.errors import AlreadyUndirectedWarning
 from impactfield.graph import _FRONTIER_LEVELS, largest_component_diameter
 
-from util import arcs, bfs_hops, hop_distance, is_connected
+from util import (
+    arcs,
+    bfs_hops,
+    hop_distance,
+    is_connected,
+    loop_adjacency,
+    loop_sparse,
+    whole_array_er_edges,
+)
 
 # longer than the levels expanded from every node at once, so the nodes
 # still active at the end are searched one by one
@@ -145,6 +159,41 @@ def test_adjacency_symmetric_for_undirected() -> None:
     g = arcs(4, [(0, 1), (1, 2), (0, 3)], directed=False)
     a = g.adjacency()
     assert np.array_equal(a, a.T)
+
+
+ARC_GRAPHS = {
+    "directed": generate_er(n=40, p=0.1, directed=True, seed=3),
+    "undirected": generate_er(n=40, p=0.1, directed=False, seed=3),
+    "weighted-directed": Graph(n=4, directed=True, edges=((2, 1, 2.5), (0, 2, -0.5), (1, 0, 0.0))),
+    "weighted-undirected": Graph(n=4, directed=False, edges=((1, 3, 2.5), (0, 2, -0.5), (0, 1, 1e-300))),
+    "edgeless-directed": Graph(n=3, directed=True, edges=()),
+    "edgeless-undirected": Graph(n=3, directed=False, edges=()),
+}
+
+
+@pytest.mark.parametrize("graph", ARC_GRAPHS.values(), ids=ARC_GRAPHS.keys())
+def test_adjacency_matches_the_per_arc_loop(graph) -> None:
+    assert np.array_equal(graph.adjacency(), loop_adjacency(graph))
+    assert graph.adjacency().flags.writeable
+
+
+@pytest.mark.parametrize("graph", ARC_GRAPHS.values(), ids=ARC_GRAPHS.keys())
+def test_sparse_adjacency_keeps_the_per_arc_layout(graph) -> None:
+    # the CSR arrays, order included, are what ARPACK iterates on
+    for built, weighted in ((graph.adjacency_sparse(), True), (graph.structure_sparse(), False)):
+        reference = loop_sparse(graph, weighted)
+        for field in ("indptr", "indices", "data"):
+            got, expected = getattr(built, field), getattr(reference, field)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+def test_arc_arrays_are_shared_and_read_only() -> None:
+    g = ARC_GRAPHS["undirected"]
+    src, dst, weights = g._arcs
+    assert g._arcs[0] is src
+    assert not any(array.flags.writeable for array in (src, dst, weights))
+    assert src.size == 2 * g.num_edges
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +411,37 @@ def test_er_edge_count_within_binomial_bounds() -> None:
     for seed in (7, 0, 1, 2, 3, 4):
         g = generate_er(n=n, p=p, directed=False, seed=seed)
         assert abs(g.num_edges - mean) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_er_row_draw_matches_the_whole_array_draw(directed) -> None:
+    for n in (1, 2, 17, 300):
+        for seed in range(5):
+            g = generate_er(n=n, p=0.1, directed=directed, seed=seed)
+            assert [(src, dst) for src, dst, _ in g.edges] == whole_array_er_edges(
+                n, 0.1, directed, seed
+            )
+
+
+def test_er_memory_is_linear_in_n() -> None:
+    # a whole-array draw over the 2e8 candidate pairs peaks near 4.8 GB;
+    # the data limit turns such a draw into a MemoryError instead
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_DATA, (1 << 30, resource.RLIM_INFINITY))
+from impactfield import generate_er
+g = generate_er(20000, 5 / 19999, False, 0)
+print(g.num_edges, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    source = str(Path(impactfield.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": source}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    edges, peak_kb = map(int, result.stdout.split())
+    assert edges > 40000
+    assert peak_kb < 256 * 1024
 
 
 def test_er_rejects_bad_arguments() -> None:

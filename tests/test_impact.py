@@ -175,6 +175,37 @@ def test_singular_system_is_refused_on_both_routes(w) -> None:
         exact_propagator(weight)
 
 
+OVERWRITE_GRAPHS = {
+    "cholesky": generate_er(n=30, p=0.15, directed=False, seed=7),
+    "lu": generate_er(n=30, p=0.15, directed=True, seed=7),
+    # the disconnected Cholesky inverse holds -0.0 entries, which a
+    # negated W (-0.0 off the arcs) would turn into +0.0
+    "cholesky-disconnected": arcs(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], directed=False),
+    "lu-disconnected": arcs(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 6)]),
+}
+
+
+@pytest.mark.parametrize("graph", OVERWRITE_GRAPHS.values(), ids=OVERWRITE_GRAPHS.keys())
+def test_in_place_inverse_is_bitwise_the_default_one(graph) -> None:
+    for gamma in (0.5, 0.96875):
+        weight = build_weight(graph, gamma)
+        before = weight.W.copy()
+        expected = exact_propagator(weight).values
+        assert weight.W.tobytes() == before.tobytes()
+        values = exact_propagator(weight, overwrite_weight=True).values
+        # tobytes tells -0.0 from +0.0, which array_equal does not
+        assert values.tobytes() == expected.tobytes()
+        if scipy.linalg.issymmetric(before):
+            assert np.shares_memory(values, weight.W)
+
+
+def test_equilibrium_leaves_the_weight_intact() -> None:
+    weight = build_weight(generate_er(n=20, p=0.2, directed=True, seed=4), gamma=0.875)
+    before = weight.W.copy()
+    equilibrium_state(weight, np.ones(weight.n))
+    assert weight.W.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # series oracle
 

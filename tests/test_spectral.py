@@ -157,6 +157,15 @@ def test_overflowing_radius_is_refused_and_not_stored() -> None:
     assert vars(heavy).get("_spectral_radii", {}) == {}
 
 
+def test_overflowing_radius_above_the_dense_threshold_is_not_a_convergence_error() -> None:
+    # ARPACK alone decides here; it runs on A / max|w|, so the overflow is
+    # reported as such and not as an ARPACK failure
+    heavy = Graph(n=3, directed=False, edges=((0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)))
+    with pytest.raises(NormalizationError, match="spectral radius inf"):
+        spectral_radius(heavy, dense_threshold=2)
+    assert vars(heavy).get("_spectral_radii", {}) == {}
+
+
 def test_edgeless_graph_warns_on_every_call() -> None:
     g = Graph(n=4, directed=True, edges=())
     for _ in range(2):

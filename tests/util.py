@@ -9,6 +9,7 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from impactfield import Graph, build_weight, exact_propagator, generate_er
@@ -34,6 +35,45 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
             src, dst = dst, src
         edges.append((src, dst, weight))
     return Graph(n=n, directed=directed, edges=tuple(edges))
+
+
+def loop_adjacency(graph: Graph) -> np.ndarray:
+    """Reference dense adjacency: one assignment per arc."""
+    a = np.zeros((graph.n, graph.n))
+    for src, dst, weight in graph.edges:
+        a[src, dst] = weight
+        if not graph.directed:
+            a[dst, src] = weight
+    return a
+
+
+def loop_sparse(graph: Graph, weighted: bool) -> sp.csr_matrix:
+    """Reference CSR adjacency built from per-arc lists in edge order."""
+    rows, cols, data = [], [], []
+    for src, dst, weight in graph.edges:
+        value = weight if weighted else 1.0
+        rows.append(src)
+        cols.append(dst)
+        data.append(value)
+        if not graph.directed:
+            rows.append(dst)
+            cols.append(src)
+            data.append(value)
+    return sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
+
+
+def whole_array_er_edges(n: int, p: float, directed: bool, seed: int) -> list[tuple[int, int]]:
+    """Reference G(n, p) arcs from one uniform draw over every candidate pair."""
+    rng = np.random.default_rng(seed)
+    if directed:
+        draw = rng.random((n, n)) < p
+        np.fill_diagonal(draw, False)
+        src, dst = np.nonzero(draw)
+    else:
+        upper = np.triu_indices(n, k=1)
+        keep = rng.random(upper[0].size) < p
+        src, dst = upper[0][keep], upper[1][keep]
+    return [(int(s), int(d)) for s, d in zip(src, dst)]
 
 
 def hop_distance(dist: DistanceMatrix, src: int, dst: int) -> int | None:
