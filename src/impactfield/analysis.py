@@ -79,8 +79,6 @@ class CurvePoint:
 class DecayCurve:
     """Mean total impact per hop distance, distances strictly increasing."""
 
-    gamma: float
-    treatment: Treatment | None
     points: tuple[CurvePoint, ...]
 
 
@@ -96,9 +94,8 @@ class ExponentialFit:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    network: str
-    gamma: float
-    treatment: Treatment | None
+    """Exact-versus-approximation Pearson correlation at one order."""
+
     order: int
     pearson_r: float
     n_dyads: int
@@ -108,9 +105,11 @@ class CorrelationRecord:
 class StudyCell:
     """One (network, treatment, gamma) cell of a study sweep.
 
-    A failed cell carries an error message and exit-code class instead of
-    results; the sweep itself never aborts on a single bad cell. Matrices
-    are attached only when the caller asked to keep them.
+    The cell is the only record of its network, treatment and gamma; its
+    curve, fit and correlations hold only their own numbers. A failed
+    cell carries an error message and exit-code class instead of results;
+    the sweep itself never aborts on a single bad cell. Matrices are
+    attached only when the caller asked to keep them.
     """
 
     network: str
@@ -135,9 +134,7 @@ def _pair_counts(dist: DistanceMatrix) -> np.ndarray:
     return counts
 
 
-def _curve(
-    sums: np.ndarray, counts: np.ndarray, gamma: float, treatment: Treatment | None
-) -> DecayCurve:
+def _curve(sums: np.ndarray, counts: np.ndarray) -> DecayCurve:
     points = tuple(
         CurvePoint(
             distance=int(d),
@@ -146,12 +143,10 @@ def _curve(
         )
         for d in np.flatnonzero(counts[1:]) + 1
     )
-    return DecayCurve(gamma=gamma, treatment=treatment, points=points)
+    return DecayCurve(points=points)
 
 
-def mean_impact_by_distance(
-    impact: ImpactMatrix, dist: DistanceMatrix, treatment: Treatment | None = None
-) -> DecayCurve:
+def mean_impact_by_distance(impact: ImpactMatrix, dist: DistanceMatrix) -> DecayCurve:
     """Average impact over ordered pairs grouped by hop distance.
 
     Diagonal (distance 0) and unreachable pairs are excluded. Raises when
@@ -162,7 +157,7 @@ def mean_impact_by_distance(
     counts = _pair_counts(dist)
     sums = np.zeros(len(counts))
     np.add.at(sums, dist.hops.ravel(), impact.values.ravel())
-    return _curve(sums, counts, impact.gamma, treatment)
+    return _curve(sums, counts)
 
 
 def fit_exponential(
@@ -455,7 +450,7 @@ def _run_cell(
     counts = _pair_counts(dist)
     mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
     sums, moments = _dyad_pass(exact, dist, mode_sets)
-    curve = _curve(sums, counts, gamma, treatment)
+    curve = _curve(sums, counts)
     notes: list[str] = []
     fit: ExponentialFit | None
     try:
@@ -471,16 +466,7 @@ def _run_cell(
         except (InsufficientDataError, UndefinedCorrelationError) as exc:
             notes.append(f"order={order} correlation suppressed: {exc}")
             continue
-        records.append(
-            CorrelationRecord(
-                network=network,
-                gamma=gamma,
-                treatment=treatment,
-                order=order,
-                pearson_r=pearson,
-                n_dyads=n_dyads,
-            )
-        )
+        records.append(CorrelationRecord(order=order, pearson_r=pearson, n_dyads=n_dyads))
     return StudyCell(
         network=network,
         treatment=treatment,

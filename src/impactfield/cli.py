@@ -59,13 +59,15 @@ __all__ = ["main"]
 
 ENV_DENSE_THRESHOLD = "IMPACTFIELD_DENSE_THRESHOLD"
 
+# the values an inline spec's directed= key accepts, matched case-insensitively
+_SPEC_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # how each key of an inline er:/pa: spec is read
 _SPEC_FIELDS = {
     "n": int,
     "p": float,
     "m": int,
     "seed": int,
-    "directed": lambda value: value.lower() in ("1", "true", "yes"),
+    "directed": lambda value: _SPEC_FLAGS[value.lower()],
 }
 
 
@@ -186,6 +188,10 @@ def _parse_generator_spec(spec: str, directed: bool, default_seed: int) -> Graph
             params[key] = _SPEC_FIELDS[key](value)
         except ValueError:
             raise ValidationError(f"generator spec {spec!r}: {key} is not a number") from None
+        except KeyError:
+            raise ValidationError(
+                f"generator spec {spec!r}: {key} must be one of {'/'.join(_SPEC_FLAGS)}"
+            ) from None
     if "n" not in params:
         raise ValidationError(f"generator spec {spec!r} is missing 'n'")
     try:
@@ -271,7 +277,6 @@ def _replicate_one(
             network=network,
             n=graph.n,
             edges=graph.num_edges,
-            mean_degree=2.0 * graph.num_edges / graph.n,
             diameter=largest_component_diameter(graph),
             status="ok",
         )
@@ -289,7 +294,7 @@ def _replicate_one(
 def _failed_network(network: str, exc: BaseException) -> tuple[ManifestEntry, list[StudyCell]]:
     """The manifest row of a network whose run ended in ``exc``."""
     message = str(exc) if isinstance(exc, ImpactfieldError) else f"{type(exc).__name__}: {exc}"
-    return ManifestEntry(network, None, None, None, None, status=f"error: {message}"), []
+    return ManifestEntry(network, None, None, None, status=f"error: {message}"), []
 
 
 def _collect(future: concurrent.futures.Future, job, path: Path):
@@ -351,8 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total-impact matrices and their spectral distance-decay approximations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the sweep options of analyze and replicate, parsed by _study_options
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--gamma", action="append", type=float, metavar="G")
+    study.add_argument("--orders", default="1,2", help="comma-separated approximation orders")
+    study.add_argument("--fit-range", default="1,6", metavar="MIN,MAX")
 
-    analyze = sub.add_parser("analyze", help="study sweep for one network")
+    analyze = sub.add_parser("analyze", parents=[study], help="study sweep for one network")
     analyze.set_defaults(run=_analyze)
     analyze.add_argument("--input", required=True, help="edge-list file or er:/pa: generator spec")
     direction = analyze.add_mutually_exclusive_group(required=True)
@@ -363,11 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the symmetrized treatment for directed input",
     )
-    analyze.add_argument("--gamma", action="append", type=float, metavar="G")
     analyze.add_argument("--gamma-grid", action="store_true", help="use the standard gamma sweep")
-    analyze.add_argument("--orders", default="1,2", help="comma-separated approximation orders")
     analyze.add_argument("--dyads", action="store_true", help="write per-dyad exact/approx CSVs")
-    analyze.add_argument("--fit-range", default="1,6", metavar="MIN,MAX")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--out", required=True)
 
@@ -381,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, required=True)
     generate.add_argument("--out", required=True)
 
-    replicate = sub.add_parser("replicate", help="analyze every file in a corpus directory")
+    replicate = sub.add_parser(
+        "replicate", parents=[study], help="analyze every file in a corpus directory"
+    )
     replicate.set_defaults(run=_replicate)
     replicate.add_argument("--corpus", required=True)
     replicate.add_argument("--out", required=True)
@@ -389,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument(
         "--undirected", action="store_true", help="treat corpus files as undirected"
     )
-    replicate.add_argument("--gamma", action="append", type=float, metavar="G")
-    replicate.add_argument("--orders", default="1,2")
-    replicate.add_argument("--fit-range", default="1,6", metavar="MIN,MAX")
     return parser
 
 

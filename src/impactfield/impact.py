@@ -109,6 +109,17 @@ def gamma_grid() -> list[float]:
     return [1.0 - 2.0**-k for k in range(1, 6)]
 
 
+def _system(weight: WeightMatrix, overwrite: bool = False) -> np.ndarray:
+    """``I - W``, formed in ``weight.W`` when ``overwrite`` is set.
+
+    The off-diagonal is ``0 - w``, not ``-w``: negation would turn the
+    +0.0 entries into -0.0, which ``np.eye(n) - W`` does not.
+    """
+    system = np.subtract(0.0, weight.W, out=weight.W if overwrite else None)
+    system[np.diag_indices_from(system)] += 1.0
+    return system
+
+
 def _factorize(system: np.ndarray):
     # every caller hands over a system it will not read again, so LAPACK
     # may factorize it in place; its 1-norm is taken first
@@ -166,13 +177,7 @@ def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) ->
     its buffer. The values are bitwise those of the default call.
     """
     symmetric = scipy.linalg.issymmetric(weight.W)
-    if overwrite_weight:
-        # 0 - W, not -W: negation would turn the +0.0 entries into -0.0,
-        # which np.eye(n) - W does not
-        system = np.subtract(0.0, weight.W, out=weight.W)
-        system[np.diag_indices_from(system)] += 1.0
-    else:
-        system = np.eye(weight.n) - weight.W
+    system = _system(weight, overwrite_weight)
     if symmetric:
         values = _symmetric_inverse(system)
     else:
@@ -188,7 +193,7 @@ def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
         raise ValidationError(f"forcing vector must have shape ({weight.n},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValidationError("forcing vector must be finite")
-    lu, piv = _factorize(np.eye(weight.n) - weight.W)
+    lu, piv = _factorize(_system(weight))
     return scipy.linalg.lu_solve((lu, piv), z)
 
 

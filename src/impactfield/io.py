@@ -89,22 +89,19 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+def _key_columns(cell: StudyCell) -> list[str]:
+    """The network, treatment and gamma columns of a cell's rows in every table."""
+    return [cell.network, cell.treatment.value, _fmt(cell.gamma)]
+
+
 def write_curves_csv(path: Path | str, cells: list[StudyCell]) -> None:
     rows = []
     for cell in cells:
         if cell.curve is None:
             continue
+        key = _key_columns(cell)
         for point in cell.curve.points:
-            rows.append(
-                [
-                    cell.network,
-                    cell.treatment.value,
-                    _fmt(cell.gamma),
-                    str(point.distance),
-                    _fmt(point.mean_impact),
-                    str(point.n_pairs),
-                ]
-            )
+            rows.append(key + [str(point.distance), _fmt(point.mean_impact), str(point.n_pairs)])
     atomic_write_text(path, _csv_text(CURVES_HEADER, rows))
 
 
@@ -114,10 +111,8 @@ def write_fits_csv(path: Path | str, cells: list[StudyCell]) -> None:
         if cell.fit is None:
             continue
         rows.append(
-            [
-                cell.network,
-                cell.treatment.value,
-                _fmt(cell.gamma),
+            _key_columns(cell)
+            + [
                 str(cell.fit.d_range[0]),
                 str(cell.fit.d_range[1]),
                 _fmt(cell.fit.slope),
@@ -131,17 +126,9 @@ def write_fits_csv(path: Path | str, cells: list[StudyCell]) -> None:
 def write_correlations_csv(path: Path | str, cells: list[StudyCell]) -> None:
     rows = []
     for cell in cells:
+        key = _key_columns(cell)
         for record in cell.correlations:
-            rows.append(
-                [
-                    record.network,
-                    record.treatment.value,
-                    _fmt(record.gamma),
-                    str(record.order),
-                    _fmt(record.pearson_r),
-                    str(record.n_dyads),
-                ]
-            )
+            rows.append(key + [str(record.order), _fmt(record.pearson_r), str(record.n_dyads)])
     atomic_write_text(path, _csv_text(CORRELATIONS_HEADER, rows))
 
 
@@ -244,12 +231,11 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """Per-network summary line of a corpus run."""
+    """Per-network summary line of a corpus run; its mean degree is ``2 * edges / n``."""
 
     network: str
     n: int | None
     edges: int | None
-    mean_degree: float | None
     diameter: int | None
     status: str
 
@@ -260,7 +246,7 @@ def write_manifest_csv(path: Path | str, entries: list[ManifestEntry]) -> None:
             entry.network,
             "" if entry.n is None else str(entry.n),
             "" if entry.edges is None else str(entry.edges),
-            "" if entry.mean_degree is None else _fmt(entry.mean_degree),
+            "" if entry.n is None else _fmt(2.0 * entry.edges / entry.n),
             "" if entry.diameter is None else str(entry.diameter),
             entry.status,
         ]

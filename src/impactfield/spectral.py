@@ -265,9 +265,10 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     graphs at or below the dense threshold, cross-checks it against a
     full dense eigenvalue computation. A two-node graph, too small for
     the iterative solver, takes the dense value at any threshold.
-    An edgeless graph and an acyclic digraph (nilpotent adjacency) have
-    radius 0.0, decided structurally because eigensolvers return noise
-    for them; downstream normalization must reject it. A radius that
+    An edgeless graph, a graph whose edge weights are all zero and an
+    acyclic digraph (nilpotent adjacency) have radius 0.0, decided
+    structurally because eigensolvers return noise or fail on them;
+    downstream normalization must reject it. A radius that
     overflows to a non-finite value raises NormalizationError.
 
     The eigensolve runs once per Graph instance and route (dense or
@@ -284,7 +285,7 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             stacklevel=2,
         )
         return 0.0
-    if graph.directed and _is_acyclic(graph):
+    if not graph._arcs[2].any() or graph.directed and _is_acyclic(graph):
         return 0.0
     radii = vars(graph).setdefault("_spectral_radii", {})
     dense_route = graph.n <= dense_threshold
@@ -469,7 +470,7 @@ def decompose(
             raise ValidationError("k must be a positive integer")
         if k > graph.n:
             raise ValidationError(f"k={k} exceeds the matrix dimension {graph.n}")
-    if any(weight < 0.0 for _, _, weight in graph.edges):
+    if (graph._arcs[2] < 0.0).any():
         warnings.warn(
             "negative edge weights: no positivity guarantee for the principal mode",
             NegativeWeightsWarning,

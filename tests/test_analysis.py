@@ -168,7 +168,7 @@ def geometric_curve(ratio: float, count: int = 3) -> DecayCurve:
     points = tuple(
         CurvePoint(distance=d, mean_impact=ratio**d, n_pairs=1) for d in range(1, count + 1)
     )
-    return DecayCurve(gamma=0.5, treatment=None, points=points)
+    return DecayCurve(points=points)
 
 
 def test_fit_recovers_geometric_slope() -> None:
@@ -190,7 +190,7 @@ def test_fit_on_three_cycle_curve_has_slope_log_gamma() -> None:
 
 def test_constant_curve_fits_flat_with_zero_r_squared() -> None:
     points = tuple(CurvePoint(distance=d, mean_impact=2.0, n_pairs=1) for d in (1, 2, 3))
-    fit = fit_exponential(DecayCurve(gamma=0.5, treatment=None, points=points))
+    fit = fit_exponential(DecayCurve(points=points))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 0.0
 
@@ -199,7 +199,7 @@ def test_fit_ignores_points_outside_the_range() -> None:
     # corrupt the curve beyond d = 6; the default window must not see it
     points = list(geometric_curve(0.5, count=6).points)
     points.append(CurvePoint(distance=7, mean_impact=5.0, n_pairs=1))
-    fit = fit_exponential(DecayCurve(gamma=0.5, treatment=None, points=tuple(points)))
+    fit = fit_exponential(DecayCurve(points=tuple(points)))
     assert fit.slope == pytest.approx(np.log(0.5), abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -210,7 +210,7 @@ def test_fit_rejects_nonpositive_means() -> None:
         CurvePoint(distance=2, mean_impact=0.0, n_pairs=1),
     )
     with pytest.raises(DomainError):
-        fit_exponential(DecayCurve(gamma=0.5, treatment=None, points=points))
+        fit_exponential(DecayCurve(points=points))
 
 
 def test_fit_needs_two_points_in_range() -> None:
@@ -311,7 +311,7 @@ def test_directed_study_covers_both_treatments() -> None:
     assert keys == sorted(keys)
     records = [r for cell in cells for r in cell.correlations]
     assert len(records) == 20  # orders (1, 2) per cell
-    assert all(r.network == "er20" for r in records)
+    assert all(cell.network == "er20" for cell in cells)
     assert all(cell.curve is not None and cell.fit is not None for cell in cells)
 
 
@@ -556,7 +556,7 @@ def test_blocked_statistics_match_the_whole_matrix_ones(monkeypatch, graph, rows
     empty = [cell for cell in cells if cell.treatment is Treatment.DIRECTED or not graph.directed]
     assert empty and not any(cell.distances.dyad_mask[:3].any() for cell in empty)
     for cell in cells:
-        assert cell.curve == mean_impact_by_distance(cell.exact, cell.distances, cell.treatment)
+        assert cell.curve == mean_impact_by_distance(cell.exact, cell.distances)
         assert [record.order for record in cell.correlations] == list(orders)
         for record in cell.correlations:
             whole = dyad_correlation(cell.exact, cell.approximations[record.order], cell.distances)
@@ -608,25 +608,20 @@ def test_study_csv_round_trip(tmp_path) -> None:
     g = generate_er(n=18, p=0.25, directed=True, seed=67)
     cells = run_study(g, gammas=[0.5, 0.875], network="rt")
 
-    curves_path = tmp_path / "curves.csv"
-    write_curves_csv(curves_path, cells)
-    curves = read_curves_csv(curves_path)
-    for cell in cells:
-        back = curves[(cell.network, cell.treatment, cell.gamma)]
-        assert back.points == cell.curve.points
-
-    fits_path = tmp_path / "fits.csv"
-    write_fits_csv(fits_path, cells)
-    fits = read_fits_csv(fits_path)
-    for cell in cells:
-        back = fits[(cell.network, cell.treatment, cell.gamma)]
-        assert back == cell.fit
-
-    correlations_path = tmp_path / "correlations.csv"
-    write_correlations_csv(correlations_path, cells)
-    records = read_correlations_csv(correlations_path)
-    assert records == [r for cell in cells for r in cell.correlations]
-    assert all(isinstance(r, CorrelationRecord) for r in records)
+    write_curves_csv(tmp_path / "curves.csv", cells)
+    write_fits_csv(tmp_path / "fits.csv", cells)
+    write_correlations_csv(tmp_path / "correlations.csv", cells)
+    curves = read_curves_csv(tmp_path / "curves.csv")
+    fits = read_fits_csv(tmp_path / "fits.csv")
+    correlations = read_correlations_csv(tmp_path / "correlations.csv")
+    # every table row sits under its cell's key, and each cell reads back whole
+    keys = [(cell.network, cell.treatment, cell.gamma) for cell in cells]
+    assert list(curves) == list(fits) == list(correlations) == keys
+    for key, cell in zip(keys, cells):
+        assert curves[key] == cell.curve
+        assert fits[key] == cell.fit
+        assert correlations[key] == cell.correlations
+        assert all(isinstance(r, CorrelationRecord) for r in correlations[key])
 
 
 def test_error_cells_are_skipped_when_writing(tmp_path) -> None:

@@ -8,6 +8,7 @@ entry point itself.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import functools
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ import scipy.sparse.linalg
 
 import impactfield
 from impactfield import cli
+from impactfield.analysis import Treatment
 from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
@@ -115,9 +117,11 @@ def test_analyze_paw_grid(tmp_path) -> None:
     assert code == 0
     curves = read_curves_csv(out / "curves.csv")
     assert len(curves) == 5  # one per grid gamma, single treatment
-    records = read_correlations_csv(out / "correlations.csv")
-    assert len(records) == 10  # orders 1 and 2 per gamma
-    assert all(record.network == "paw" for record in records)
+    correlations = read_correlations_csv(out / "correlations.csv")
+    assert list(correlations) == list(curves)
+    # orders 1 and 2 per gamma
+    assert [[r.order for r in records] for records in correlations.values()] == [[1, 2]] * 5
+    assert {network for network, _, _ in correlations} == {"paw"}
 
 
 def test_analyze_transitive_graph_suppresses_constant_correlations(tmp_path) -> None:
@@ -137,8 +141,8 @@ def test_analyze_transitive_graph_suppresses_constant_correlations(tmp_path) -> 
         ]
     )
     assert code == 0
-    records = read_correlations_csv(out / "correlations.csv")
-    assert all(record.order != 1 for record in records)
+    correlations = read_correlations_csv(out / "correlations.csv")
+    assert all(record.order != 1 for records in correlations.values() for record in records)
 
 
 def test_analyze_directed_with_symmetrize_runs_both_treatments(tmp_path) -> None:
@@ -183,8 +187,8 @@ def test_analyze_repeated_complex_spectrum_runs_both_treatments(tmp_path) -> Non
         ]
     )
     assert code == 0
-    records = read_correlations_csv(out / "correlations.csv")
-    assert {record.treatment.value for record in records} == {"directed", "symmetrized"}
+    correlations = read_correlations_csv(out / "correlations.csv")
+    assert {treatment.value for _, treatment, _ in correlations} == {"directed", "symmetrized"}
 
 
 def test_analyze_generator_spec_input(tmp_path) -> None:
@@ -202,8 +206,8 @@ def test_analyze_generator_spec_input(tmp_path) -> None:
         ]
     )
     assert code == 0
-    records = read_correlations_csv(out / "correlations.csv")
-    assert records and all(record.network == "er-n30-p0.15-seed5" for record in records)
+    correlations = read_correlations_csv(out / "correlations.csv")
+    assert correlations and {network for network, _, _ in correlations} == {"er-n30-p0.15-seed5"}
 
 
 @pytest.mark.parametrize(
@@ -215,6 +219,7 @@ def test_analyze_generator_spec_input(tmp_path) -> None:
         "er:n=30,p=0.1,seed=x",
         "er:n=10,p=0.1,m=2",  # generate's pairing rule: m does not apply to er
         "er:n=30,p=0.1,size=3",
+        "er:n=30,p=0.2,directed=maybe",
     ],
 )
 def test_analyze_rejects_malformed_generator_spec(tmp_path, capsys, spec) -> None:
@@ -225,6 +230,15 @@ def test_analyze_rejects_malformed_generator_spec(tmp_path, capsys, spec) -> Non
     assert err.startswith("impactfield: error:") and spec in err
     assert "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "value, directed",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)],
+)
+def test_generator_spec_reads_directed_case_insensitively(value, directed) -> None:
+    graph = cli._parse_generator_spec(f"er:n=8,p=0.5,directed={value}", directed, 0)
+    assert graph.directed is directed
 
 
 def test_analyze_is_deterministic(tmp_path) -> None:
@@ -402,6 +416,23 @@ def test_overflowing_radius_exits_one_above_the_dense_threshold(
     )
     assert code == 1
     assert "spectral radius inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [None, "2"], ids=["dense", "iterative"])
+@pytest.mark.parametrize("direction", ["--directed", "--undirected"])
+def test_analyze_all_zero_weights_exit_one(
+    tmp_path, capsys, monkeypatch, direction, threshold
+) -> None:
+    # an all-zero adjacency has radius 0 by structure on both sides of the
+    # dense threshold; ARPACK alone fails on it (error -9, exit 3)
+    if threshold is not None:
+        monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", threshold)
+    zero = "a b 0.0\nb c 0.0\nc a 0.0\n"
+    argv = ["analyze", "--input", write_input(tmp_path, "zero.txt", zero), direction]
+    assert main(argv + ["--gamma", "0.5", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "spectral radius is zero" in err
+    assert "ARPACK" not in err
 
 
 def test_analyze_flag_conflicts(tmp_path, capsys) -> None:
@@ -583,14 +614,16 @@ def test_replicate_covers_the_corpus(tmp_path) -> None:
     out = tmp_path / "out"
     code = main(["replicate", "--corpus", str(corpus), "--out", str(out)])
     assert code == 0
-    records = read_correlations_csv(out / "correlations.csv")
+    correlations = read_correlations_csv(out / "correlations.csv")
     # 3 networks x 2 treatments x 5 grid gammas x 2 orders
-    assert len(records) == 60
+    assert sum(map(len, correlations.values())) == 60
     entries = read_manifest_csv(out / "manifest.csv")
     assert [entry.network for entry in entries] == ["net0", "net1", "net2"]
-    for entry in entries:
+    with open(out / "manifest.csv", newline="", encoding="utf-8") as handle:
+        mean_degrees = [float(row["mean_degree"]) for row in csv.DictReader(handle)]
+    for entry, mean_degree in zip(entries, mean_degrees, strict=True):
         assert entry.status == "ok"
-        assert entry.mean_degree == pytest.approx(2.0 * entry.edges / entry.n, abs=1e-12)
+        assert mean_degree == pytest.approx(2.0 * entry.edges / entry.n, abs=1e-12)
         assert entry.diameter >= 1
 
 
@@ -636,7 +669,7 @@ def test_replicate_logs_bad_network_and_continues(tmp_path, capsys) -> None:
     assert entries["broken"].status.startswith("error:")
     assert entries["net0"].status == "ok"
     assert entries["net1"].status == "ok"
-    assert len(read_correlations_csv(out / "correlations.csv")) == 40
+    assert sum(map(len, read_correlations_csv(out / "correlations.csv").values())) == 40
     capsys.readouterr()
 
 
@@ -650,7 +683,7 @@ def test_replicate_records_undecodable_file_and_continues(tmp_path, capsys) -> N
     assert entries["latin"].status.startswith("error:")
     assert entries["net0"].status == "ok"
     assert entries["net1"].status == "ok"
-    assert len(read_correlations_csv(out / "correlations.csv")) == 40
+    assert sum(map(len, read_correlations_csv(out / "correlations.csv").values())) == 40
     capsys.readouterr()
 
 
@@ -713,7 +746,7 @@ def test_replicate_records_a_dead_worker_and_continues(tmp_path, monkeypatch, ca
     assert sorted(entries) == ["net0", "net1", "net2"]
     assert entries["net1"].status.startswith("error: BrokenProcessPool")
     assert entries["net0"].status == entries["net2"].status == "ok"
-    assert {row.network for row in read_correlations_csv(out / "correlations.csv")} == {
+    assert {network for network, _, _ in read_correlations_csv(out / "correlations.csv")} == {
         "net0", "net2"
     }
     capsys.readouterr()
@@ -735,7 +768,7 @@ def test_replicate_records_a_memory_error_and_continues(tmp_path, monkeypatch, c
     assert sorted(entries) == ["net0", "net1"]
     assert entries["net0"].status.startswith("error:")
     assert entries["net1"].status == "ok"
-    assert len(read_correlations_csv(out / "correlations.csv")) == 20
+    assert sum(map(len, read_correlations_csv(out / "correlations.csv").values())) == 20
     capsys.readouterr()
 
 
@@ -766,9 +799,10 @@ def test_replicate_undirected_flag(tmp_path) -> None:
         ["replicate", "--corpus", str(corpus), "--out", str(out), "--undirected", "--gamma", "0.5"]
     )
     assert code == 0
-    records = read_correlations_csv(out / "correlations.csv")
-    assert len(records) == 2  # single treatment, single gamma, orders 1 and 2
-    assert all(record.treatment.value == "symmetrized" for record in records)
+    correlations = read_correlations_csv(out / "correlations.csv")
+    # single treatment, single gamma, orders 1 and 2
+    assert list(correlations) == [("u", Treatment.SYMMETRIZED, 0.5)]
+    assert [record.order for record in correlations[("u", Treatment.SYMMETRIZED, 0.5)]] == [1, 2]
 
 
 # ---------------------------------------------------------------------------

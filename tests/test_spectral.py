@@ -67,6 +67,15 @@ def test_radius_of_acyclic_digraph_is_zero() -> None:
     assert spectral_radius(g, dense_threshold=2) == 0.0
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_radius_of_all_zero_weights_is_zero(directed) -> None:
+    # ARPACK's start vector maps to zero here (error -9), so the zero must
+    # come from the structure on both sides of the threshold
+    g = arcs(3, [(0, 1), (1, 2), (2, 0)], directed=directed, weight=0.0)
+    assert spectral_radius(g) == 0.0
+    assert spectral_radius(g, dense_threshold=2) == 0.0
+
+
 def test_radius_of_two_nodes_above_the_dense_threshold() -> None:
     # the iterative solver needs three nodes, so the dense value answers
     # at any threshold

@@ -270,28 +270,31 @@ def _read_rows(path: Path | str, expected_header: list[str]) -> list[dict[str, s
         return list(reader)
 
 
-def read_curves_csv(path: Path | str) -> dict[tuple[str, Treatment, float], DecayCurve]:
-    grouped: dict[tuple[str, Treatment, float], list[CurvePoint]] = {}
+CellKey = tuple[str, Treatment, float]
+
+
+def _cell_key(row: dict[str, str]) -> CellKey:
+    """The (network, treatment, gamma) of the study cell a table row belongs to."""
+    return row["network"], Treatment(row["treatment"]), float(row["gamma"])
+
+
+def read_curves_csv(path: Path | str) -> dict[CellKey, DecayCurve]:
+    grouped: dict[CellKey, list[CurvePoint]] = {}
     for row in _read_rows(path, CURVES_HEADER):
-        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
-        grouped.setdefault(key, []).append(
+        grouped.setdefault(_cell_key(row), []).append(
             CurvePoint(
                 distance=int(row["distance"]),
                 mean_impact=float(row["mean_impact"]),
                 n_pairs=int(row["n_pairs"]),
             )
         )
-    return {
-        key: DecayCurve(gamma=key[2], treatment=key[1], points=tuple(points))
-        for key, points in grouped.items()
-    }
+    return {key: DecayCurve(points=tuple(points)) for key, points in grouped.items()}
 
 
-def read_fits_csv(path: Path | str) -> dict[tuple[str, Treatment, float], ExponentialFit]:
+def read_fits_csv(path: Path | str) -> dict[CellKey, ExponentialFit]:
     out = {}
     for row in _read_rows(path, FITS_HEADER):
-        key = (row["network"], Treatment(row["treatment"]), float(row["gamma"]))
-        out[key] = ExponentialFit(
+        out[_cell_key(row)] = ExponentialFit(
             slope=float(row["slope"]),
             intercept=float(row["intercept"]),
             r_squared=float(row["r_squared"]),
@@ -300,18 +303,18 @@ def read_fits_csv(path: Path | str) -> dict[tuple[str, Treatment, float], Expone
     return out
 
 
-def read_correlations_csv(path: Path | str) -> list[CorrelationRecord]:
-    return [
-        CorrelationRecord(
-            network=row["network"],
-            gamma=float(row["gamma"]),
-            treatment=Treatment(row["treatment"]),
-            order=int(row["order"]),
-            pearson_r=float(row["pearson_r"]),
-            n_dyads=int(row["n_dyads"]),
+def read_correlations_csv(path: Path | str) -> dict[CellKey, tuple[CorrelationRecord, ...]]:
+    """Each cell's correlation records, in file order, as ``StudyCell.correlations``."""
+    grouped: dict[CellKey, list[CorrelationRecord]] = {}
+    for row in _read_rows(path, CORRELATIONS_HEADER):
+        grouped.setdefault(_cell_key(row), []).append(
+            CorrelationRecord(
+                order=int(row["order"]),
+                pearson_r=float(row["pearson_r"]),
+                n_dyads=int(row["n_dyads"]),
+            )
         )
-        for row in _read_rows(path, CORRELATIONS_HEADER)
-    ]
+    return {key: tuple(records) for key, records in grouped.items()}
 
 
 def read_dyads_csv(path: Path | str) -> list[dict[str, object]]:
@@ -340,7 +343,6 @@ def read_manifest_csv(path: Path | str) -> list[ManifestEntry]:
             network=row["network"],
             n=int(row["n"]) if row["n"] else None,
             edges=int(row["edges"]) if row["edges"] else None,
-            mean_degree=float(row["mean_degree"]) if row["mean_degree"] else None,
             diameter=int(row["diameter"]) if row["diameter"] else None,
             status=row["status"],
         )
