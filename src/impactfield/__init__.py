@@ -46,7 +46,6 @@ from .graph import (
     symmetrize_weak,
 )
 from .impact import (
-    ImpactKind,
     ImpactMatrix,
     WeightMatrix,
     approx_impact,
@@ -84,7 +83,6 @@ __all__ = [
     "DEFAULT_DENSE_THRESHOLD",
     "WeightMatrix",
     "ImpactMatrix",
-    "ImpactKind",
     "build_weight",
     "gamma_grid",
     "exact_propagator",

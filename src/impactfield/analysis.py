@@ -4,7 +4,7 @@ treatment-by-gamma study sweep that ties them together.
 All dyad statistics run over ordered pairs at finite hop distance >= 1.
 The diagonal and unreachable pairs both hold hop 0, so the dyad set is
 ``hops >= 1``: the curves never read bin 0 of their per-distance sums,
-and the correlations select with ``DistanceMatrix.dyad_mask``.
+and the correlations select with that mask, built where it is read.
 
 A study cell reads its matrices in one pass over blocks of rows. Each
 block adds to the per-distance sums, and its dyads' Pearson moments
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .graph import DistanceMatrix, Graph, geodesic_distances, symmetrize_weak
 from .impact import (
-    ImpactKind,
     ImpactMatrix,
     _real_terms,
     _TermKernel,
@@ -57,6 +56,7 @@ __all__ = [
     "validate_study_options",
 ]
 
+DEFAULT_ORDERS = (1, 2)
 DEFAULT_FIT_RANGE = (1, 6)
 MIN_DYADS = 3
 # a dyad vector whose RMS spread is below this fraction of its mean is flat
@@ -171,8 +171,6 @@ def fit_exponential(
     positive mean impact. A constant curve fits with slope 0 and, by
     convention, r_squared 0.
     """
-    if d_min > d_max:
-        raise ValidationError("d_min must not exceed d_max")
     points = [p for p in curve.points if d_min <= p.distance <= d_max]
     if len(points) < 2:
         raise ValidationError(
@@ -258,8 +256,8 @@ def dyad_correlation(
 
     The dyad set is every ordered pair at finite distance >= 1.
     """
-    if approx.kind is not ImpactKind.APPROX:
-        raise ValidationError(f"second argument must be an approximation, got {approx.kind}")
+    if approx.order is None:
+        raise ValidationError("second argument must be an approximation, got an exact matrix")
     if exact.n != approx.n or dist.n != exact.n:
         raise ValidationError("impact matrices and distances must agree on n")
     if exact.gamma != approx.gamma:
@@ -267,10 +265,11 @@ def dyad_correlation(
             f"gamma mismatch: exact has {exact.gamma!r}, approximation {approx.gamma!r}"
         )
     moments = _DyadMoments()
-    x = exact.values[dist.dyad_mask]
+    mask = dist.hops >= 1
+    x = exact.values[mask]
     if x.size:
         x_mean, x_ss = _centre(x)
-        moments.merge(x, x_mean, x_ss, approx.values[dist.dyad_mask])
+        moments.merge(x, x_mean, x_ss, approx.values[mask])
     return moments.pearson()
 
 
@@ -293,10 +292,11 @@ def _dyad_pass(
     buffer = np.empty((kernel.height, dist.n))
     for rows in kernel.blocks:
         exact_rows = exact.values[rows]
+        hops = dist.hops[rows]
         # add.at adds pair by pair in row-major order, as a single call on
         # the whole matrix does, so the curve's bits do not depend on blocks
-        np.add.at(sums, dist.hops[rows].ravel(), exact_rows.ravel())
-        mask = dist.dyad_mask[rows]
+        np.add.at(sums, hops.ravel(), exact_rows.ravel())
+        mask = hops >= 1
         x = exact_rows[mask]
         # a block with no dyads (the rows of sinks, say) has no moments
         if not x.size:
@@ -318,8 +318,8 @@ def validate_study_options(
     """Check the sweep options that every study entry point shares.
 
     Raises ValidationError for an empty gamma or order list, a gamma
-    outside (0, 1), an order below 1, or a fit range whose lower bound
-    exceeds its upper bound.
+    outside (0, 1), an order below 1, or a fit range that holds fewer
+    than two distances >= 1, which no curve can fit.
     """
     if not gammas:
         raise ValidationError("at least one gamma is required")
@@ -331,8 +331,8 @@ def validate_study_options(
     for order in orders:
         if order < 1:
             raise ValidationError(f"order {order!r} must be a positive integer")
-    if fit_range[0] > fit_range[1]:
-        raise ValidationError("fit range lower bound exceeds upper bound")
+    if max(fit_range[0], 1) >= fit_range[1]:
+        raise ValidationError(f"fit range {fit_range} must hold at least two distances >= 1")
 
 
 def _study_treatments(
@@ -359,7 +359,7 @@ def _study_treatments(
 def run_study(
     graph: Graph,
     gammas: list[float] | None = None,
-    orders: tuple[int, ...] = (1, 2),
+    orders: tuple[int, ...] = DEFAULT_ORDERS,
     network: str = "",
     dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
     fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
@@ -376,7 +376,7 @@ def run_study(
     recorded with an error marker and the sweep continues. Cells come
     back sorted by (treatment, gamma).
     """
-    gammas = sorted(gamma_grid() if gammas is None else gammas)
+    gammas = sorted(set(gamma_grid() if gammas is None else gammas))
     orders = tuple(sorted(set(orders)))
     validate_study_options(gammas, orders, fit_range)
 

@@ -33,7 +33,14 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .analysis import StudyCell, Treatment, run_study, validate_study_options
+from .analysis import (
+    DEFAULT_FIT_RANGE,
+    DEFAULT_ORDERS,
+    StudyCell,
+    Treatment,
+    run_study,
+    validate_study_options,
+)
 from .errors import EdgeListParseError, ImpactfieldError, ValidationError
 from .graph import (
     Graph,
@@ -229,14 +236,13 @@ def _analyze(args: argparse.Namespace) -> int:
     _write_tables(out, cells)
     exit_code = 0
     for cell in cells:
+        where = f"impactfield: cell {network}/{cell.treatment.value}/gamma={cell.gamma!r}"
         if cell.error is not None:
-            print(
-                f"impactfield: cell {network}/{cell.treatment.value}/gamma={cell.gamma!r} "
-                f"failed: {cell.error}",
-                file=sys.stderr,
-            )
+            print(f"{where} failed: {cell.error}", file=sys.stderr)
             exit_code = max(exit_code, cell.error_code)
             continue
+        for note in cell.notes:
+            print(f"{where}: {note}", file=sys.stderr)
         if args.dyads and cell.exact is not None:
             _write(
                 write_dyads_csv,
@@ -359,8 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     # the sweep options of analyze and replicate, parsed by _study_options
     study = argparse.ArgumentParser(add_help=False)
     study.add_argument("--gamma", action="append", type=float, metavar="G")
-    study.add_argument("--orders", default="1,2", help="comma-separated approximation orders")
-    study.add_argument("--fit-range", default="1,6", metavar="MIN,MAX")
+    study.add_argument(
+        "--orders",
+        default=",".join(map(str, DEFAULT_ORDERS)),
+        help="comma-separated approximation orders",
+    )
+    study.add_argument(
+        "--fit-range", default=",".join(map(str, DEFAULT_FIT_RANGE)), metavar="MIN,MAX"
+    )
 
     analyze = sub.add_parser("analyze", parents=[study], help="study sweep for one network")
     analyze.set_defaults(run=_analyze)

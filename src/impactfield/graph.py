@@ -218,21 +218,18 @@ class DistanceMatrix:
     per-distance table directly, and ``hops >= 1`` is exactly the set of
     dyads: the ordered pairs at finite hop distance >= 1.
 
-    ``dyad_mask`` marks the dyads and ``reachable`` adds the diagonal to
-    them. ``pair_counts[d]`` counts the pairs at d >= 1 hops; its bin 0
-    lumps the diagonal with the unreachable pairs and is never a
-    distance. These arrays are computed from ``hops`` on first use and
-    then shared, so they are read-only.
+    ``reachable`` adds the diagonal to the dyads. ``pair_counts[d]``
+    counts the pairs at d >= 1 hops; its bin 0 lumps the diagonal with
+    the unreachable pairs and is never a distance. These arrays are
+    computed from ``hops`` on first use and then shared, so they are
+    read-only.
     """
 
-    n: int
     hops: np.ndarray
 
-    @cached_property
-    def dyad_mask(self) -> np.ndarray:
-        mask = self.hops >= 1
-        mask.flags.writeable = False
-        return mask
+    @property
+    def n(self) -> int:
+        return len(self.hops)
 
     @cached_property
     def reachable(self) -> np.ndarray:
@@ -300,7 +297,7 @@ def geodesic_distances(graph: Graph) -> DistanceMatrix:
     sparse product; nodes whose search outlasts a fixed number of levels
     are finished by csgraph's per-node search, with the same counts.
     """
-    return DistanceMatrix(n=graph.n, hops=_hop_levels(graph.structure_sparse()))
+    return DistanceMatrix(hops=_hop_levels(graph.structure_sparse()))
 
 
 def generate_er(n: int, p: float, directed: bool, seed: int) -> Graph:

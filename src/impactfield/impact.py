@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +30,6 @@ from .spectral import ModeSet, conjugate_partners, spectral_radius
 
 __all__ = [
     "WeightMatrix",
-    "ImpactKind",
     "ImpactMatrix",
     "build_weight",
     "gamma_grid",
@@ -55,26 +53,26 @@ class WeightMatrix:
     the impact series converges.
     """
 
-    n: int
     gamma: float
     rho: float
     W: np.ndarray
 
-
-class ImpactKind(str, Enum):
-    EXACT = "exact"
-    APPROX = "approx"
+    @property
+    def n(self) -> int:
+        return len(self.W)
 
 
 @dataclass(frozen=True, eq=False)
 class ImpactMatrix:
     """Total-impact values; entry (i, j) is the impact of j on i."""
 
-    n: int
     values: np.ndarray
-    kind: ImpactKind
     gamma: float
-    order: int | None = None
+    order: int | None = None  # approximation order; None marks the exact propagator
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
 
 def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> WeightMatrix:
@@ -101,7 +99,7 @@ def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> Weight
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
     w = np.zeros((graph.n, graph.n))
     w[src, dst] = (weights / rho) * gamma
-    return WeightMatrix(n=graph.n, gamma=gamma, rho=rho, W=w)
+    return WeightMatrix(gamma=gamma, rho=rho, W=w)
 
 
 def gamma_grid() -> list[float]:
@@ -183,7 +181,7 @@ def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) ->
     else:
         lu, piv = _factorize(system)
         values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
-    return ImpactMatrix(n=weight.n, values=values, kind=ImpactKind.EXACT, gamma=weight.gamma)
+    return ImpactMatrix(values=values, gamma=weight.gamma)
 
 
 def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
@@ -201,19 +199,18 @@ def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
     """Split a mode set into real terms: ``(mode, folded)`` per term.
 
     Partners come from ``conjugate_partners``. A mode that is its own
-    partner must have a real eigenvalue, gain and vectors, and is its own
-    term. Every other mode must be the exact conjugate (eigenvalue, gain
-    and both vectors) of its partner; the pair sums to twice the real
-    part of its first member, so ``folded`` is set and the partner
+    partner must have a real eigenvalue and vectors, and is its own
+    term. Every other mode must be the exact conjugate (eigenvalue and
+    both vectors, hence gain) of its partner; the pair sums to twice the
+    real part of its first member, so ``folded`` is set and the partner
     contributes no term of its own.
     """
-    values, gains = modes.eigenvalues, modes.gains
+    values = modes.eigenvalues
     right, left = modes.receive_vectors, modes.send_rows
     terms: list[tuple[int, bool]] = []
     for a, b in enumerate(conjugate_partners(values)):
         if b < 0 or not (
             values[b] == np.conj(values[a])
-            and gains[b] == np.conj(gains[a])
             and np.array_equal(right[:, b], np.conj(right[:, a]))
             and np.array_equal(left[b], np.conj(left[a]))
         ):
@@ -289,6 +286,4 @@ def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
         block = values[rows]
         kernel.add(block, rows)
         block[~dist.reachable[rows]] = 0.0
-    return ImpactMatrix(
-        n=n, values=values, kind=ImpactKind.APPROX, gamma=modes.gamma, order=modes.order
-    )
+    return ImpactMatrix(values=values, gamma=modes.gamma, order=modes.order)

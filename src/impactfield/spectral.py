@@ -82,12 +82,14 @@ class SpectralDecomposition:
     ``left_rows @ right_vectors`` is the identity.
     """
 
-    n: int
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_rows: np.ndarray
     residual: float
-    full: bool
+
+    @property
+    def n(self) -> int:
+        return len(self.right_vectors)
 
     @property
     def num_modes(self) -> int:
@@ -98,18 +100,21 @@ class SpectralDecomposition:
 class ModeSet:
     """Modes selected for a truncated impact approximation.
 
-    ``gains`` holds ``1 / (1 - gamma * eigenvalue)`` per mode. The set is
-    closed under complex conjugation, so summed contributions are real up
-    to rounding; the realized mode count can exceed ``order`` by the
-    conjugate partners that closure forced in.
+    The set is closed under complex conjugation, so summed contributions
+    are real up to rounding; the realized mode count can exceed ``order``
+    by the conjugate partners that closure forced in.
     """
 
     eigenvalues: np.ndarray
     receive_vectors: np.ndarray
     send_rows: np.ndarray
-    gains: np.ndarray
     order: int
     gamma: float
+
+    @property
+    def gains(self) -> np.ndarray:
+        """``1 / (1 - gamma * eigenvalue)`` per mode."""
+        return 1.0 / (1.0 - self.gamma * self.eigenvalues)
 
     @property
     def num_modes(self) -> int:
@@ -506,12 +511,7 @@ def decompose(
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}")
     return SpectralDecomposition(
-        n=graph.n,
-        eigenvalues=values,
-        right_vectors=right,
-        left_rows=left,
-        residual=residual,
-        full=len(values) == graph.n,
+        eigenvalues=values, right_vectors=right, left_rows=left, residual=residual
     )
 
 
@@ -538,13 +538,10 @@ def select_modes(decomposition: SpectralDecomposition, gamma: float, order: int)
             f"conjugate partner of eigenvalue {value!r} is not in the decomposition"
         )
     selected = np.union1d(np.arange(order), partners)
-    eigenvalues = values[selected]
-    gains = 1.0 / (1.0 - gamma * eigenvalues)
     return ModeSet(
-        eigenvalues=eigenvalues,
+        eigenvalues=values[selected],
         receive_vectors=np.ascontiguousarray(decomposition.right_vectors[:, selected]),
         send_rows=np.ascontiguousarray(decomposition.left_rows[selected, :]),
-        gains=gains,
         order=order,
         gamma=gamma,
     )

@@ -38,7 +38,6 @@ from impactfield.errors import (
 )
 from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize_weak
 from impactfield.impact import (
-    ImpactKind,
     ImpactMatrix,
     approx_impact,
     build_weight,
@@ -71,9 +70,8 @@ def approx_on(graph: Graph, gamma: float, order: int) -> ImpactMatrix:
 def test_dyad_mask_excludes_diagonal_and_unreachable() -> None:
     g = arcs(4, [(0, 1), (2, 3)], directed=False)
     dist = geodesic_distances(g)
-    mask = dist.dyad_mask
+    mask = dist.hops >= 1
     assert mask.sum() == 4  # (0,1), (1,0), (2,3), (3,2)
-    assert not mask.flags.writeable
     assert not mask.diagonal().any()
     assert not mask[0, 2] and not mask[2, 0]
     # reachability is read off the hop counts: the dyads plus the diagonal
@@ -116,7 +114,7 @@ def test_curve_matches_brute_force_per_distance_mean() -> None:
     values = np.random.default_rng(3).uniform(1.0, 2.0, (g.n, g.n))
     values[~dist.reachable] = 1e9
     np.fill_diagonal(values, 1e9)
-    impact = ImpactMatrix(n=g.n, values=values, kind=ImpactKind.EXACT, gamma=0.5)
+    impact = ImpactMatrix(values=values, gamma=0.5)
     totals: dict[int, float] = {}
     pairs: dict[int, int] = {}
     for i in range(g.n):
@@ -146,7 +144,7 @@ def test_curve_distances_strictly_increase() -> None:
 def test_empty_curve_is_an_error() -> None:
     g = Graph(n=3, directed=True, edges=((0, 1, 1.0), (1, 2, 1.0)))
     sub = Graph(n=3, directed=True, edges=())  # no finite off-diagonal distance
-    impact = ImpactMatrix(n=3, values=np.eye(3), kind=ImpactKind.EXACT, gamma=0.5)
+    impact = ImpactMatrix(values=np.eye(3), gamma=0.5)
     with pytest.raises(EmptyCurveError):
         mean_impact_by_distance(impact, geodesic_distances(sub))
     # sanity: the connected version works
@@ -155,7 +153,7 @@ def test_empty_curve_is_an_error() -> None:
 
 def test_curve_rejects_dimension_mismatch() -> None:
     g = three_cycle()
-    impact = ImpactMatrix(n=2, values=np.eye(2), kind=ImpactKind.EXACT, gamma=0.5)
+    impact = ImpactMatrix(values=np.eye(2), gamma=0.5)
     with pytest.raises(ValidationError):
         mean_impact_by_distance(impact, geodesic_distances(g))
 
@@ -235,12 +233,8 @@ def test_perfect_approximation_correlates_to_one() -> None:
 def test_correlation_is_affine_invariant() -> None:
     g = generate_er(n=15, p=0.3, directed=False, seed=23)
     exact = exact_on(g, 0.75)
-    shifted = ImpactMatrix(
-        n=g.n, values=2.0 * exact.values + 5.0, kind=ImpactKind.APPROX, gamma=0.75, order=1
-    )
-    flipped = ImpactMatrix(
-        n=g.n, values=-exact.values, kind=ImpactKind.APPROX, gamma=0.75, order=1
-    )
+    shifted = ImpactMatrix(values=2.0 * exact.values + 5.0, gamma=0.75, order=1)
+    flipped = ImpactMatrix(values=-exact.values, gamma=0.75, order=1)
     dist = geodesic_distances(g)
     assert dyad_correlation(exact, shifted, dist) == pytest.approx(1.0, abs=1e-12)
     assert dyad_correlation(exact, flipped, dist) == pytest.approx(-1.0, abs=1e-12)
@@ -257,9 +251,7 @@ def test_correlation_needs_three_dyads() -> None:
 def test_constant_vector_has_undefined_correlation() -> None:
     g = three_cycle()
     exact = exact_on(g, 0.5)
-    constant = ImpactMatrix(
-        n=3, values=np.ones((3, 3)), kind=ImpactKind.APPROX, gamma=0.5, order=1
-    )
+    constant = ImpactMatrix(values=np.ones((3, 3)), gamma=0.5, order=1)
     with pytest.raises(UndefinedCorrelationError):
         dyad_correlation(exact, constant, geodesic_distances(g))
 
@@ -271,11 +263,11 @@ def test_rounding_noise_is_no_variance() -> None:
     dist = geodesic_distances(g)
     values = np.full((3, 3), 0.4)
     values[0, 1] = np.nextafter(0.4, 1.0)
-    noisy = ImpactMatrix(n=3, values=values, kind=ImpactKind.APPROX, gamma=0.5, order=1)
+    noisy = ImpactMatrix(values=values, gamma=0.5, order=1)
     with pytest.raises(UndefinedCorrelationError):
         dyad_correlation(exact, noisy, dist)
     values[0, 1] = 0.4 * (1.0 + 1e-9)  # a real, if small, spread still correlates
-    spread = ImpactMatrix(n=3, values=values, kind=ImpactKind.APPROX, gamma=0.5, order=1)
+    spread = ImpactMatrix(values=values, gamma=0.5, order=1)
     assert -1.0 <= dyad_correlation(exact, spread, dist) <= 1.0
 
 
@@ -290,8 +282,8 @@ def test_correlation_validates_kind_and_gamma() -> None:
     g = three_cycle()
     exact = exact_on(g, 0.5)
     dist = geodesic_distances(g)
-    with pytest.raises(ValidationError):
-        dyad_correlation(exact, exact, dist)  # second argument not an approximation
+    with pytest.raises(ValidationError, match="approximation"):
+        dyad_correlation(exact, exact, dist)  # order None: an exact matrix
     mismatched = approx_on(g, 0.75, order=1)
     with pytest.raises(ValidationError):
         dyad_correlation(exact, mismatched, dist)
@@ -528,6 +520,33 @@ def test_symmetric_cell_holds_one_dense_matrix_until_its_pass(monkeypatch) -> No
     assert len(growth) == 1 and growth[0] < 1.5 * 8 * n * n
 
 
+def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:
+    # the pass reads each block's dyads through a block-sized mask, so a
+    # cached n x n bool mask (n^2 bytes) would show in its peak; two-row
+    # blocks keep the pass's own O(n) arrays near a third of the bound
+    n = 800
+    peaks: list[int] = []
+    dyad_pass = impactfield.analysis._dyad_pass
+
+    def measuring_dyad_pass(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = dyad_pass(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", 2 * n)
+    monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
+    tracemalloc.start()
+    try:
+        cells = run_study(g, gammas=[0.875], orders=(1, 2))
+    finally:
+        tracemalloc.stop()
+    assert [cell.error for cell in cells] == [None]
+    assert len(peaks) == 1 and peaks[0] < n * n / 2
+
+
 def sink_rows_digraph() -> Graph:
     # nodes 0-2 are sinks, so their rows of the hop matrix hold no dyad
     cycle = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (4, 9)]
@@ -554,7 +573,7 @@ def test_blocked_statistics_match_the_whole_matrix_ones(monkeypatch, graph, rows
     assert cells and all(cell.error is None for cell in cells)
     # the symmetrized digraph has no sinks
     empty = [cell for cell in cells if cell.treatment is Treatment.DIRECTED or not graph.directed]
-    assert empty and not any(cell.distances.dyad_mask[:3].any() for cell in empty)
+    assert empty and not any((cell.distances.hops[:3] >= 1).any() for cell in empty)
     for cell in cells:
         assert cell.curve == mean_impact_by_distance(cell.exact, cell.distances)
         assert [record.order for record in cell.correlations] == list(orders)

@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 import impactfield
 from impactfield import cli
-from impactfield.analysis import Treatment
+from impactfield.analysis import DEFAULT_FIT_RANGE, DEFAULT_ORDERS, Treatment, run_study
 from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
@@ -36,7 +36,13 @@ from util import (
 )
 
 # one bad value per study option, shared by analyze and replicate
-BAD_STUDY_OPTIONS = [["--gamma", "1.5"], ["--orders", "0"], ["--fit-range", "6,1"]]
+BAD_STUDY_OPTIONS = [
+    ["--gamma", "1.5"],
+    ["--orders", "0"],
+    ["--fit-range", "6,1"],
+    ["--fit-range", "3,3"],  # holds one distance: no fit is possible
+    ["--fit-range", "0,1"],
+]
 
 TWO_CYCLE = "a b\n"
 TRIANGLE = "a b\nb c\nc a\n"
@@ -124,9 +130,10 @@ def test_analyze_paw_grid(tmp_path) -> None:
     assert {network for network, _, _ in correlations} == {"paw"}
 
 
-def test_analyze_transitive_graph_suppresses_constant_correlations(tmp_path) -> None:
+def test_analyze_transitive_graph_suppresses_constant_correlations(tmp_path, capsys) -> None:
     # every dyad of the triangle sits at distance 1 with identical
-    # impact, so the correlation is undefined; the run still succeeds
+    # impact, so the correlation is undefined and the single distance
+    # cannot be fit; the run still succeeds and says why on stderr
     out = tmp_path / "out"
     code = main(
         [
@@ -143,6 +150,10 @@ def test_analyze_transitive_graph_suppresses_constant_correlations(tmp_path) -> 
     assert code == 0
     correlations = read_correlations_csv(out / "correlations.csv")
     assert all(record.order != 1 for records in correlations.values() for record in records)
+    notes = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("impactfield: cell tri/symmetrized/gamma=0.5: ") for line in notes)
+    assert "fit skipped" in notes[0]
+    assert "order=1 correlation suppressed" in notes[1]
 
 
 def test_analyze_directed_with_symmetrize_runs_both_treatments(tmp_path) -> None:
@@ -239,6 +250,35 @@ def test_analyze_rejects_malformed_generator_spec(tmp_path, capsys, spec) -> Non
 def test_generator_spec_reads_directed_case_insensitively(value, directed) -> None:
     graph = cli._parse_generator_spec(f"er:n=8,p=0.5,directed={value}", directed, 0)
     assert graph.directed is directed
+
+
+def test_repeated_gamma_is_one_cell(tmp_path) -> None:
+    spec = ["analyze", "--input", "er:n=40,p=0.1,seed=1", "--undirected", "--dyads"]
+    assert main(spec + ["--gamma", "0.5", "--out", str(tmp_path / "once")]) == 0
+    assert main(spec + ["--gamma", "0.5", "--gamma", "0.5", "--out", str(tmp_path / "twice")]) == 0
+    names = sorted(path.name for path in (tmp_path / "once").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "twice").iterdir())
+    for name in names:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "twice" / name).read_bytes()
+    graph = generate_er(n=20, p=0.2, directed=True, seed=41)
+    cells = run_study(graph, gammas=[0.5, 0.5])
+    assert [(cell.treatment, cell.gamma) for cell in cells] == [
+        (Treatment.DIRECTED, 0.5),
+        (Treatment.SYMMETRIZED, 0.5),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "x", "--undirected", "--out", "x"],
+        ["replicate", "--corpus", "x", "--out", "x"],
+    ],
+)
+def test_study_option_defaults_are_the_library_ones(argv) -> None:
+    study = cli._study_options(cli.build_parser().parse_args(argv))
+    assert study["orders"] == DEFAULT_ORDERS
+    assert study["fit_range"] == DEFAULT_FIT_RANGE
 
 
 def test_analyze_is_deterministic(tmp_path) -> None:

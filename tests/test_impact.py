@@ -22,7 +22,6 @@ from impactfield.errors import (
 )
 from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
-    ImpactKind,
     WeightMatrix,
     _real_terms,
     approx_impact,
@@ -120,7 +119,7 @@ def test_two_cycle_propagator_closed_form() -> None:
     exact = exact_propagator(build_weight(two_cycle(), gamma=0.5))
     expected = np.array([[4.0, 2.0], [2.0, 4.0]]) / 3.0
     assert np.max(np.abs(exact.values - expected)) < 1e-12
-    assert exact.kind is ImpactKind.EXACT
+    assert exact.order is None
 
 
 def test_three_cycle_propagator_closed_form() -> None:
@@ -170,7 +169,7 @@ def test_symmetric_route_matches_lu_on_identity_corpus() -> None:
 )
 def test_singular_system_is_refused_on_both_routes(w) -> None:
     w = np.array(w)
-    weight = WeightMatrix(n=2, gamma=0.5, rho=1.0, W=w)
+    weight = WeightMatrix(gamma=0.5, rho=1.0, W=w)
     with pytest.raises(SolverError):
         exact_propagator(weight)
 
@@ -214,7 +213,7 @@ def test_series_with_one_term_is_identity_plus_weight() -> None:
     w = build_weight(two_cycle(), gamma=0.5)
     series = series_oracle(w, terms=1)
     assert np.array_equal(series.values, np.eye(2) + w.W)
-    assert series.kind is ImpactKind.EXACT
+    assert series.order is None
 
 
 def test_series_rejects_nonpositive_terms() -> None:
@@ -293,7 +292,6 @@ def test_first_order_approx_on_single_edge() -> None:
     modes = select_modes(decompose(g), gamma=0.5, order=1)
     approx = approx_impact(modes, geodesic_distances(g))
     assert approx.values == pytest.approx(np.array([[1.0, 0.5], [0.5, 1.0]]), abs=1e-12)
-    assert approx.kind is ImpactKind.APPROX
     assert approx.order == 1
 
 
@@ -428,7 +426,6 @@ def test_inexact_conjugate_partner_is_detected() -> None:
         eigenvalues=modes.eigenvalues,
         receive_vectors=modes.receive_vectors,
         send_rows=send_rows,
-        gains=modes.gains,
         order=2,
         gamma=0.5,
     )
@@ -450,7 +447,6 @@ def test_broken_conjugate_closure_is_detected() -> None:
         eigenvalues=dec.eigenvalues[1:2],
         receive_vectors=dec.right_vectors[:, 1:2],
         send_rows=dec.left_rows[1:2, :],
-        gains=1.0 / (1.0 - gamma * dec.eigenvalues[1:2]),
         order=1,
         gamma=gamma,
     )
@@ -507,7 +503,7 @@ def test_distance_factorization_is_an_identity_on_the_three_cycle() -> None:
     exact = exact_propagator(w)
     refactored = distance_factored_impact(w, geodesic_distances(g))
     assert np.max(np.abs(refactored.values - exact.values)) < 1e-12
-    assert refactored.kind is ImpactKind.EXACT
+    assert refactored.order is None
 
 
 def test_distance_factorization_matches_exact_on_random_graphs() -> None:

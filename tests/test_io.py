@@ -11,7 +11,7 @@ import pytest
 
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
-from impactfield.impact import ImpactKind, ImpactMatrix
+from impactfield.impact import ImpactMatrix
 from impactfield.io import DYAD_BLOCK_ROWS, atomic_write_text, write_dyads_csv
 
 from util import arcs, hop_distance, read_dyads_csv, rowwise_dyads_csv
@@ -127,9 +127,8 @@ def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-20, 20, (4, 4))
     values.flat[: len(special)] = special
-    exact = ImpactMatrix(n=4, values=values, kind=ImpactKind.EXACT, gamma=0.5)
-    approx = ImpactMatrix(n=4, values=values[::-1].copy(), kind=ImpactKind.APPROX, gamma=0.5,
-                          order=1)
+    exact = ImpactMatrix(values=values, gamma=0.5)
+    approx = ImpactMatrix(values=values[::-1].copy(), gamma=0.5, order=1)
     dist = geodesic_distances(graph)
     path, reference = tmp_path / "dyads.csv", tmp_path / "reference.csv"
     write_dyads_csv(path, graph, dist, exact, {1: approx})
@@ -140,7 +139,7 @@ def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
 @pytest.mark.parametrize("n", [0, 1])
 def test_dyad_dump_of_a_graph_without_pairs_is_the_header(tmp_path, n) -> None:
     graph = Graph(n=n, directed=False, edges=())
-    empty = ImpactMatrix(n=n, values=np.zeros((n, n)), kind=ImpactKind.EXACT, gamma=0.5)
+    empty = ImpactMatrix(values=np.zeros((n, n)), gamma=0.5)
     path = tmp_path / "dyads.csv"
     write_dyads_csv(path, graph, geodesic_distances(graph), empty, {})
     assert path.read_text() == "src,dst,dist,exact\n"

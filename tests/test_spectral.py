@@ -189,7 +189,7 @@ def test_edgeless_graph_warns_on_every_call() -> None:
 def test_single_edge_decomposition() -> None:
     g = arcs(2, [(0, 1)], directed=False)
     dec = decompose(g)
-    assert dec.full
+    assert dec.num_modes == dec.n == 2
     assert dec.eigenvalues == pytest.approx([1.0, -1.0], abs=1e-12)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     assert dec.right_vectors[:, 0] == pytest.approx([inv_sqrt2, inv_sqrt2], abs=1e-12)
@@ -474,7 +474,7 @@ def test_truncated_dense_matches_full_prefix() -> None:
     g = generate_er(n=20, p=0.3, directed=False, seed=57)
     full = decompose(g)
     part = decompose(g, k=5)
-    assert not part.full
+    assert part.num_modes < part.n == g.n
     m = part.num_modes
     assert m >= 5
     assert np.array_equal(part.eigenvalues, full.eigenvalues[:m])

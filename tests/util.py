@@ -16,7 +16,7 @@ from impactfield import Graph, build_weight, exact_propagator, generate_er
 from impactfield.analysis import CorrelationRecord, CurvePoint, DecayCurve, ExponentialFit, Treatment
 from impactfield.errors import ConjugateClosureError, GraphValidationError, ValidationError
 from impactfield.graph import DistanceMatrix
-from impactfield.impact import ImpactKind, ImpactMatrix, WeightMatrix
+from impactfield.impact import ImpactMatrix, WeightMatrix
 from impactfield.io import (
     CORRELATIONS_HEADER,
     CURVES_HEADER,
@@ -194,7 +194,7 @@ def series_oracle(weight: WeightMatrix, terms: int) -> ImpactMatrix:
     for _ in range(1, terms):
         power = power @ weight.W
         total += power
-    return ImpactMatrix(n=weight.n, values=total, kind=ImpactKind.EXACT, gamma=weight.gamma)
+    return ImpactMatrix(values=total, gamma=weight.gamma)
 
 
 def series_terms_for_tolerance(gamma: float, tol: float = 1e-12) -> int:
@@ -225,7 +225,7 @@ def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> Impa
         out[mask] = current[mask]
         if d < dmax:
             current = weight.W @ current
-    return ImpactMatrix(n=weight.n, values=out, kind=ImpactKind.EXACT, gamma=weight.gamma)
+    return ImpactMatrix(values=out, gamma=weight.gamma)
 
 
 def rowwise_dyads_csv(
