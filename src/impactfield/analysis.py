@@ -384,7 +384,6 @@ def run_study(
     for treatment, treated in _study_treatments(graph, treatments):
         try:
             dist = geodesic_distances(treated)
-            rho = spectral_radius(treated, dense_threshold=dense_threshold)
             # only the leading modes feed the approximations, and asking
             # for just those keeps defective transient structure out of
             # the directed decomposition
@@ -396,6 +395,8 @@ def run_study(
             decomposition = decompose(
                 treated, normalize=True, k=k, dense_threshold=dense_threshold
             )
+            # the radius decompose normalized by, stored on treated
+            rho = spectral_radius(treated, dense_threshold=dense_threshold)
         except ImpactfieldError as exc:
             cells.extend(_failed_cell(network, treatment, gamma, exc) for gamma in gammas)
             continue

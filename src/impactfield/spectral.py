@@ -4,6 +4,11 @@ Provides the spectral radius, dense and iterative decompositions with
 dual left rows, and greedy mode selection with conjugate closure so
 that truncated sums stay real.
 
+At or below the dense threshold one eigensolve of ``A`` itself serves
+both the radius and the decomposition: rho is the largest modulus of
+its spectrum (cross-checked against ARPACK) and the eigenvalues are
+divided by it. Above the threshold ARPACK solves ``B = A / rho``.
+
 Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
 above the dense threshold), so the left rows are the transposed right
 vectors. For directed graphs the left rows always come from one Gram
@@ -70,6 +75,7 @@ DEFAULT_DENSE_THRESHOLD = 2000
 _PAIR_TOL = 1e-10
 _MATCH_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
+_ZERO_RADIUS = "cannot normalize: spectral radius is zero"
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +260,11 @@ def _arpack_radius(graph: Graph) -> float:
     return float(np.max(np.abs(vals))) * scale
 
 
+def _nilpotent(graph: Graph) -> bool:
+    """Radius 0 by structure: every weight zero, or an acyclic digraph."""
+    return not graph._arcs[2].any() or graph.directed and _is_acyclic(graph)
+
+
 def _is_acyclic(graph: Graph) -> bool:
     # no self-loops exist, so the digraph is acyclic exactly when every
     # strongly connected component is a single node
@@ -276,10 +287,13 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     downstream normalization must reject it. A radius that
     overflows to a non-finite value raises NormalizationError.
 
-    The eigensolve runs once per Graph instance and route (dense or
+    The radius is solved once per Graph instance and route (dense or
     iterative); later calls on that instance, as from ``decompose`` and
-    ``build_weight``, return the stored value. An equal but distinct
-    Graph computes its own; a raising call stores nothing.
+    ``build_weight``, return the stored value. On the dense route a
+    normalizing ``decompose`` that runs first stores the largest modulus
+    of its own spectrum, after the same cross-check, so no separate
+    radius solve runs. An equal but distinct Graph computes its own; a
+    raising call stores nothing.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -290,19 +304,23 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
             stacklevel=2,
         )
         return 0.0
-    if not graph._arcs[2].any() or graph.directed and _is_acyclic(graph):
+    if _nilpotent(graph):
         return 0.0
+    return _stored_radius(graph, graph.n <= dense_threshold)
+
+
+def _stored_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None = None) -> float:
+    """The radius stored on ``graph`` for one route; ``spectrum`` spares the dense solve."""
     radii = vars(graph).setdefault("_spectral_radii", {})
-    dense_route = graph.n <= dense_threshold
     if dense_route not in radii:
-        radius = _eigensolver_radius(graph, dense_route)
+        radius = _eigensolver_radius(graph, dense_route, spectrum)
         if not np.isfinite(radius):
             raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
         radii[dense_route] = radius
     return radii[dense_route]
 
 
-def _eigensolver_radius(graph: Graph, dense_route: bool) -> float:
+def _eigensolver_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None) -> float:
     iterative: float | None = None
     if graph.n > 2:
         try:
@@ -312,20 +330,21 @@ def _eigensolver_radius(graph: Graph, dense_route: bool) -> float:
             # nothing to fall back on.
             if not dense_route:
                 raise
-    if dense_route or iterative is None:
+    if not dense_route and iterative is not None:
+        return iterative
+    if spectrum is None:
         # an undirected adjacency is symmetric, so the symmetric solver
-        # (syevd, see _dense_eigenpairs) suffices
+        # (syevd, see _dense_spectrum) suffices
         if graph.directed:
             spectrum = _dense_eig(sla.eigvals, graph.adjacency())
         else:
             spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
-        dense = float(np.max(np.abs(spectrum)))
-        if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
-            raise ConvergenceError(
-                f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
-            )
-        return dense
-    return iterative
+    dense = float(np.max(np.abs(spectrum)))
+    if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
+        raise ConvergenceError(
+            f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
+        )
+    return dense
 
 
 def _dual_rows(values, right, keep, left_values, left):
@@ -361,13 +380,26 @@ def _dual_rows(values, right, keep, left_values, left):
     return sla.solve(gram, conj_left, assume_a="gen")
 
 
-def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
-    """Leading eigenpairs of a dense matrix from one eigensolver call."""
+def _dense_spectrum(graph: Graph):
+    """Eigenvalues, right and left vectors of ``A`` itself (no left ones if symmetric)."""
     if not graph.directed:
         # driver evd is LAPACK syevd, as in numpy's eigh; scipy's default
         # (evr) is slower at these sizes and gives other bits
-        return _symmetric_modes(*_dense_eig(sla.eigh, b, driver="evd"), k)
-    values, left, right = _dense_eig(sla.eig, b, left=True, right=True)
+        return *_dense_eig(sla.eigh, graph.adjacency(), driver="evd"), None
+    values, left, right = _dense_eig(sla.eig, graph.adjacency(), left=True, right=True)
+    return values, right, left
+
+
+def _dense_eigenpairs(graph: Graph, spectrum, rho: float, k: int | None):
+    """Leading eigenpairs of ``B = A / rho`` from the dense spectrum of ``A``.
+
+    The eigenvalues are divided first, so every tolerance below applies
+    at the scale of ``B``; scaling leaves the eigenvectors as they are.
+    """
+    values, right, left = spectrum
+    values = values / rho
+    if left is None:
+        return _symmetric_modes(values, right, k)
     # geev may return a repeated real eigenvalue as a conjugate pair with a
     # rounding-level imaginary part (positive member first); the real and
     # imaginary parts of the pair's vectors span the same eigenspace
@@ -382,7 +414,7 @@ def _dense_eigenpairs(graph: Graph, b: np.ndarray, k: int | None):
     left = _dual_rows(values, right, keep, values, left)
     if keep == graph.n:
         # what a full decomposition promises is reconstruction
-        rebuilt_error = np.max(np.abs((right * values) @ left - b))
+        rebuilt_error = np.max(np.abs((right * values) @ left - graph.adjacency() / rho))
         if rebuilt_error > 1e-6:
             raise DefectivenessError(
                 f"eigenbasis reconstruction is off by {rebuilt_error:.3e}; the matrix "
@@ -452,7 +484,10 @@ def decompose(
     graph : Graph
         Must have at least one edge.
     normalize : bool
-        Decompose ``B = A / rho(A)`` instead of the raw adjacency.
+        Decompose ``B = A / rho(A)`` instead of the raw adjacency. A zero
+        radius raises NormalizationError before any eigensolve. On the
+        dense route rho is the one ``spectral_radius`` has stored, else
+        the largest modulus of this decomposition's spectrum, stored.
     k : int or None
         Number of largest-modulus eigenpairs to keep; None (or n) keeps
         all n. The kept set never splits a conjugate pair, so the
@@ -464,9 +499,10 @@ def decompose(
         so sparse digraphs whose transient part is defective at eigenvalue
         zero still decompose.
     dense_threshold : int
-        At or below this size one dense eigensolve backs the result (see
-        the module docstring); above it an iterative solver computes k
-        pairs and their dual left rows (k is then required).
+        At or below this size one dense eigensolve of ``A`` backs the
+        result, radius included (see the module docstring); above it an
+        iterative solver computes k pairs of ``B`` and their dual left
+        rows (k is then required).
     """
     if graph.n == 0 or not graph.edges:
         raise ValidationError("decomposition requires a graph with at least one edge")
@@ -482,15 +518,23 @@ def decompose(
             stacklevel=2,
         )
 
+    if normalize and _nilpotent(graph):
+        raise NormalizationError(_ZERO_RADIUS)
+    dense_route = graph.n <= dense_threshold
+    if dense_route:
+        spectrum = _dense_spectrum(graph)
+        if normalize:
+            # the radius is the largest modulus of this same spectrum
+            _stored_radius(graph, dense_route=True, spectrum=spectrum[0])
     rho = 1.0
     if normalize:
         rho = spectral_radius(graph, dense_threshold=dense_threshold)
         if rho == 0.0:
-            raise NormalizationError("cannot normalize: spectral radius is zero")
+            raise NormalizationError(_ZERO_RADIUS)
 
     b_sparse = graph.adjacency_sparse() / rho
-    if graph.n <= dense_threshold:
-        values, right, left = _dense_eigenpairs(graph, graph.adjacency() / rho, k)
+    if dense_route:
+        values, right, left = _dense_eigenpairs(graph, spectrum, rho, k)
     else:
         if k is None:
             raise ValidationError(

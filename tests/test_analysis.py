@@ -47,7 +47,7 @@ from impactfield.impact import (
 from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_csv
 from impactfield.spectral import decompose, select_modes
 
-from util import arcs, read_correlations_csv, read_curves_csv, read_fits_csv
+from util import arcs, count_calls, read_correlations_csv, read_curves_csv, read_fits_csv
 
 
 def three_cycle():
@@ -332,25 +332,26 @@ def test_study_calls_no_numpy_lapack(monkeypatch, directed) -> None:
 
 
 def test_study_runs_one_dense_radius_eigensolve_per_treatment(monkeypatch) -> None:
-    # run_study and decompose both ask for the radius of the same Graph;
-    # only the first call may solve
-    calls = {"eigvals": 0, "eigvalsh": 0}
-
-    def counting(name):
-        solver = getattr(scipy.linalg, name)
-
-        def count(*args, **kwargs):
-            calls[name] += 1
-            return solver(*args, **kwargs)
-
-        return count
-
-    for name in calls:
-        monkeypatch.setattr(scipy.linalg, name, counting(name))
+    # the radius is the largest modulus of the decomposition's own
+    # spectrum, so each treatment runs one dense eigensolve and no other
+    calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh"))
     g = generate_er(30, 0.15, directed=True, seed=3)
     cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
     assert len(cells) == 4 and all(cell.error is None for cell in cells)
-    assert calls == {"eigvals": 1, "eigvalsh": 1}
+    assert calls == {"eig": 1, "eigh": 1, "eigvals": 0, "eigvalsh": 0}
+
+
+def test_study_fails_cells_whose_radius_estimates_disagree(monkeypatch) -> None:
+    # the dense radius comes from the decomposition's own spectrum, and the
+    # ARPACK cross-check still guards it
+    def off(graph: Graph) -> float:
+        return float(np.max(np.abs(scipy.linalg.eigvals(graph.adjacency())))) * (1 + 1e-6)
+
+    monkeypatch.setattr("impactfield.spectral._arpack_radius", off)
+    g = generate_er(30, 0.15, directed=True, seed=3)
+    cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
+    assert len(cells) == 4
+    assert all(cell.error_code == 3 and "disagrees" in cell.error for cell in cells)
 
 
 def _scaled(graph: Graph, factor: float) -> Graph:

@@ -366,12 +366,15 @@ def test_analyze_dense_eigensolver_failure_exits_three(tmp_path, capsys, monkeyp
     def fail(matrix, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    for solver in ("eigvals", "eigvalsh"):
+    # the radius and the decomposition share one eigensolve, whichever it is
+    for solver in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(scipy.linalg, solver, fail)
-    code = main(["analyze", "--input", write_input(tmp_path, "paw.txt", PAW), "--undirected",
-                 "--gamma", "0.5", "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "did not converge" in capsys.readouterr().err
+    path = write_input(tmp_path, "paw.txt", PAW)
+    for treatment in ("--undirected", "--directed"):
+        code = main(["analyze", "--input", path, treatment, "--gamma", "0.5",
+                     "--out", str(tmp_path / treatment.lstrip("-"))])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 def test_analyze_failed_cell_names_the_cell(tmp_path, capsys) -> None:

@@ -21,11 +21,11 @@ from impactfield.errors import (
     NormalizationError,
     ValidationError,
 )
-from impactfield.graph import Graph, generate_er, geodesic_distances
+from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize_weak
 from impactfield.impact import approx_impact
 from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
 
-from util import arcs, twin_components, twin_three_cycles
+from util import arcs, count_calls, twin_components, twin_three_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +133,13 @@ def test_radius_is_stored_on_the_instance_not_shared_by_equal_graphs(monkeypatch
 def test_radius_is_stored_per_route(monkeypatch) -> None:
     g = generate_er(n=30, p=0.2, directed=True, seed=5)
     dense = spectral_radius(g)
-    calls = []
-    eigs = spla.eigs
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigs(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigs", counting)
+    calls = count_calls(monkeypatch, spla, ("eigs",))
     iterative = spectral_radius(g, dense_threshold=10)
-    assert len(calls) == 1
+    assert calls["eigs"] == 1
     assert iterative == pytest.approx(dense, rel=1e-8)
     assert spectral_radius(g, dense_threshold=10) == iterative
     assert spectral_radius(g) == dense
-    assert len(calls) == 1
+    assert calls["eigs"] == 1
 
 
 def test_radius_failure_is_not_stored(monkeypatch) -> None:
@@ -389,6 +382,75 @@ def test_acyclic_graph_cannot_be_normalized() -> None:
     g = arcs(3, [(0, 1), (1, 2)])
     with pytest.raises(NormalizationError):
         decompose(g, normalize=True)
+
+
+def _dense_radius(graph: Graph) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(graph.adjacency()))))
+
+
+def test_decompose_keeps_the_radius_gate(monkeypatch) -> None:
+    g = generate_er(n=40, p=0.1, directed=True, seed=2)
+    monkeypatch.setattr(
+        "impactfield.spectral._arpack_radius", lambda graph: _dense_radius(graph) * (1 + 1e-6)
+    )
+    with pytest.raises(ConvergenceError, match="disagrees"):
+        decompose(g, k=5)
+    assert vars(g).get("_spectral_radii", {}) == {}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        arcs(5, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (3, 4), (0, 4)]),
+        arcs(3, [(0, 1), (1, 2), (2, 0)], weight=0.0),
+        arcs(3, [(0, 1), (1, 2), (2, 0)], directed=False, weight=0.0),
+    ],
+    ids=["acyclic", "zero-weight-directed", "zero-weight-undirected"],
+)
+def test_zero_radius_is_refused_before_any_dense_eigensolve(monkeypatch, graph) -> None:
+    calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh"))
+    for k in (None, 2):
+        with pytest.raises(NormalizationError, match="^cannot normalize: spectral radius is zero$"):
+            decompose(graph, k=k)
+    assert calls == {"eig": 0, "eigh": 0, "eigvals": 0, "eigvalsh": 0}
+
+
+def test_zero_radius_of_a_cycle_with_a_zero_weight_is_refused() -> None:
+    # the cycle rules out the structural test, so the solve finds the zero
+    g = Graph(n=2, directed=True, edges=((0, 1, 1.0), (1, 0, 0.0)))
+    with pytest.raises(NormalizationError, match="^cannot normalize: spectral radius is zero$"):
+        decompose(g)
+    assert spectral_radius(g) == 0.0
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_decompose_stores_the_radius_it_divides_by(monkeypatch, directed) -> None:
+    g = generate_er(n=40, p=0.1, directed=directed, seed=2)
+    dec = decompose(g, k=6)
+    calls = count_calls(monkeypatch, scipy.linalg, ("eigvals", "eigvalsh"))
+    rho = spectral_radius(g)
+    assert calls == {"eigvals": 0, "eigvalsh": 0}
+    assert rho == pytest.approx(_dense_radius(g), rel=1e-13)
+    assert abs(np.abs(dec.eigenvalues).max() - 1.0) <= 4e-16
+
+
+@pytest.mark.parametrize("treated", ["directed", "symmetrized"])
+def test_kept_projector_does_not_depend_on_a_prior_radius_call(treated) -> None:
+    def fresh() -> Graph:
+        g = generate_er(n=60, p=0.08, directed=True, seed=4)
+        return g if treated == "directed" else symmetrize_weak(g)
+
+    alone = decompose(fresh(), k=6)
+    g = fresh()
+    spectral_radius(g)
+    after = decompose(g, k=6)
+    assert alone.num_modes == after.num_modes
+    np.testing.assert_allclose(
+        after.right_vectors @ after.left_rows,
+        alone.right_vectors @ alone.left_rows,
+        rtol=0.0,
+        atol=1e-12,
+    )
 
 
 def test_iterative_route_requires_k() -> None:

@@ -37,6 +37,27 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
     return Graph(n=n, directed=directed, edges=tuple(edges))
 
 
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Count calls to each named function of ``module`` while the patch lasts.
+
+    Returns the live counts, keyed by name, starting at zero.
+    """
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        function = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return count
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
 def loop_adjacency(graph: Graph) -> np.ndarray:
     """Reference dense adjacency: one assignment per arc."""
     a = np.zeros((graph.n, graph.n))
