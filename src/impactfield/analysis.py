@@ -156,6 +156,7 @@ def mean_impact_by_distance(impact: ImpactMatrix, dist: DistanceMatrix) -> Decay
         raise ValidationError("impact matrix and distances must agree on n")
     counts = _pair_counts(dist)
     sums = np.zeros(len(counts))
+    # add.at casts narrow indices through a small buffer, not as a whole
     np.add.at(sums, dist.hops.ravel(), impact.values.ravel())
     return _curve(sums, counts)
 
@@ -292,7 +293,8 @@ def _dyad_pass(
     buffer = np.empty((kernel.height, dist.n))
     for rows in kernel.blocks:
         exact_rows = exact.values[rows]
-        hops = dist.hops[rows]
+        # one cast of the narrow hop counts serves every term's table gather
+        hops = dist.hops[rows].astype(np.intp)
         # add.at adds pair by pair in row-major order, as a single call on
         # the whole matrix does, so the curve's bits do not depend on blocks
         np.add.at(sums, hops.ravel(), exact_rows.ravel())
@@ -306,7 +308,7 @@ def _dyad_pass(
         block.fill(0.0)
         done = 0
         for cut, moment in zip(cuts, moments):
-            kernel.add(block, rows, done, cut)
+            kernel.add(block, rows, hops, done, cut)
             done = cut
             moment.merge(x, x_mean, x_ss, block[mask])
     return sums, moments

@@ -218,6 +218,12 @@ class DistanceMatrix:
     per-distance table directly, and ``hops >= 1`` is exactly the set of
     dyads: the ordered pairs at finite hop distance >= 1.
 
+    ``hops`` comes from ``geodesic_distances`` in the narrowest unsigned
+    type that holds n - 1 hops: uint8 up to n = 256, uint16 up to 65,536.
+    numpy casts a narrower index array to intp, whole, on every gather
+    (``np.add.at`` casts through a small buffer instead), so a reader
+    that gathers with hops casts one block of rows at a time.
+
     ``reachable`` adds the diagonal to the dyads. ``pair_counts[d]``
     counts the pairs at d >= 1 hops; its bin 0 lumps the diagonal with
     the unreachable pairs and is never a distance. These arrays are
@@ -240,7 +246,10 @@ class DistanceMatrix:
 
     @cached_property
     def pair_counts(self) -> np.ndarray:
-        counts = np.bincount(self.hops.ravel(), minlength=1)
+        # bincount casts its input to intp, so it counts one row at a time
+        counts = np.zeros(int(self.hops.max(initial=0)) + 1, dtype=np.intp)
+        for row in self.hops:
+            counts += np.bincount(row, minlength=len(counts))
         counts.flags.writeable = False
         return counts
 
@@ -255,6 +264,9 @@ _FRONTIER_LEVELS = 32
 def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     """All-pairs hop counts of a 0/1 structure matrix; 0 where no path exists.
 
+    The counts come in ``np.min_scalar_type(n - 1)``, the narrowest
+    unsigned type that holds the longest possible geodesic.
+
     Breadth-first search from every node at once, as boolean sparse times
     dense products. Column t of ``front`` holds the nodes whose shortest
     path to t has the current length; one product with the structure
@@ -268,7 +280,7 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     arcs = structure.astype(bool)
     front = np.eye(n, dtype=bool)
     unseen = ~front
-    levels = np.zeros((n, n), dtype=np.uint8)
+    hops = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
     for level in range(1, _FRONTIER_LEVELS + 1):
         # boolean products add by logical or, so no count can overflow
         front = arcs @ front
@@ -276,8 +288,7 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
         if not front.any():
             break
         unseen ^= front
-        np.copyto(levels, level, where=front)
-    hops = levels.astype(np.int64)
+        np.copyto(hops, level, where=front)
     active = np.flatnonzero(front.any(axis=0))
     if active.size:
         dist = csgraph.shortest_path(
@@ -296,6 +307,9 @@ def geodesic_distances(graph: Graph) -> DistanceMatrix:
     path). The search runs from every node at once, one hop level per
     sparse product; nodes whose search outlasts a fixed number of levels
     are finished by csgraph's per-node search, with the same counts.
+    The counts are stored in the narrowest unsigned type that holds
+    n - 1, so the n x n array takes n^2 bytes up to n = 256 and 2 n^2
+    bytes beyond.
     """
     return DistanceMatrix(hops=_hop_levels(graph.structure_sparse()))
 

@@ -236,8 +236,7 @@ class _TermKernel:
 
     def __init__(self, modes: ModeSet, dist: DistanceMatrix) -> None:
         n = dist.n
-        self.hops = dist.hops
-        exponents = np.arange(int(self.hops.max(initial=0)) + 1)
+        exponents = np.arange(int(dist.hops.max(initial=0)) + 1)
         self.terms = []
         for mode, folded in _real_terms(modes):
             table = modes.gains[mode] * np.power(modes.gamma * modes.eigenvalues[mode], exponents)
@@ -250,9 +249,19 @@ class _TermKernel:
         self.height = height = max(1, _BLOCK_ENTRIES // max(n, 1))
         self.blocks = [slice(start, min(start + height, n)) for start in range(0, n, height)]
 
-    def add(self, block: np.ndarray, rows: slice, start: int = 0, stop: int | None = None) -> None:
-        """Add terms ``start:stop`` at rows ``rows`` to ``block``."""
-        hops = self.hops[rows]
+    def add(
+        self,
+        block: np.ndarray,
+        rows: slice,
+        hops: np.ndarray,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> None:
+        """Add terms ``start:stop`` at rows ``rows``, with hop counts ``hops``, to ``block``.
+
+        ``hops`` holds the rows' hop counts as intp, cast once by the
+        caller, so no term's table gather casts them again.
+        """
         for real, imag, receive, send in self.terms[start:stop]:
             outer = np.outer(receive[rows], send)
             if imag is None:
@@ -284,6 +293,6 @@ def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
     values = np.zeros((n, n))
     for rows in kernel.blocks:
         block = values[rows]
-        kernel.add(block, rows)
+        kernel.add(block, rows, dist.hops[rows].astype(np.intp))
         block[~dist.reachable[rows]] = 0.0
     return ImpactMatrix(values=values, gamma=modes.gamma, order=modes.order)

@@ -9,6 +9,7 @@ partial file behind.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import csv
@@ -165,7 +166,7 @@ def write_dyads_csv(
         return
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
     # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
-    top = dist.hops.max(initial=0)
+    top = int(dist.hops.max(initial=0))
     hop_text = np.array(["inf"] + [str(d) for d in range(1, top + 1)], dtype=object)
     values = [exact.values] + [approximations[order].values for order in orders]
     starts = range(0, n, DYAD_BLOCK_ROWS)
@@ -218,9 +219,26 @@ def _block_map(blocks: int) -> Iterator[Callable]:
         return
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     try:
-        yield pool.map
+        yield functools.partial(_bounded_map, pool, 2 * workers)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _bounded_map(
+    pool: concurrent.futures.Executor, ahead: int, fn: Callable, *iterables: Iterable
+) -> Iterator:
+    """``pool.map`` that submits at most ``ahead`` calls the consumer has not taken.
+
+    Arguments are drawn and results held only that far ahead, so a slow
+    consumer does not leave every finished result waiting in memory.
+    """
+    pending: collections.deque[concurrent.futures.Future] = collections.deque()
+    for args in zip(*iterables):
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, *args))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _usable_cpus() -> int:

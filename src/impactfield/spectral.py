@@ -261,16 +261,17 @@ def _arpack_radius(graph: Graph) -> float:
 
 
 def _nilpotent(graph: Graph) -> bool:
-    """Radius 0 by structure: every weight zero, or an acyclic digraph."""
+    """Radius 0 by structure: all weights zero, or a digraph whose nonzero arcs form no cycle."""
     return not graph._arcs[2].any() or graph.directed and _is_acyclic(graph)
 
 
 def _is_acyclic(graph: Graph) -> bool:
     # no self-loops exist, so the digraph is acyclic exactly when every
-    # strongly connected component is a single node
-    n_components, _ = csgraph.connected_components(
-        graph.structure_sparse(), directed=True, connection="strong"
-    )
+    # strongly connected component is a single node; a zero-weight arc
+    # is no entry of A, so it closes no cycle
+    weighted = graph.adjacency_sparse()
+    weighted.eliminate_zeros()
+    n_components, _ = csgraph.connected_components(weighted, directed=True, connection="strong")
     return n_components == graph.n
 
 
@@ -281,10 +282,11 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     graphs at or below the dense threshold, cross-checks it against a
     full dense eigenvalue computation. A two-node graph, too small for
     the iterative solver, takes the dense value at any threshold.
-    An edgeless graph, a graph whose edge weights are all zero and an
-    acyclic digraph (nilpotent adjacency) have radius 0.0, decided
-    structurally because eigensolvers return noise or fail on them;
-    downstream normalization must reject it. A radius that
+    An edgeless graph, a graph whose edge weights are all zero and a
+    digraph whose nonzero-weight arcs form no cycle (nilpotent
+    adjacency) have radius 0.0, decided structurally because
+    eigensolvers return noise or fail on them; downstream normalization
+    must reject it. A radius that
     overflows to a non-finite value raises NormalizationError.
 
     The radius is solved once per Graph instance and route (dense or

@@ -548,6 +548,31 @@ def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:
     assert len(peaks) == 1 and peaks[0] < n * n / 2
 
 
+def test_mean_impact_by_distance_casts_no_whole_hop_array() -> None:
+    # hops are uint16 here; an intp copy of the whole array would be 8 n^2
+    # bytes, and the curve needs none
+    n = 800
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
+    dist = geodesic_distances(g)
+    assert dist.hops.dtype == np.uint16
+    dist.pair_counts  # cached before the measurement
+    impact = ImpactMatrix(values=np.random.default_rng(2).random((n, n)), gamma=0.5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        curve = mean_impact_by_distance(impact, dist)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+    # the narrow indices add in the same order as intp ones, so the bits hold
+    sums = np.zeros(len(dist.pair_counts))
+    np.add.at(sums, dist.hops.ravel().astype(np.intp), impact.values.ravel())
+    assert [p.mean_impact for p in curve.points] == [
+        sums[p.distance] / p.n_pairs for p in curve.points
+    ]
+
+
 def sink_rows_digraph() -> Graph:
     # nodes 0-2 are sinks, so their rows of the hop matrix hold no dyad
     cycle = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (4, 9)]
@@ -604,6 +629,18 @@ def test_acyclic_digraph_cells_are_validation_failures() -> None:
     g = arcs(10, zip(src.tolist(), dst.tolist()))
     cells = run_study(g, network="dag", treatments=(Treatment.DIRECTED,))
     assert [cell.error_code for cell in cells] == [1] * 5
+
+
+def test_cycle_closed_by_a_zero_weight_arc_is_a_validation_failure() -> None:
+    # the zero-weight arc is no entry of A, so A stays nilpotent: the
+    # radius is 0 by structure, not ARPACK noise against a dense zero
+    rng = np.random.default_rng(0)
+    src, dst = np.nonzero(np.triu(rng.random((10, 10)) < 0.3, 1))
+    dag = arcs(10, zip(src.tolist(), dst.tolist()))
+    g = Graph(n=10, directed=True, edges=dag.edges + ((9, 0, 0.0),))
+    cells = run_study(g, network="dag", treatments=(Treatment.DIRECTED,))
+    assert [cell.error_code for cell in cells] == [1] * 5
+    assert {cell.error for cell in cells} == {"cannot normalize: spectral radius is zero"}
 
 
 def test_sparse_cells_record_notes_instead_of_failing() -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,13 +316,39 @@ def test_distances_match_reference_bfs() -> None:
         generate_er(n=300, p=5.0 / 598.0, directed=True, seed=2000),
         # 256 frontier nodes meet at once at the far hub
         arcs(258, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 258)], directed=False),
+        # the largest n whose n - 1 hops fit in uint8, and the smallest past it
+        Graph(n=256, directed=True, edges=()),
+        Graph(n=257, directed=True, edges=()),
+        # 299 hops end to end, past uint8, found by the csgraph hand-off
+        arcs(300, [(i, i + 1) for i in range(299)]),
+        arcs(300, [(i, i + 1) for i in range(299)], directed=False),
     ]
     for g in graphs:
         dist = geodesic_distances(g)
         hops, reachable = bfs_hops(g)
-        assert dist.hops.dtype == np.int64
+        assert dist.hops.dtype == (np.uint8 if g.n <= 256 else np.uint16)
         assert np.array_equal(dist.reachable, reachable)
         assert np.array_equal(dist.hops, hops)
+
+
+def test_pair_counts_cast_no_whole_array() -> None:
+    # bincount casts its input to intp, 8 bytes per entry; held uint16
+    # hops and a row-by-row count stay far below the int64 array alone
+    n = 800
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=3)
+    g.structure_sparse()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dist = geodesic_distances(g)
+        tracemalloc.reset_peak()
+        counts = dist.pair_counts
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert dist.hops.dtype == np.uint16
+    assert np.array_equal(counts, np.bincount(dist.hops.ravel()))
+    assert peak < 4 * n * n
 
 
 def test_distances_satisfy_triangle_inequality() -> None:

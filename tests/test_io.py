@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import operator
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
 from impactfield.impact import ImpactMatrix
-from impactfield.io import DYAD_BLOCK_ROWS, atomic_write_text, write_dyads_csv
+from impactfield.io import DYAD_BLOCK_ROWS, _bounded_map, atomic_write_text, write_dyads_csv
 
 from util import arcs, hop_distance, read_dyads_csv, rowwise_dyads_csv
 
@@ -119,6 +120,27 @@ def test_dyad_dump_over_several_blocks_matches_on_any_cpu_count(
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "dyads_1.csv", "dyads_2.csv", "reference.csv"
     ]
+
+
+def test_block_map_submits_a_bounded_number_of_blocks_ahead() -> None:
+    # a finished block's text waits in its future until the writer takes
+    # it, so no more than ``ahead`` blocks may be submitted and not taken
+    submitted: list[int] = []
+
+    class InlinePool:
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    taken, backlog = [], []
+    for value in _bounded_map(InlinePool(), 4, operator.mul, range(20), range(20, 40)):
+        backlog.append(len(submitted) - len(taken))
+        taken.append(value)
+    assert taken == [a * b for a, b in zip(range(20), range(20, 40))]
+    assert submitted == list(range(20))
+    assert max(backlog) == 4
 
 
 def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:

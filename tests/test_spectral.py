@@ -404,8 +404,9 @@ def test_decompose_keeps_the_radius_gate(monkeypatch) -> None:
         arcs(5, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (3, 4), (0, 4)]),
         arcs(3, [(0, 1), (1, 2), (2, 0)], weight=0.0),
         arcs(3, [(0, 1), (1, 2), (2, 0)], directed=False, weight=0.0),
+        Graph(n=3, directed=True, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.0))),
     ],
-    ids=["acyclic", "zero-weight-directed", "zero-weight-undirected"],
+    ids=["acyclic", "zero-weight-directed", "zero-weight-undirected", "zero-weight-closes-cycle"],
 )
 def test_zero_radius_is_refused_before_any_dense_eigensolve(monkeypatch, graph) -> None:
     calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh"))
@@ -416,7 +417,7 @@ def test_zero_radius_is_refused_before_any_dense_eigensolve(monkeypatch, graph) 
 
 
 def test_zero_radius_of_a_cycle_with_a_zero_weight_is_refused() -> None:
-    # the cycle rules out the structural test, so the solve finds the zero
+    # only the zero-weight arc closes the cycle, so A is nilpotent
     g = Graph(n=2, directed=True, edges=((0, 1, 1.0), (1, 0, 0.0)))
     with pytest.raises(NormalizationError, match="^cannot normalize: spectral radius is zero$"):
         decompose(g)
