@@ -337,25 +337,15 @@ def validate_study_options(
         raise ValidationError(f"fit range {fit_range} must hold at least two distances >= 1")
 
 
-def _study_treatments(
-    graph: Graph, restrict: tuple[Treatment, ...] | None
-) -> list[tuple[Treatment, Graph]]:
-    if graph.directed:
-        pairs = [
-            (Treatment.DIRECTED, graph),
-            (Treatment.SYMMETRIZED, symmetrize_weak(graph)),
-        ]
-    else:
-        pairs = [(Treatment.SYMMETRIZED, graph)]
-    if restrict is None:
-        return pairs
-    allowed = set(restrict)
-    if Treatment.DIRECTED in allowed and not graph.directed:
-        raise ValidationError("directed treatment is inconsistent with undirected input")
-    kept = [pair for pair in pairs if pair[0] in allowed]
-    if not kept:
-        raise ValidationError("no treatment left after restriction")
-    return kept
+def _study_treatments(graph: Graph, symmetrize: bool) -> list[tuple[Treatment, Graph]]:
+    if not graph.directed:
+        if not symmetrize:
+            raise ValidationError("undirected input has only the symmetrized treatment")
+        return [(Treatment.SYMMETRIZED, graph)]
+    pairs = [(Treatment.DIRECTED, graph)]
+    if symmetrize:
+        pairs.append((Treatment.SYMMETRIZED, symmetrize_weak(graph)))
+    return pairs
 
 
 def run_study(
@@ -366,24 +356,24 @@ def run_study(
     dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
     fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
     keep_matrices: bool = False,
-    treatments: tuple[Treatment, ...] | None = None,
+    symmetrize: bool = True,
 ) -> list[StudyCell]:
     """Full treatment-by-gamma sweep for one network.
 
-    Directed input runs both the raw and the symmetrized treatment;
-    undirected input only the symmetrized one (``treatments`` can
-    restrict that default). Per cell: exact propagator, decay curve,
-    exponential fit, and one exact-versus-approximation correlation per
-    requested order. A cell that fails validation or numerics is
-    recorded with an error marker and the sweep continues. Cells come
-    back sorted by (treatment, gamma).
+    Directed input runs its raw treatment and, unless ``symmetrize`` is
+    False, the symmetrized one; undirected input runs only the
+    symmetrized one, and ``symmetrize=False`` on it is a ValidationError.
+    Per cell: exact propagator, decay curve, exponential fit, and one
+    exact-versus-approximation correlation per requested order. A cell
+    that fails validation or numerics is recorded with an error marker
+    and the sweep continues. Cells come back sorted by (treatment, gamma).
     """
     gammas = sorted(set(gamma_grid() if gammas is None else gammas))
     orders = tuple(sorted(set(orders)))
     validate_study_options(gammas, orders, fit_range)
 
     cells: list[StudyCell] = []
-    for treatment, treated in _study_treatments(graph, treatments):
+    for treatment, treated in _study_treatments(graph, symmetrize):
         try:
             dist = geodesic_distances(treated)
             # only the leading modes feed the approximations, and asking
@@ -394,9 +384,7 @@ def run_study(
             else:
                 # k >= 1 lets decompose name a graph too small to iterate
                 k = max(1, min(treated.n - 2, max(orders) + 4))
-            decomposition = decompose(
-                treated, normalize=True, k=k, dense_threshold=dense_threshold
-            )
+            decomposition = decompose(treated, k=k, dense_threshold=dense_threshold)
             # the radius decompose normalized by, stored on treated
             rho = spectral_radius(treated, dense_threshold=dense_threshold)
         except ImpactfieldError as exc:

@@ -37,7 +37,6 @@ from .analysis import (
     DEFAULT_FIT_RANGE,
     DEFAULT_ORDERS,
     StudyCell,
-    Treatment,
     run_study,
     validate_study_options,
 )
@@ -133,7 +132,8 @@ def _output_dir(text: str | Path) -> Path:
 
 def _read_edge_list(path: Path, directed: bool) -> Graph:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops a byte-order mark that would join the first label
+        with open(path, encoding="utf-8-sig") as handle:
             graph = parse_edge_list(handle, directed=directed)
     except UnicodeDecodeError as exc:
         raise EdgeListParseError(f"cannot decode input {path}: {exc}") from exc
@@ -226,12 +226,10 @@ def _analyze(args: argparse.Namespace) -> int:
     else:
         network = Path(args.input).stem
         graph = _read_edge_list(Path(args.input), args.directed)
-    # run_study's default treatments are both for directed input and the
-    # symmetrized one for undirected input; without --symmetrize a directed
-    # network keeps only its raw treatment
-    treatments = (Treatment.DIRECTED,) if args.directed and not args.symmetrize else None
+    # without --symmetrize a directed network keeps only its raw treatment
+    symmetrize = args.symmetrize or not args.directed
     cells = run_study(
-        graph, network=network, keep_matrices=args.dyads, treatments=treatments, **study
+        graph, network=network, keep_matrices=args.dyads, symmetrize=symmetrize, **study
     )
     _write_tables(out, cells)
     exit_code = 0

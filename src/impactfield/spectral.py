@@ -1,4 +1,4 @@
-"""Eigenstructure of the (normalized) adjacency matrix.
+"""Eigenstructure of the radius-normalized adjacency matrix ``B = A / rho``.
 
 Provides the spectral radius, dense and iterative decompositions with
 dual left rows, and greedy mode selection with conjugate closure so
@@ -80,7 +80,7 @@ _ZERO_RADIUS = "cannot normalize: spectral radius is zero"
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenpairs of a (normalized) adjacency matrix, canonically ordered.
+    """Eigenpairs of a radius-normalized adjacency matrix, canonically ordered.
 
     ``right_vectors`` holds one unit eigenvector per column and
     ``left_rows`` the dual left rows; for a full decomposition the
@@ -292,7 +292,7 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     The radius is solved once per Graph instance and route (dense or
     iterative); later calls on that instance, as from ``decompose`` and
     ``build_weight``, return the stored value. On the dense route a
-    normalizing ``decompose`` that runs first stores the largest modulus
+    ``decompose`` that runs first stores the largest modulus
     of its own spectrum, after the same cross-check, so no separate
     radius solve runs. An equal but distinct Graph computes its own; a
     raising call stores nothing.
@@ -475,21 +475,21 @@ def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
 
 def decompose(
     graph: Graph,
-    normalize: bool = True,
     k: int | None = None,
     dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
 ) -> SpectralDecomposition:
-    """Eigendecomposition of the adjacency, optionally radius-normalized.
+    """Eigendecomposition of the radius-normalized adjacency ``B = A / rho(A)``.
+
+    A zero radius raises NormalizationError before any eigensolve. On the
+    dense route rho is the one ``spectral_radius`` has stored, else the
+    largest modulus of this decomposition's spectrum, stored. The raw
+    adjacency has the same eigenvectors and the eigenvalues
+    ``eigenvalues * spectral_radius(graph)``.
 
     Parameters
     ----------
     graph : Graph
         Must have at least one edge.
-    normalize : bool
-        Decompose ``B = A / rho(A)`` instead of the raw adjacency. A zero
-        radius raises NormalizationError before any eigensolve. On the
-        dense route rho is the one ``spectral_radius`` has stored, else
-        the largest modulus of this decomposition's spectrum, stored.
     k : int or None
         Number of largest-modulus eigenpairs to keep; None (or n) keeps
         all n. The kept set never splits a conjugate pair, so the
@@ -520,19 +520,16 @@ def decompose(
             stacklevel=2,
         )
 
-    if normalize and _nilpotent(graph):
+    if _nilpotent(graph):
         raise NormalizationError(_ZERO_RADIUS)
     dense_route = graph.n <= dense_threshold
     if dense_route:
         spectrum = _dense_spectrum(graph)
-        if normalize:
-            # the radius is the largest modulus of this same spectrum
-            _stored_radius(graph, dense_route=True, spectrum=spectrum[0])
-    rho = 1.0
-    if normalize:
-        rho = spectral_radius(graph, dense_threshold=dense_threshold)
-        if rho == 0.0:
-            raise NormalizationError(_ZERO_RADIUS)
+        # the radius is the largest modulus of this same spectrum
+        _stored_radius(graph, dense_route=True, spectrum=spectrum[0])
+    rho = spectral_radius(graph, dense_threshold=dense_threshold)
+    if rho == 0.0:
+        raise NormalizationError(_ZERO_RADIUS)
 
     b_sparse = graph.adjacency_sparse() / rho
     if dense_route:

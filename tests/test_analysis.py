@@ -47,7 +47,14 @@ from impactfield.impact import (
 from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_csv
 from impactfield.spectral import decompose, select_modes
 
-from util import arcs, count_calls, read_correlations_csv, read_curves_csv, read_fits_csv
+from util import (
+    arcs,
+    count_calls,
+    propagator_failing_at,
+    read_correlations_csv,
+    read_curves_csv,
+    read_fits_csv,
+)
 
 
 def three_cycle():
@@ -415,11 +422,11 @@ def test_study_respects_gamma_and_order_selection() -> None:
 
 def test_study_treatment_restriction() -> None:
     g = generate_er(n=15, p=0.25, directed=True, seed=53)
-    cells = run_study(g, gammas=[0.5], treatments=(Treatment.DIRECTED,))
+    cells = run_study(g, gammas=[0.5], symmetrize=False)
     assert [cell.treatment for cell in cells] == [Treatment.DIRECTED]
     undirected = generate_er(n=15, p=0.25, directed=False, seed=53)
     with pytest.raises(ValidationError):
-        run_study(undirected, treatments=(Treatment.DIRECTED,))
+        run_study(undirected, symmetrize=False)
 
 
 def test_study_validates_inputs() -> None:
@@ -621,13 +628,28 @@ def test_failed_treatment_yields_error_cells_not_an_abort() -> None:
     assert all(c.error is None for c in symmetrized)
 
 
+def test_cell_failing_after_its_treatment_decomposed_keeps_the_others(monkeypatch) -> None:
+    # the decomposition succeeds; only the gamma=0.9 cell's solve fails
+    monkeypatch.setattr("impactfield.analysis.exact_propagator", propagator_failing_at(0.9))
+    g = generate_er(n=15, p=0.25, directed=False, seed=47)
+    kept, failed = run_study(g, gammas=[0.5, 0.9], network="x")
+    assert (kept.gamma, kept.error, kept.error_code) == (0.5, None, 0)
+    assert kept.curve is not None and len(kept.correlations) == 2
+    assert (failed.gamma, failed.error, failed.error_code) == (
+        0.9,
+        "singular system at gamma=0.9",
+        3,
+    )
+    assert failed.curve is None and failed.correlations == ()
+
+
 def test_acyclic_digraph_cells_are_validation_failures() -> None:
     # its radius is 0 by structure; ARPACK noise against the dense zero
     # must not turn that into a convergence failure (exit code 3)
     rng = np.random.default_rng(0)
     src, dst = np.nonzero(np.triu(rng.random((10, 10)) < 0.3, 1))
     g = arcs(10, zip(src.tolist(), dst.tolist()))
-    cells = run_study(g, network="dag", treatments=(Treatment.DIRECTED,))
+    cells = run_study(g, network="dag", symmetrize=False)
     assert [cell.error_code for cell in cells] == [1] * 5
 
 
@@ -638,7 +660,7 @@ def test_cycle_closed_by_a_zero_weight_arc_is_a_validation_failure() -> None:
     src, dst = np.nonzero(np.triu(rng.random((10, 10)) < 0.3, 1))
     dag = arcs(10, zip(src.tolist(), dst.tolist()))
     g = Graph(n=10, directed=True, edges=dag.edges + ((9, 0, 0.0),))
-    cells = run_study(g, network="dag", treatments=(Treatment.DIRECTED,))
+    cells = run_study(g, network="dag", symmetrize=False)
     assert [cell.error_code for cell in cells] == [1] * 5
     assert {cell.error for cell in cells} == {"cannot normalize: spectral radius is zero"}
 

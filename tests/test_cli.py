@@ -28,6 +28,7 @@ from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
 from util import (
+    propagator_failing_at,
     read_correlations_csv,
     read_curves_csv,
     read_dyads_csv,
@@ -362,6 +363,17 @@ def test_analyze_undecodable_input_exits_two(tmp_path, capsys) -> None:
     assert "latin.txt" in capsys.readouterr().err
 
 
+def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path) -> None:
+    # with the mark kept, the directed 3-cycle would gain a fourth node
+    # and become an acyclic path
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(TRIANGLE.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())
+    graph = cli._read_edge_list(plain, directed=True)
+    assert cli._read_edge_list(marked, directed=True) == graph
+    assert graph.labels == ("a", "b", "c")
+
+
 def test_analyze_dense_eigensolver_failure_exits_three(tmp_path, capsys, monkeypatch) -> None:
     def fail(matrix, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -395,6 +407,22 @@ def test_analyze_failed_cell_names_the_cell(tmp_path, capsys) -> None:
     assert code == 1
     err = capsys.readouterr().err
     assert "dag/directed/gamma=0.5" in err
+
+
+def test_analyze_cell_failing_after_decomposition_keeps_the_others(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    monkeypatch.setattr("impactfield.analysis.exact_propagator", propagator_failing_at(0.9))
+    out = tmp_path / "out"
+    path = write_input(tmp_path, "paw.txt", PAW)
+    code = main(["analyze", "--input", path, "--undirected", "--gamma", "0.5", "--gamma", "0.9",
+                 "--out", str(out)])
+    assert code == 3
+    assert list(read_curves_csv(out / "curves.csv")) == [("paw", Treatment.SYMMETRIZED, 0.5)]
+    assert (
+        "impactfield: cell paw/symmetrized/gamma=0.9 failed: singular system at gamma=0.9\n"
+        in capsys.readouterr().err
+    )
 
 
 def test_analyze_acyclic_digraph_exits_one(tmp_path, capsys) -> None:
@@ -552,6 +580,64 @@ def test_analyze_rejects_bad_dense_threshold_env(tmp_path, monkeypatch, capsys) 
     )
     assert code == 1
     assert "IMPACTFIELD_DENSE_THRESHOLD" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (
+            [],
+            {"IMPACTFIELD_DENSE_THRESHOLD": "0"},
+            "IMPACTFIELD_DENSE_THRESHOLD must be positive, got 0",
+        ),
+        (["--orders", "1,x"], {}, "--orders must be a comma-separated integer list, got '1,x'"),
+        (["--orders", ","], {}, "--orders must not be empty"),
+        (["--fit-range", "1,2,3"], {}, "--fit-range must be MIN,MAX"),
+        (
+            ["--input", "pa:n=10,m=2,p=0.1"],
+            {},
+            "generator spec 'pa:n=10,m=2,p=0.1': p does not apply to pa",
+        ),
+        (["--input", "er:p=0.1"], {}, "generator spec 'er:p=0.1' is missing 'n'"),
+        (
+            ["--input", "er:n=10,p=0.3,directed=1"],
+            {},
+            "generator spec directedness does not match the --directed/--undirected flag",
+        ),
+        (["replicate", "--corpus", "{missing}"], {}, "corpus directory {missing} does not exist"),
+        (["replicate", "--corpus", "{corpus}", "--workers", "0"], {}, "workers must be at least 1"),
+    ],
+    ids=[
+        "zero-dense-threshold",
+        "non-integer-order",
+        "empty-orders",
+        "three-fit-bounds",
+        "pa-with-p",
+        "er-without-n",
+        "spec-directedness",
+        "missing-corpus",
+        "zero-workers",
+    ],
+)
+def test_validation_exits_name_their_fault(
+    tmp_path, capsys, monkeypatch, argv, env, message
+) -> None:
+    # an analyze command line unless argv starts a replicate one; a later
+    # --input overrides the default one
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    paths = {
+        "missing": str(tmp_path / "missing"),
+        "corpus": str(make_corpus(tmp_path, count=1)),
+    }
+    out = tmp_path / "out"
+    if argv[:1] != ["replicate"]:
+        pair = write_input(tmp_path, "pair.txt", TWO_CYCLE)
+        argv = ["analyze", "--input", pair, "--undirected", "--gamma", "0.5"] + argv
+    code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"impactfield: error: {message.format(**paths)}\n"
+    assert not list(out.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

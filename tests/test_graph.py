@@ -149,6 +149,22 @@ def test_graph_rejects_non_canonical_undirected_edge() -> None:
         Graph(n=3, directed=False, edges=((2, 1, 1.0),))
 
 
+@pytest.mark.parametrize(
+    "n, edges, labels, message",
+    [
+        (-1, (), None, "node count must be nonnegative"),
+        (2, ((0, 1, 1.0),), ("a",), "label tuple must have one entry per node"),
+        (2, ((1, 1, 1.0),), None, "self-loop on node 1"),
+        (2, ((0, 1, math.nan),), None, r"edge \(0, 1\) has non-finite weight"),
+        (2, ((0, 1, 1.0), (0, 1, 2.0)), None, r"duplicate edge \(0, 1\)"),
+    ],
+    ids=["negative-n", "label-count", "self-loop", "non-finite-weight", "duplicate-edge"],
+)
+def test_graph_constructor_rejects(n, edges, labels, message) -> None:
+    with pytest.raises(GraphValidationError, match=f"^{message}$"):
+        Graph(n=n, directed=True, edges=edges, labels=labels)
+
+
 def test_adjacency_orientation() -> None:
     g = arcs(3, [(0, 1), (1, 2)])
     a = g.adjacency()

@@ -45,13 +45,15 @@ DUMP_CASES = {
 
 
 def _study_matrices(graph: Graph, treatment, orders):
-    [cell] = run_study(
+    # cells come sorted by treatment, so the asked-for one is the last
+    *_, cell = run_study(
         graph,
         gammas=[0.5],
         orders=orders,
         keep_matrices=True,
-        treatments=None if treatment is None else (treatment,),
+        symmetrize=treatment is not Treatment.DIRECTED,
     )
+    assert treatment in (None, cell.treatment)
     assert cell.error is None
     # the dict arrives in the caller's order, not sorted
     return cell.distances, cell.exact, {order: cell.approximations[order] for order in orders}

@@ -199,8 +199,8 @@ def test_directed_three_cycle_eigenvalues_are_cube_roots_of_unity() -> None:
 
 def test_unnormalized_path_top_eigenvalue_is_sqrt_two() -> None:
     g = arcs(3, [(0, 1), (1, 2)], directed=False)
-    dec = decompose(g, normalize=False)
-    assert dec.eigenvalues[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    dec = decompose(g)
+    assert dec.eigenvalues[0] * spectral_radius(g) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_normalized_top_eigenvalue_is_one() -> None:
@@ -345,23 +345,29 @@ def test_dense_solver_failure_is_a_convergence_error(monkeypatch, solver, direct
         if solver == "eigvals":
             spectral_radius(g)
         else:
-            decompose(g, normalize=False, k=k)
+            decompose(g, k=k)
 
 
 @pytest.mark.parametrize("route", ["radius", "decomposition"])
 def test_arpack_error_is_a_convergence_error(monkeypatch, route) -> None:
     # error 3 ("no shifts could be applied") is an ArpackError that is
-    # not an ArpackNoConvergence
+    # not an ArpackNoConvergence; the radius estimate asks eigs for one
+    # pair, so failing only larger requests reaches the decomposition's own
+    eigs = spla.eigs
+
     def fail(*args, **kwargs):
-        raise spla.ArpackError(3)
+        if route == "radius" or kwargs["k"] > 1:
+            raise spla.ArpackError(3)
+        return eigs(*args, **kwargs)
 
     g = generate_er(n=30, p=0.2, directed=True, seed=5)
     monkeypatch.setattr(spla, "eigs", fail)
-    with pytest.raises(ConvergenceError):
-        if route == "radius":
+    if route == "radius":
+        with pytest.raises(ConvergenceError, match="^spectral radius estimation"):
             spectral_radius(g, dense_threshold=10)
-        else:
-            decompose(g, normalize=False, k=4, dense_threshold=10)
+    else:
+        with pytest.raises(ConvergenceError, match="^iterative decomposition"):
+            decompose(g, k=4, dense_threshold=10)
 
 
 def test_iterative_route_on_twin_components_is_a_convergence_error() -> None:
@@ -372,16 +378,10 @@ def test_iterative_route_on_twin_components_is_a_convergence_error() -> None:
         decompose(twin, k=6, dense_threshold=10)
 
 
-def test_nilpotent_matrix_is_reported_defective() -> None:
-    g = arcs(3, [(0, 1), (1, 2)])
-    with pytest.raises(DefectivenessError):
-        decompose(g, normalize=False)
-
-
 def test_acyclic_graph_cannot_be_normalized() -> None:
     g = arcs(3, [(0, 1), (1, 2)])
     with pytest.raises(NormalizationError):
-        decompose(g, normalize=True)
+        decompose(g)
 
 
 def _dense_radius(graph: Graph) -> float:

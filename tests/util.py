@@ -14,7 +14,12 @@ from scipy.sparse import csgraph
 
 from impactfield import Graph, build_weight, exact_propagator, generate_er
 from impactfield.analysis import CorrelationRecord, CurvePoint, DecayCurve, ExponentialFit, Treatment
-from impactfield.errors import ConjugateClosureError, GraphValidationError, ValidationError
+from impactfield.errors import (
+    ConjugateClosureError,
+    GraphValidationError,
+    SolverError,
+    ValidationError,
+)
 from impactfield.graph import DistanceMatrix
 from impactfield.impact import ImpactMatrix, WeightMatrix
 from impactfield.io import (
@@ -56,6 +61,17 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
     for name in names:
         monkeypatch.setattr(module, name, counting(name))
     return calls
+
+
+def propagator_failing_at(gamma: float):
+    """``exact_propagator`` that raises SolverError at one gamma only."""
+
+    def propagator(weight: WeightMatrix, **kwargs) -> ImpactMatrix:
+        if weight.gamma == gamma:
+            raise SolverError(f"singular system at gamma={gamma!r}")
+        return exact_propagator(weight, **kwargs)
+
+    return propagator
 
 
 def loop_adjacency(graph: Graph) -> np.ndarray:
