@@ -20,16 +20,25 @@ unusable ``--out``), 2 parse failure, 3 numerical failure. The
 environment variable IMPACTFIELD_DENSE_THRESHOLD overrides the
 dense/iterative eigensolver cutoff. Outputs are deterministic: the
 same inputs and seed produce byte-identical files.
+
+``replicate`` runs every loaded OpenBLAS (numpy's and scipy's builds)
+at one thread, in its own process and in each worker, and studies one
+network per worker. ``--workers`` defaults to the number of usable
+CPUs, capped by the file count; where no OpenBLAS is found to pin, it
+defaults to 1, so the workers' BLAS pools do not oversubscribe the
+cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import os
 import sys
+from collections.abc import Callable, Iterator
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -52,6 +61,7 @@ from .graph import (
 from .impact import gamma_grid
 from .io import (
     ManifestEntry,
+    _usable_cpus,
     atomic_write_text,
     write_correlations_csv,
     write_curves_csv,
@@ -75,6 +85,13 @@ _SPEC_FIELDS = {
     "seed": int,
     "directed": lambda value: _SPEC_FLAGS[value.lower()],
 }
+# the thread-count setter and getter names an OpenBLAS build may export,
+# tried in this order: a plain build, numpy's 64-bit-index build and scipy's
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
 
 
 def _dense_threshold_from_env() -> int:
@@ -301,6 +318,67 @@ def _failed_network(network: str, exc: BaseException) -> tuple[ManifestEntry, li
     return ManifestEntry(network, None, None, None, status=f"error: {message}"), []
 
 
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {parts[5].rstrip("\n") for parts in fields if len(parts) == 6}
+    return sorted(path for path in paths if "openblas" in os.path.basename(path))
+
+
+def _openblas_thread_calls() -> list[tuple[Callable[[int], None], Callable[[], int]]]:
+    """The thread-count setter and getter of each loaded OpenBLAS."""
+    import ctypes
+
+    calls = []
+    for path in _loaded_openblas():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # the file was replaced since it was loaded: "... (deleted)"
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(library, set_name) and hasattr(library, get_name):
+                setter, getter = getattr(library, set_name), getattr(library, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                calls.append((setter, getter))
+                break
+    return calls
+
+
+def _pin_blas_threads() -> None:
+    """Run every loaded OpenBLAS at one thread for the rest of the process."""
+    for setter, _ in _openblas_thread_calls():
+        setter(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Run every loaded OpenBLAS at one thread inside the block.
+
+    Yields whether any was found. On exit each gets back its thread count.
+    """
+    calls = _openblas_thread_calls()
+    saved = [getter() for _, getter in calls]
+    for setter, _ in calls:
+        setter(1)
+    try:
+        yield bool(calls)
+    finally:
+        for (setter, _), count in zip(calls, saved):
+            setter(count)
+
+
+def _study_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A process pool whose workers each run one BLAS thread, whatever the start method."""
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_pin_blas_threads
+    )
+
+
 def _collect(future: concurrent.futures.Future, job, path: Path):
     try:
         return future.result()
@@ -308,7 +386,7 @@ def _collect(future: concurrent.futures.Future, job, path: Path):
         # a worker died (killed, out of memory, os._exit) and broke the
         # pool, losing every network it held or had queued; rerun this
         # one alone, so only a network that dies again is an error
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+        with _study_pool(1) as alone:
             try:
                 return alone.submit(job, path).result()
             except BrokenProcessPool as exc:
@@ -318,10 +396,11 @@ def _collect(future: concurrent.futures.Future, job, path: Path):
 def _replicate(args: argparse.Namespace) -> int:
     """Run the analyze pipeline over every edge-list file in a directory.
 
-    Networks are processed independently (optionally in parallel); a
-    failing network, including one that runs out of memory or whose
-    worker process dies even when rerun alone, is logged in the manifest
-    and the run continues.
+    Networks are processed independently, in parallel worker processes
+    when there are several, with every OpenBLAS at one thread; a failing
+    network, including one that runs out of memory or whose worker
+    process dies even when rerun alone, is logged in the manifest and the
+    run continues.
     Output row order is canonical, so results do not depend on worker
     count.
     """
@@ -332,19 +411,24 @@ def _replicate(args: argparse.Namespace) -> int:
     files = sorted(p for p in corpus.iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise ValidationError(f"no inputs: corpus directory {corpus} has no files")
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ValidationError("workers must be at least 1")
     out = _output_dir(args.out)
 
     job = functools.partial(_replicate_one, directed=not args.undirected, study=study)
-    # the fork start method launches every worker at the first submit
-    workers = min(args.workers, len(files))
-    if workers == 1:
-        results = [job(path) for path in files]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job, path) for path in files]
-            results = [_collect(future, job, path) for future, path in zip(futures, files)]
+    # at n of a few hundred one thread per network beats threads per
+    # network, and it makes the bytes independent of the thread count
+    with _one_blas_thread() as pinned:
+        # unpinned workers would each run full-size BLAS pools
+        workers = args.workers or (_usable_cpus() if pinned else 1)
+        # the fork start method launches every worker at the first submit
+        workers = min(workers, len(files))
+        if workers == 1:
+            results = [job(path) for path in files]
+        else:
+            with _study_pool(workers) as pool:
+                futures = [pool.submit(job, path) for path in files]
+                results = [_collect(future, job, path) for future, path in zip(futures, files)]
 
     entries = [entry for entry, _ in results]
     _write_tables(out, [cell for _, cells in results for cell in cells])
@@ -404,7 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.set_defaults(run=_replicate)
     replicate.add_argument("--corpus", required=True)
     replicate.add_argument("--out", required=True)
-    replicate.add_argument("--workers", type=int, default=1)
+    replicate.add_argument(
+        "--workers",
+        type=int,
+        metavar="W",
+        help="networks studied at once, each at one BLAS thread (default: usable CPUs, "
+        "at most one per file; 1 where no OpenBLAS can be pinned)",
+    )
     replicate.add_argument(
         "--undirected", action="store_true", help="treat corpus files as undirected"
     )

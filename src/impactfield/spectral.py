@@ -28,7 +28,7 @@ stage leaves the idle pool spinning while the other one wants the
 cores. Products with k rows or columns (the Gram matrix of the kept
 modes) stay in numpy, as does the reconstruction check of a full
 decomposition. ``OPENBLAS_NUM_THREADS`` still sets the size of both
-pools.
+pools, except under ``replicate``, which runs both at one thread.
 
 Ordering convention: eigenvalues are sorted by nonincreasing modulus,
 ties broken by descending real part and then descending imaginary part.

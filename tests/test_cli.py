@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 import impactfield
@@ -770,22 +771,129 @@ def test_replicate_is_deterministic_and_worker_invariant(tmp_path) -> None:
     assert outputs["one"] == outputs["two"]
 
 
-def test_replicate_pool_is_no_wider_than_the_corpus(tmp_path, monkeypatch) -> None:
-    # under the fork start method a process pool launches every worker at
-    # its first submit, so a pool wider than the corpus starts idle processes;
-    # threads stand in for the processes here
-    corpus = make_corpus(tmp_path, count=2)
-    requested = []
+@pytest.fixture
+def pool_widths(monkeypatch) -> list[int]:
+    """The width of each process pool started; threads stand in for the processes."""
+    widths: list[int] = []
 
-    def recording_pool(max_workers):
-        requested.append(max_workers)
+    def recording_pool(max_workers, initializer):
+        widths.append(max_workers)
         return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    return widths
+
+
+def test_replicate_pool_is_no_wider_than_the_corpus(tmp_path, pool_widths) -> None:
+    # under the fork start method a process pool launches every worker at
+    # its first submit, so a pool wider than the corpus starts idle processes
+    corpus = make_corpus(tmp_path, count=2)
     out = tmp_path / "out"
     assert main(["replicate", "--corpus", str(corpus), "--out", str(out), "--workers", "8"]) == 0
-    assert requested == [2]
+    assert pool_widths == [2]
     assert [entry.status for entry in read_manifest_csv(out / "manifest.csv")] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize(("files", "cpus"), [(2, 4), (4, 3)], ids=["files", "cpus"])
+def test_replicate_default_pool_has_one_worker_per_usable_cpu_and_file(
+    tmp_path, monkeypatch, pool_widths, files, cpus
+) -> None:
+    corpus = make_corpus(tmp_path, count=files)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    # an OpenBLAS to pin, whichever BLAS this process has loaded
+    monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: [(lambda count: None, lambda: 2)])
+    out = tmp_path / "out"
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert pool_widths == [min(cpus, files)]
+    assert {entry.status for entry in read_manifest_csv(out / "manifest.csv")} == {"ok"}
+
+
+def test_replicate_without_an_openblas_to_pin_runs_in_process(
+    tmp_path, monkeypatch, pool_widths
+) -> None:
+    # unpinned workers would each run full-size BLAS pools
+    corpus = make_corpus(tmp_path, count=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_loaded_openblas", lambda: [])
+    out = tmp_path / "out"
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert pool_widths == []
+    assert [entry.status for entry in read_manifest_csv(out / "manifest.csv")] == ["ok", "ok"]
+
+
+def _blas_thread_counts() -> list[int]:
+    return [getter() for _, getter in cli._openblas_thread_calls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, so a pin to one shows.
+
+    The value is the number of libraries found.
+    """
+    calls = cli._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS is loaded")
+    saved = _blas_thread_counts()
+    for setter, _ in calls:
+        setter(2)
+    yield len(calls)
+    for (setter, _), count in zip(calls, saved):
+        setter(count)
+
+
+def test_one_blas_thread_pins_every_openblas_and_restores_its_count(two_blas_threads) -> None:
+    with cli._one_blas_thread() as pinned:
+        assert pinned
+        assert _blas_thread_counts() == [1] * two_blas_threads
+    assert _blas_thread_counts() == [2] * two_blas_threads
+
+
+def test_study_pool_workers_run_one_blas_thread(two_blas_threads) -> None:
+    # a forked worker starts with this process's two threads
+    with cli._study_pool(1) as pool:
+        assert pool.submit(_blas_thread_counts).result(timeout=120) == [1] * two_blas_threads
+
+
+def test_replicate_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path) -> None:
+    # at n=300 the float columns of a two-thread study differed from a
+    # one-thread study in the last digits; replicate now runs one thread
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    seed = 0
+    for name in ("net0", "net1"):
+        while True:
+            graph = generate_er(n=300, p=5 / 598, directed=True, seed=seed)
+            seed += 1
+            components, _ = scipy.sparse.csgraph.connected_components(
+                graph.adjacency_sparse(), directed=True, connection="strong"
+            )
+            if components < graph.n:  # a strong component of two nodes or more holds a cycle
+                break
+        (corpus / f"{name}.txt").write_text(serialize_edge_list(graph))
+    package_root = str(Path(impactfield.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        for workers in ("1", "2"):
+            out = tmp_path / f"threads{threads}_workers{workers}"
+            result = subprocess.run(
+                [sys.executable, "-c", "import sys; from impactfield.cli import main; sys.exit(main())",
+                 "replicate", "--corpus", str(corpus), "--out", str(out), "--workers", workers],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs[threads, workers] = {
+                name: (out / name).read_bytes()
+                for name in ("curves.csv", "fits.csv", "correlations.csv", "manifest.csv")
+            }
+    assert {entry.status for entry in read_manifest_csv(out / "manifest.csv")} == {"ok"}
+    reference = outputs["1", "1"]
+    assert all(tables == reference for tables in outputs.values())
 
 
 def test_replicate_logs_bad_network_and_continues(tmp_path, capsys) -> None:
@@ -840,7 +948,8 @@ def test_replicate_records_an_iterative_solver_failure_and_continues(
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail_on_twin)
     monkeypatch.setenv("IMPACTFIELD_DENSE_THRESHOLD", "10")
     out = tmp_path / "out"
-    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    # the patched solver lives in this process: a spawned worker would not see it
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out), "--workers", "1"]) == 0
     entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
     assert entries["twin"].status == "partial: 5 of 10 cells failed"
     assert entries["net0"].status == "ok"
@@ -892,7 +1001,8 @@ def test_replicate_records_a_memory_error_and_continues(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli, "run_study", exhaust_on_net0)
     out = tmp_path / "out"
-    assert main(["replicate", "--corpus", str(corpus), "--out", str(out)]) == 0
+    # the patched study lives in this process: a spawned worker would not see it
+    assert main(["replicate", "--corpus", str(corpus), "--out", str(out), "--workers", "1"]) == 0
     entries = {entry.network: entry for entry in read_manifest_csv(out / "manifest.csv")}
     assert sorted(entries) == ["net0", "net1"]
     assert entries["net0"].status.startswith("error:")
