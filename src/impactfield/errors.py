@@ -67,7 +67,7 @@ class ConvergenceError(NumericalError):
 
 
 class DefectivenessError(NumericalError):
-    """Matrix appears defective; no usable eigenvector basis exists."""
+    """Matrix appears defective, or a kept eigenvalue is too ill conditioned to use."""
 
 
 class SolverError(NumericalError):

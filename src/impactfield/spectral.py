@@ -6,8 +6,9 @@ that truncated sums stay real.
 
 At or below the dense threshold one eigensolve of ``A`` itself serves
 both the radius and the decomposition: rho is the largest modulus of
-its spectrum (cross-checked against ARPACK) and the eigenvalues are
-divided by it. Above the threshold ARPACK solves ``B = A / rho``.
+its spectrum and the eigenvalues are divided by it; no ARPACK run is
+made. Above the threshold ARPACK estimates rho and then solves
+``B = A / rho``.
 
 Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
 above the dense threshold), so the left rows are the transposed right
@@ -17,7 +18,9 @@ their eigenvalues, so they are the dual basis of the right vectors even
 within a repeated eigenvalue. The left vectors come from the same
 two-sided ``geev`` call as the right ones at or below the dense
 threshold; above it, from a second ARPACK run on ``B^T``, which must
-agree with the first run on every eigenvalue it found.
+agree with the first run on every eigenvalue it found. A full
+decomposition must reconstruct ``B``; a truncated one must keep no mode
+whose condition number, its left-row norm, exceeds ``_CONDITION_MAX``.
 
 Every eigensolve and linear solve, here and in ``impact``, goes through
 ``scipy.linalg``, the eigenpair residual is one sparse product, and the
@@ -75,6 +78,9 @@ DEFAULT_DENSE_THRESHOLD = 2000
 _PAIR_TOL = 1e-10
 _MATCH_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
+# unit right vectors paired to 1 make a left row's norm its eigenvalue's
+# condition number (Golub & Van Loan, Matrix Computations, 7.2.2)
+_CONDITION_MAX = 1e6
 _ZERO_RADIUS = "cannot normalize: spectral radius is zero"
 
 
@@ -278,24 +284,23 @@ def _is_acyclic(graph: Graph) -> bool:
 def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> float:
     """Largest eigenvalue modulus of the weighted adjacency matrix.
 
-    Uses an iterative estimate with a deterministic start vector and, for
-    graphs at or below the dense threshold, cross-checks it against a
-    full dense eigenvalue computation. A two-node graph, too small for
-    the iterative solver, takes the dense value at any threshold.
+    At or below the dense threshold it is the largest modulus of the
+    full dense spectrum (``eigvals``, or ``eigvalsh`` for an undirected
+    graph); above it, an iterative estimate with a deterministic start
+    vector. A two-node graph, too small for the iterative solver, takes
+    the dense value at any threshold.
     An edgeless graph, a graph whose edge weights are all zero and a
     digraph whose nonzero-weight arcs form no cycle (nilpotent
     adjacency) have radius 0.0, decided structurally because
     eigensolvers return noise or fail on them; downstream normalization
-    must reject it. A radius that
-    overflows to a non-finite value raises NormalizationError.
+    must reject it. A radius that overflows raises NormalizationError.
 
     The radius is solved once per Graph instance and route (dense or
     iterative); later calls on that instance, as from ``decompose`` and
     ``build_weight``, return the stored value. On the dense route a
-    ``decompose`` that runs first stores the largest modulus
-    of its own spectrum, after the same cross-check, so no separate
-    radius solve runs. An equal but distinct Graph computes its own; a
-    raising call stores nothing.
+    ``decompose`` that runs first stores the largest modulus of its own
+    spectrum, so no separate radius solve runs. An equal but distinct
+    Graph computes its own; a raising call stores nothing.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -312,41 +317,25 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
 
 
 def _stored_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None = None) -> float:
-    """The radius stored on ``graph`` for one route; ``spectrum`` spares the dense solve."""
+    """The radius stored on ``graph`` for one route, solved on first use.
+
+    ARPACK estimates it above the threshold when n > 2; otherwise it is the
+    largest modulus of the dense spectrum, ``spectrum`` if given.
+    """
     radii = vars(graph).setdefault("_spectral_radii", {})
     if dense_route not in radii:
-        radius = _eigensolver_radius(graph, dense_route, spectrum)
+        if spectrum is None and (dense_route or graph.n <= 2):
+            # an undirected adjacency is symmetric, so the symmetric solver
+            # (syevd, see _dense_spectrum) suffices
+            if graph.directed:
+                spectrum = _dense_eig(sla.eigvals, graph.adjacency())
+            else:
+                spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
+        radius = _arpack_radius(graph) if spectrum is None else float(np.max(np.abs(spectrum)))
         if not np.isfinite(radius):
             raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
         radii[dense_route] = radius
     return radii[dense_route]
-
-
-def _eigensolver_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None) -> float:
-    iterative: float | None = None
-    if graph.n > 2:
-        try:
-            iterative = _arpack_radius(graph)
-        except ConvergenceError:
-            # Dense path below settles it; above the threshold there is
-            # nothing to fall back on.
-            if not dense_route:
-                raise
-    if not dense_route and iterative is not None:
-        return iterative
-    if spectrum is None:
-        # an undirected adjacency is symmetric, so the symmetric solver
-        # (syevd, see _dense_spectrum) suffices
-        if graph.directed:
-            spectrum = _dense_eig(sla.eigvals, graph.adjacency())
-        else:
-            spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
-    dense = float(np.max(np.abs(spectrum)))
-    if iterative is not None and abs(iterative - dense) > _MATCH_TOL * max(1.0, dense):
-        raise ConvergenceError(
-            f"iterative radius {iterative!r} disagrees with dense value {dense!r}"
-        )
-    return dense
 
 
 def _dual_rows(values, right, keep, left_values, left):
@@ -482,7 +471,8 @@ def decompose(
 
     A zero radius raises NormalizationError before any eigensolve. On the
     dense route rho is the one ``spectral_radius`` has stored, else the
-    largest modulus of this decomposition's spectrum, stored. The raw
+    largest modulus of this decomposition's spectrum, stored; no ARPACK
+    run is made. The raw
     adjacency has the same eigenvectors and the eigenvalues
     ``eigenvalues * spectral_radius(graph)``.
 
@@ -499,7 +489,8 @@ def decompose(
         requires a diagonalizable matrix; a truncated one only needs the
         kept modes, and every mode sharing their eigenvalues, to be clean,
         so sparse digraphs whose transient part is defective at eigenvalue
-        zero still decompose.
+        zero still decompose, provided no kept mode's condition number
+        exceeds ``_CONDITION_MAX`` (else DefectivenessError).
     dense_threshold : int
         At or below this size one dense eigensolve of ``A`` backs the
         result, radius included (see the module docstring); above it an
@@ -549,6 +540,14 @@ def decompose(
     if np.max(np.abs(pairing - 1.0)) > _MATCH_TOL:
         raise DefectivenessError(
             "left/right eigenvector pairing degenerates; matrix is near defective"
+        )
+    kappa = np.linalg.norm(left, axis=1)
+    worst = int(np.argmax(kappa))
+    # a full decomposition is gated by its reconstruction instead
+    if len(values) < graph.n and not kappa[worst] <= _CONDITION_MAX:
+        raise DefectivenessError(
+            f"eigenvalue {complex(values[worst])} has condition number {kappa[worst]:.1e} "
+            f"above {_CONDITION_MAX:.0e}; the kept modes are near defective"
         )
     residual = float(np.linalg.norm(b_sparse @ right - right * values, axis=0).max())
     if residual > _RESIDUAL_TOL:

@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import impactfield.analysis
 from impactfield.analysis import (
@@ -36,7 +37,14 @@ from impactfield.errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize_weak
+from impactfield.graph import (
+    Graph,
+    generate_er,
+    geodesic_distances,
+    parse_edge_list,
+    serialize_edge_list,
+    symmetrize_weak,
+)
 from impactfield.impact import (
     ImpactMatrix,
     approx_impact,
@@ -45,7 +53,7 @@ from impactfield.impact import (
     gamma_grid,
 )
 from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_csv
-from impactfield.spectral import decompose, select_modes
+from impactfield.spectral import decompose, select_modes, spectral_radius
 
 from util import (
     arcs,
@@ -340,25 +348,31 @@ def test_study_calls_no_numpy_lapack(monkeypatch, directed) -> None:
 
 def test_study_runs_one_dense_radius_eigensolve_per_treatment(monkeypatch) -> None:
     # the radius is the largest modulus of the decomposition's own
-    # spectrum, so each treatment runs one dense eigensolve and no other
+    # spectrum, so each treatment runs one dense eigensolve and no other,
+    # and no ARPACK estimate
     calls = count_calls(monkeypatch, scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh"))
+    arpack = count_calls(monkeypatch, scipy.sparse.linalg, ("eigs", "eigsh"))
     g = generate_er(30, 0.15, directed=True, seed=3)
     cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
     assert len(cells) == 4 and all(cell.error is None for cell in cells)
     assert calls == {"eig": 1, "eigh": 1, "eigvals": 0, "eigvalsh": 0}
+    assert arpack == {"eigs": 0, "eigsh": 0}
 
 
-def test_study_fails_cells_whose_radius_estimates_disagree(monkeypatch) -> None:
-    # the dense radius comes from the decomposition's own spectrum, and the
-    # ARPACK cross-check still guards it
-    def off(graph: Graph) -> float:
-        return float(np.max(np.abs(scipy.linalg.eigvals(graph.adjacency())))) * (1 + 1e-6)
-
-    monkeypatch.setattr("impactfield.spectral._arpack_radius", off)
-    g = generate_er(30, 0.15, directed=True, seed=3)
+def test_dense_radius_of_equal_radius_cycles_is_exact() -> None:
+    # the only cycles are a 2-cycle and a 5-cycle, so six eigenvalues have
+    # modulus 1; a k=1 ARPACK estimate reads 1.0000002, the dense radius is
+    # exact. The directed cells still fail, on the defective cluster.
+    g = generate_er(200, 0.006, directed=True, seed=7)
+    g = parse_edge_list(serialize_edge_list(g), directed=True)
+    assert g.n == 177
+    assert spectral_radius(g) == 1.0
     cells = run_study(g, gammas=[0.5, 0.9], orders=(1, 2))
-    assert len(cells) == 4
-    assert all(cell.error_code == 3 and "disagrees" in cell.error for cell in cells)
+    directed = [cell for cell in cells if cell.treatment is Treatment.DIRECTED]
+    assert len(directed) == 2
+    assert all(
+        cell.error_code == 3 and "Gram matrix is singular" in cell.error for cell in directed
+    )
 
 
 def _scaled(graph: Graph, factor: float) -> Graph:

@@ -426,9 +426,21 @@ def test_analyze_cell_failing_after_decomposition_keeps_the_others(
     )
 
 
+def test_analyze_ill_conditioned_leading_cluster_exits_three(tmp_path, capsys) -> None:
+    # two cycles of equal radius, one reaching the other, make eigenvalue 1
+    # defective; the kept modes' condition numbers reach 1.3e16, and no
+    # modal approximation holds there
+    spec = "er:n=263,p=0.004038803532229304,directed=1,seed=898932734"
+    code = main(
+        ["analyze", "--input", spec, "--directed", "--gamma", "0.5", "--out", str(tmp_path / "out")]
+    )
+    assert code == 3
+    assert "has condition number" in capsys.readouterr().err
+
+
 def test_analyze_acyclic_digraph_exits_one(tmp_path, capsys) -> None:
     # the radius of a DAG is 0 by structure: a validation error, not the
-    # ARPACK-versus-dense disagreement (exit 3) its noise would cause
+    # numerical failure (exit 3) an eigensolver's noise would cause
     dag = "a b\nb c\nc d\na c\nb d\nd e\na e\n"
     code = main(
         [

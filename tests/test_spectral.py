@@ -3,8 +3,9 @@
 Closed-form anchors: the triangle and the 4-leaf star (radius 2), the
 directed cycle (roots of unity), the single edge (eigenvalues +-1), and
 the 3-path (radius sqrt 2). Random graphs check the algebraic
-invariants: reconstruction, biorthogonality, conjugate closure, and
-agreement between the dense and iterative routes.
+invariants: reconstruction, biorthogonality, conjugate closure, the
+condition bound on kept modes, and agreement between the dense and
+iterative routes.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def test_radius_iterative_matches_dense() -> None:
         for _ in range(5):
             g = generate_er(n=30, p=0.2, directed=directed, seed=int(rng.integers(1 << 30)))
             expected = max(np.abs(np.linalg.eigvals(g.adjacency())))
-            assert spectral_radius(g) == pytest.approx(expected, abs=1e-9)
+            assert spectral_radius(g, dense_threshold=10) == pytest.approx(expected, abs=1e-9)
 
 
 def test_radius_dense_check_agrees_with_the_general_solver() -> None:
@@ -388,14 +389,61 @@ def _dense_radius(graph: Graph) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(graph.adjacency()))))
 
 
-def test_decompose_keeps_the_radius_gate(monkeypatch) -> None:
-    g = generate_er(n=40, p=0.1, directed=True, seed=2)
-    monkeypatch.setattr(
-        "impactfield.spectral._arpack_radius", lambda graph: _dense_radius(graph) * (1 + 1e-6)
-    )
-    with pytest.raises(ConvergenceError, match="disagrees"):
-        decompose(g, k=5)
-    assert vars(g).get("_spectral_radii", {}) == {}
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("entry", ["spectral_radius", "decompose"])
+def test_dense_route_runs_no_arpack(monkeypatch, entry, directed) -> None:
+    # at or below the threshold the radius is the dense spectrum's largest
+    # modulus; no iterative estimate runs beside it
+    calls = count_calls(monkeypatch, spla, ("eigs", "eigsh"))
+    g = generate_er(n=40, p=0.1, directed=directed, seed=2)
+    if entry == "spectral_radius":
+        assert spectral_radius(g) == pytest.approx(_dense_radius(g), rel=1e-13)
+    else:
+        decompose(g, k=6)
+    assert calls == {"eigs": 0, "eigsh": 0}
+
+
+# two directed 3-cycles, the first reaching the second through the arc
+# (2, 3): eigenvalue 1 and each complex cube root of unity is a 2x2
+# Jordan block, so the kept modes are (near) defective
+_LINKED_CYCLES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [
+        (lambda: arcs(6, _LINKED_CYCLES), 2),
+        # a k=1 ARPACK radius estimate reads 1.000000014 here
+        (lambda: arcs(8, _LINKED_CYCLES + [(3, 6), (6, 7)]), 6),
+        *[
+            (lambda n=n, deg=deg, seed=seed: generate_er(n, deg / (n - 1), True, seed), 6)
+            for n, deg, seed in [
+                (57, 1.3377225118934541, 1474063761),
+                (154, 1.115374583042764, 1717898535),
+                (271, 1.2275954430799318, 1516632584),
+                (57, 2.062450813660699, 1904257322),
+            ]
+        ],
+    ],
+    ids=["linked-cycles", "linked-cycles-with-tail", "er57", "er154", "er271", "er57-dense"],
+)
+def test_truncated_decomposition_refuses_ill_conditioned_modes(build, k) -> None:
+    # each passes the Gram, pairing and residual checks; the kept left-row
+    # norms (condition numbers) reach 2.4e7 to 2.8e15
+    with pytest.raises(
+        DefectivenessError, match=r"^eigenvalue \([^()]+\) has condition number \S+ above 1e\+06;"
+    ):
+        decompose(build(), k=k)
+
+
+def test_full_decomposition_is_gated_by_reconstruction_not_by_condition() -> None:
+    # the eigenvalue-0 cluster of this graph has condition number 6.6e7,
+    # but a full basis reconstructs B, which is what a full decomposition
+    # promises
+    g = generate_er(n=20, p=0.2, directed=True, seed=41)
+    dec = decompose(g)
+    assert dec.num_modes == g.n
+    assert np.linalg.norm(dec.left_rows, axis=1).max() > 1e6
 
 
 @pytest.mark.parametrize(
