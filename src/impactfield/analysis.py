@@ -15,7 +15,7 @@ same sums and moments over a single block.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +34,7 @@ from .graph import DistanceMatrix, Graph, geodesic_distances, symmetrize_weak
 from .impact import (
     ImpactMatrix,
     _real_terms,
+    _symmetric_propagator,
     _TermKernel,
     approx_impact,
     build_weight,
@@ -274,10 +275,17 @@ def dyad_correlation(
     return moments.pearson()
 
 
+# fills the given buffer with (or returns a view of) a block of the exact rows
+_RowReader = Callable[[slice, np.ndarray], np.ndarray]
+
+
 def _dyad_pass(
-    exact: ImpactMatrix, dist: DistanceMatrix, mode_sets: list[ModeSet]
+    read_rows: _RowReader, dist: DistanceMatrix, mode_sets: list[ModeSet]
 ) -> tuple[np.ndarray, list[_DyadMoments]]:
     """Curve sums and per-order correlation moments in one pass over row blocks.
+
+    ``read_rows(rows, buffer)`` gives the exact propagator's rows ``rows``,
+    in ``buffer`` or in a view of its own.
 
     ``mode_sets`` come from ``select_modes`` at rising orders, so each
     one's real terms are a prefix of the next one's: every pair of order
@@ -291,8 +299,9 @@ def _dyad_pass(
     sums = np.zeros(len(dist.pair_counts))
     moments = [_DyadMoments() for _ in mode_sets]
     buffer = np.empty((kernel.height, dist.n))
+    exact_buffer = np.empty_like(buffer)
     for rows in kernel.blocks:
-        exact_rows = exact.values[rows]
+        exact_rows = read_rows(rows, exact_buffer[: rows.stop - rows.start])
         # one cast of the narrow hop counts serves every term's table gather
         hops = dist.hops[rows].astype(np.intp)
         # add.at adds pair by pair in row-major order, as a single call on
@@ -423,6 +432,27 @@ def _failed_cell(
     )
 
 
+def _cell_propagator(
+    treated: Graph, gamma: float, rho: float, keep: bool
+) -> tuple[_RowReader, np.ndarray | None]:
+    """A cell's exact propagator as a reader of its row blocks, and, when
+    ``keep`` is set, as a whole n x n array.
+
+    An undirected network's propagator is symmetric, so it is built,
+    inverted and read in packed storage, n(n + 1)/2 floats; the kept
+    array is an unpacked copy. A directed one is inverted by LU with
+    ``I - W`` formed in W's own memory; no reference to W is kept.
+    """
+    if not treated.directed:
+        # the kept array is allocated first, so that on a brk heap the
+        # packed inverse lies above it and its memory is reused once freed
+        kept = np.empty((treated.n, treated.n)) if keep else None
+        inverse = _symmetric_propagator(treated, gamma, rho)
+        return inverse.read_rows, None if kept is None else inverse.unpack(kept)
+    values = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True).values
+    return (lambda rows, buffer: values[rows]), values if keep else None
+
+
 def _run_cell(
     treated: Graph,
     dist: DistanceMatrix,
@@ -435,12 +465,12 @@ def _run_cell(
     fit_range: tuple[int, int],
     keep_matrices: bool,
 ) -> StudyCell:
-    # I - W is formed and inverted in W's own memory, so the cell holds
-    # one dense matrix until its pass; keep no reference to W
-    exact = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True)
+    read_rows, kept = _cell_propagator(treated, gamma, rho, keep_matrices)
     counts = _pair_counts(dist)
     mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
-    sums, moments = _dyad_pass(exact, dist, mode_sets)
+    sums, moments = _dyad_pass(read_rows, dist, mode_sets)
+    # a packed inverse is not held beside its unpacked copy and the approximations
+    del read_rows
     curve = _curve(sums, counts)
     notes: list[str] = []
     fit: ExponentialFit | None
@@ -466,7 +496,7 @@ def _run_cell(
         fit=fit,
         correlations=tuple(records),
         notes=tuple(notes),
-        exact=exact if keep_matrices else None,
+        exact=None if kept is None else ImpactMatrix(values=kept, gamma=gamma),
         approximations=(
             {modes.order: approx_impact(modes, dist) for modes in mode_sets}
             if keep_matrices

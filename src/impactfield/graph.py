@@ -267,29 +267,48 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     The counts come in ``np.min_scalar_type(n - 1)``, the narrowest
     unsigned type that holds the longest possible geodesic.
 
-    Breadth-first search from every node at once, as boolean sparse times
-    dense products. Column t of ``front`` holds the nodes whose shortest
-    path to t has the current length; one product with the structure
-    moves each column a hop further back along the arcs, and the unseen
-    mask keeps only the nodes met for the first time. So ``hops[i, t]``
-    counts hops from i to t along arcs, and no transpose is needed.
-    Targets still active after ``_FRONTIER_LEVELS`` levels are searched
-    again by ``csgraph.shortest_path`` on the reversed arcs.
+    Breadth-first search from every node at once, 64 targets to a word.
+    Bit t of row i of ``front`` is set when i's shortest path to t has
+    the current length; OR-ing the rows of each node's out-neighbours
+    moves every target a hop further back along the arcs, and the unseen
+    mask keeps only the nodes met for the first time. Each level adds the
+    unseen mask it starts from to the counts, so a pair first met at
+    level d has been counted d times; pairs never met are zeroed at the
+    end. So ``hops[i, t]`` counts hops from i to t along arcs, and no
+    transpose is needed. Targets still active after ``_FRONTIER_LEVELS``
+    levels are searched again by ``csgraph.shortest_path`` on the
+    reversed arcs.
     """
     n = structure.shape[0]
-    arcs = structure.astype(bool)
-    front = np.eye(n, dtype=bool)
-    unseen = ~front
+    words = -(-n // 64)
+    front = np.zeros((n, words), dtype=np.uint64)
+    nodes = np.arange(n)
+    front.view(np.uint8)[nodes, nodes // 8] = np.left_shift(1, nodes % 8).astype(np.uint8)
+    targets = np.zeros(words, dtype=np.uint64)
+    targets.view(np.uint8)[: -(-n // 8)] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
+    unseen = front ^ targets
     hops = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for level in range(1, _FRONTIER_LEVELS + 1):
-        # boolean products add by logical or, so no count can overflow
-        front = arcs @ front
-        front &= unseen
+    indptr, indices = structure.indptr, structure.indices
+    # gather at most n rows of the front at once, as many words as it holds
+    chunks = list(_row_chunks(indptr, max(n, 1)))
+    for _ in range(_FRONTIER_LEVELS):
+        reached = np.zeros_like(front)
+        for start, stop in chunks:
+            busy = np.flatnonzero(np.diff(indptr[start : stop + 1])) + start
+            if busy.size:
+                gathered = front[indices[indptr[start] : indptr[stop]]]
+                reached[busy] = np.bitwise_or.reduceat(gathered, indptr[busy] - indptr[start])
+        front = reached & unseen
         if not front.any():
             break
+        for rows, flags in _flag_rows(unseen, n):
+            hops[rows] += flags
         unseen ^= front
-        np.copyto(hops, level, where=front)
-    active = np.flatnonzero(front.any(axis=0))
+    # pairs never met were counted at every level, but have no path
+    for rows, flags in _flag_rows(unseen, n):
+        np.copyto(hops[rows], 0, where=flags.view(bool))
+    active_words = np.bitwise_or.reduce(front, axis=0)
+    active = np.flatnonzero(np.unpackbits(active_words.view(np.uint8), count=n, bitorder="little"))
     if active.size:
         dist = csgraph.shortest_path(
             structure.T, method="auto", directed=True, unweighted=True, indices=active
@@ -299,14 +318,34 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     return hops
 
 
+def _row_chunks(indptr: np.ndarray, arcs: int) -> Iterable[tuple[int, int]]:
+    """Ranges of CSR rows holding at most ``arcs`` arcs each, or one row
+    when that row alone holds more."""
+    start, n = 0, len(indptr) - 1
+    while start < n:
+        stop = int(np.searchsorted(indptr, indptr[start] + arcs, side="right")) - 1
+        stop = min(max(stop, start + 1), n)
+        yield start, stop
+        start = stop
+
+
+def _flag_rows(bits: np.ndarray, n: int) -> Iterable[tuple[slice, np.ndarray]]:
+    """Blocks of rows of 64-target words, unpacked to one 0/1 byte per target."""
+    height = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, n, height):
+        rows = slice(start, start + height)
+        yield rows, np.unpackbits(bits[rows].view(np.uint8), axis=1, count=n, bitorder="little")
+
+
 def geodesic_distances(graph: Graph) -> DistanceMatrix:
     """Minimum hop counts between all ordered node pairs.
 
     Distances follow arc direction for directed graphs and ignore edge
     weights entirely (a breadth-first count, not a weighted shortest
     path). The search runs from every node at once, one hop level per
-    sparse product; nodes whose search outlasts a fixed number of levels
-    are finished by csgraph's per-node search, with the same counts.
+    pass of bitwise ORs over the arcs; nodes whose search outlasts a
+    fixed number of levels are finished by csgraph's per-node search,
+    with the same counts.
     The counts are stored in the narrowest unsigned type that holds
     n - 1, so the n x n array takes n^2 bytes up to n = 256 and 2 n^2
     bytes beyond.

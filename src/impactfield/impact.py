@@ -8,6 +8,14 @@ Orientation: entry (i, j) of every matrix here concerns the influence of
 j on i. Powers of W accumulate index walks from i to j along arc
 direction, which is exactly the direction geodesic_distances counts, so
 ``hops[i, j]`` is the right exponent for entry (i, j).
+
+Two routes invert ``I - W``. A symmetric system (undirected input) is
+held as its lower triangle in rectangular full packed storage,
+n(n + 1)/2 floats, built straight from the arcs by the study, factorized
+and inverted in place by Cholesky, and refused when its exact reciprocal
+condition number is below ``_RCOND_FLOOR``; readers assemble full row
+blocks from the triangle. Any other system goes through LU on a dense
+n x n array, refused on LAPACK's condition estimate.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     ConjugateClosureError,
@@ -43,6 +52,12 @@ _RCOND_FLOOR = 1e-14
 # blocks of max(1, _BLOCK_ENTRIES // n) rows so that every per-term
 # temporary stays in cache
 _BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The n rows cut into blocks of ``max(1, _BLOCK_ENTRIES // n)`` rows."""
+    height = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(start, min(start + height, n)) for start in range(0, n, height)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +90,10 @@ class ImpactMatrix:
         return len(self.values)
 
 
-def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> WeightMatrix:
-    """Materialize ``W = gamma * A / rho(A)`` for a graph.
-
-    The arc (i, j) of the input sets entry W[i, j]: whoever i points at
-    impacts i. ``rho`` can be supplied when the spectral radius is
-    already known (it does not depend on gamma).
-    """
+def _weight_arcs(
+    graph: Graph, gamma: float, rho: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Rows, columns and values of the arcs of ``W = gamma * A / rho(A)``, and rho."""
     if not 0.0 < gamma < 1.0:
         raise ValidationError("gamma must lie strictly inside (0, 1)")
     if graph.n == 0 or not graph.edges:
@@ -91,14 +103,25 @@ def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> Weight
         warnings.warn(
             "negative edge weights: no positivity guarantee for impact values",
             NegativeWeightsWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if rho is None:
         rho = spectral_radius(graph)
     if not 0.0 < rho < np.inf:
         raise NormalizationError(f"cannot normalize: spectral radius {rho!r}")
+    return src, dst, (weights / rho) * gamma, rho
+
+
+def build_weight(graph: Graph, gamma: float, rho: float | None = None) -> WeightMatrix:
+    """Materialize ``W = gamma * A / rho(A)`` for a graph.
+
+    The arc (i, j) of the input sets entry W[i, j]: whoever i points at
+    impacts i. ``rho`` can be supplied when the spectral radius is
+    already known (it does not depend on gamma).
+    """
+    src, dst, values, rho = _weight_arcs(graph, gamma, rho)
     w = np.zeros((graph.n, graph.n))
-    w[src, dst] = (weights / rho) * gamma
+    w[src, dst] = values
     return WeightMatrix(gamma=gamma, rho=rho, W=w)
 
 
@@ -127,59 +150,185 @@ def _factorize(system: np.ndarray):
         lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
-    _check_rcond(*gecon(lu, anorm, norm="1"))
+    _check_rcond(*gecon(lu, anorm, norm="1"), "estimate")
     return lu, piv
 
 
-def _check_rcond(rcond: float, info: int) -> None:
+def _check_rcond(rcond: float, info: int, kind: str) -> None:
     if info != 0 or rcond < _RCOND_FLOOR:
         raise SolverError(
-            f"(I - W) is numerically singular; reciprocal condition estimate {rcond:.3e}"
+            f"(I - W) is numerically singular; reciprocal condition {kind} {rcond:.3e}"
         )
 
 
-def _symmetric_inverse(system: np.ndarray) -> np.ndarray:
-    # rho(W) = gamma < 1 puts every eigenvalue of the symmetric I - W in
-    # (1 - gamma, 1 + gamma), so it is positive definite. The Fortran
-    # routines work in place on the transposed view, which is the same
-    # symmetric matrix in column-major order.
-    anorm = scipy.linalg.norm(system, 1, check_finite=False)
-    potrf, pocon, potri = scipy.linalg.get_lapack_funcs(("potrf", "pocon", "potri"), (system,))
-    factor, info = potrf(system.T, lower=False, clean=False, overwrite_a=True)
+class _PackedSymmetric:
+    """A symmetric n x n matrix held as its lower triangle in n(n + 1)/2 floats.
+
+    The layout is LAPACK's rectangular full packed format with
+    ``TRANSR='N'`` and ``UPLO='L'`` (Gustavson, Wasniewski, Dongarra &
+    Langou, ACM TOMS 37(2), 2010), in which Cholesky factorization and
+    inversion run at BLAS-3 speed. With m = ceil(n / 2) (``half``), s = 1
+    for even n and 0 for odd n (``shift``), and t = 1 - s, the floats form
+    a row-major m x (n + s) array P in which
+
+    * column j < m of the lower triangle, from its diagonal down, is the
+      row segment ``P[j, j + s:]``: entry (i, j) is ``P[j, i + s]``;
+    * the trailing triangle, rows and columns m.., lies row by row at the
+      left: entry (m + r, m + c), r >= c, is ``P[r + t, c]``.
+
+    ``read_rows`` assembles full rows from these slices, a block at a time.
+    """
+
+    def __init__(self, n: int, data: np.ndarray) -> None:
+        self.n, self.data = n, data
+        self.half = n - n // 2
+        self.shift = 1 - n % 2
+
+    def offsets(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Positions of the lower-triangle entries ``(rows, cols)``, rows >= cols."""
+        n, m, s = self.n, self.half, self.shift
+        leading = cols * (n + s) + rows + s
+        trailing = (rows - m + 1 - s) * (n + s) + cols - m
+        return np.where(cols < m, leading, trailing)
+
+    def diagonal(self) -> np.ndarray:
+        """Positions of the diagonal entries, in order."""
+        nodes = np.arange(self.n)
+        return self.offsets(nodes, nodes)
+
+    def read_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the full rows ``rows`` (a step-1 slice) and return it."""
+        n, m, s = self.n, self.half, self.shift
+        t = 1 - s
+        packed = self.data.reshape(m, n + s)
+        start = rows.start
+        for lo, hi in ((start, min(rows.stop, m)), (max(start, m), rows.stop)):
+            if lo >= hi:
+                continue
+            block = out[lo - start : hi - start]
+            lower = np.tri(hi - lo, k=-1, dtype=bool)
+            if hi <= m:
+                # row i < m is column i of the lower triangle, read across
+                # to the left of the diagonal and along its segment to the right
+                block[:, :lo] = packed[:lo, lo + s : hi + s].T
+                block[:, hi:] = packed[lo:hi, hi + s : n + s]
+                square = block[:, lo:hi]
+                square[...] = packed[lo:hi, lo + s : hi + s]
+                square[lower] = square.T[lower]
+            else:
+                a, b = lo - m, hi - m
+                block[:, :m] = packed[:, lo + s : hi + s].T
+                block[:, m : m + a] = packed[a + t : b + t, :a]
+                block[:, m + b :] = packed[b + t : n - m + t, a:b].T
+                square = block[:, m + a : m + b]
+                square[...] = packed[a + t : b + t, a:b]
+                square[lower.T] = square.T[lower.T]
+        return out
+
+    def unpack(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The whole matrix, written into ``out`` (n x n) or a new array."""
+        if out is None:
+            out = np.empty((self.n, self.n))
+        for rows in _row_blocks(self.n):
+            self.read_rows(rows, out[rows])
+        return out
+
+    def norm1(self) -> float:
+        """The exact 1-norm, summed from the packed floats a few rows at a time.
+
+        Column j's absolute sum is that of column j of the lower triangle
+        plus that of row j, less the diagonal entry they share. Row r of
+        ``P`` holds column r of the lower triangle from ``P[r, r + s]`` on,
+        and row m + r - t of the trailing triangle before it.
+        """
+        n, m, s = self.n, self.half, self.shift
+        t = 1 - s
+        packed = self.data.reshape(m, n + s)
+        columns, rows = np.zeros(n), np.zeros(n)
+        # a row block's worth of floats, but at most a 32nd of the rows,
+        # so the temporary stays small beside the matrix
+        height = max(1, min(_BLOCK_ENTRIES // max(n, 1), n // 32))
+        for lo in range(0, m, height):
+            hi = min(lo + height, m)
+            chunk = np.abs(packed[lo:hi])
+            left, square, right = chunk[:, : lo + s], chunk[:, lo + s : hi + s], chunk[:, hi + s :]
+            upper, below = np.triu(square), np.tril(square, -1)
+            columns[lo:hi] += right.sum(axis=1) + upper.sum(axis=1)
+            rows[lo:hi] += upper.sum(axis=0)
+            rows[hi:] += right.sum(axis=0)
+            rows[m - t + lo : m - t + hi] += left.sum(axis=1) + below.sum(axis=1)
+            columns[m : m + lo + s] += left.sum(axis=0)
+            columns[m + lo + s : m + hi + s - 1] += below[:, :-1].sum(axis=0)
+        diagonal = np.abs(self.data[self.diagonal()])
+        return float((columns + rows - diagonal).max(initial=0.0))
+
+
+def _packed_inverse(system: _PackedSymmetric, anorm: float) -> _PackedSymmetric:
+    """Invert a packed symmetric ``I - W`` in place, or refuse it.
+
+    ``rho(W) = gamma < 1`` puts every eigenvalue of a symmetric ``I - W``
+    in (1 - gamma, 1 + gamma), so it is positive definite and has a
+    Cholesky factor. The reciprocal condition number is exact: ``anorm``
+    is the system's 1-norm, and the inverse's is summed from its rows.
+    """
+    options = {"transr": "N", "uplo": "L", "overwrite_a": 1}
+    factor, info = scipy.linalg.lapack.dpftrf(system.n, system.data, **options)
     if info != 0:
-        raise SolverError(f"(I - W) could not be factorized: potrf returned info={info}")
-    _check_rcond(*pocon(factor, anorm, uplo="U"))
-    inverse, info = potri(factor, lower=False, overwrite_c=True)
+        raise SolverError(f"(I - W) could not be factorized: pftrf returned info={info}")
+    data, info = scipy.linalg.lapack.dpftri(system.n, factor, **options)
     if info != 0:
-        raise SolverError(f"(I - W) could not be inverted: potri returned info={info}")
-    # potri filled the lower triangle of the row-major result; mirror it
-    values = inverse.T
-    for row in range(system.shape[0] - 1):
-        values[row, row + 1:] = values[row + 1:, row]
-    return values
+        raise SolverError(f"(I - W) could not be inverted: pftri returned info={info}")
+    inverse = _PackedSymmetric(system.n, data)
+    # a zero or NaN product (no rows, or NaN in the inverse) reads as condition 0
+    norms = anorm * inverse.norm1()
+    _check_rcond(1.0 / norms if norms > 0.0 else 0.0, 0, "number")
+    return inverse
+
+
+def _symmetric_propagator(graph: Graph, gamma: float, rho: float) -> _PackedSymmetric:
+    """The propagator of an undirected graph, built and inverted in packed storage.
+
+    Each edge sets its lower entry of ``I - W`` once, from the arc that
+    leaves the larger index; the 1-norm is one plus the largest column
+    sum of ``|W|``, read from the arcs.
+    """
+    src, dst, values, _ = _weight_arcs(graph, gamma, rho)
+    n = graph.n
+    system = _PackedSymmetric(n, np.zeros(n * (n + 1) // 2))
+    system.data[system.diagonal()] = 1.0
+    lower = src > dst
+    system.data[system.offsets(src[lower], dst[lower])] = np.subtract(0.0, values[lower])
+    anorm = 1.0 + np.bincount(dst, np.abs(values), minlength=n).max()
+    return _packed_inverse(system, anorm)
 
 
 def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) -> ImpactMatrix:
     """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve.
 
     A symmetric ``W`` (undirected input, or a digraph whose arcs all come
-    in equal-weight pairs) makes ``I - W`` symmetric positive definite,
-    and the inverse comes from a Cholesky factorization; any other ``W``
-    goes through LU. Both routes refuse a numerically singular system.
+    in equal-weight pairs) makes ``I - W`` symmetric positive definite:
+    its lower triangle is packed into n(n + 1)/2 floats, inverted there
+    through a Cholesky factorization, and unpacked. Any other ``W`` goes
+    through LU. Both routes refuse a numerically singular system.
 
-    By default ``weight.W`` is left intact and ``I - W`` is a new array.
-    With ``overwrite_weight=True`` (after scipy's ``overwrite_a``),
-    ``I - W`` is formed inside ``weight.W`` and factorized there, so the
-    caller must not read ``weight.W`` again: its contents are unspecified
-    afterwards, and on the Cholesky route the returned ``values`` share
-    its buffer. The values are bitwise those of the default call.
+    By default ``weight.W`` is left intact and the values are a new
+    array. With ``overwrite_weight=True`` (after scipy's ``overwrite_a``),
+    LU forms and factorizes ``I - W`` inside ``weight.W``, and the packed
+    route unpacks its inverse there, so the caller must not read
+    ``weight.W`` again: its contents are unspecified afterwards, and on
+    the packed route the returned ``values`` share its buffer. The values
+    are bitwise those of the default call.
     """
-    symmetric = scipy.linalg.issymmetric(weight.W)
-    system = _system(weight, overwrite_weight)
-    if symmetric:
-        values = _symmetric_inverse(system)
+    if scipy.linalg.issymmetric(weight.W):
+        # W is symmetric, so its transpose is the same matrix in the
+        # column-major order that trttf reads without a copy
+        data, _ = scipy.linalg.lapack.dtrttf(weight.W.T, transr="N", uplo="L")
+        system = _PackedSymmetric(weight.n, np.subtract(0.0, data, out=data))
+        system.data[system.diagonal()] += 1.0
+        inverse = _packed_inverse(system, system.norm1())
+        values = inverse.unpack(weight.W if overwrite_weight else None)
     else:
-        lu, piv = _factorize(system)
+        lu, piv = _factorize(_system(weight, overwrite_weight))
         values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
     return ImpactMatrix(values=values, gamma=weight.gamma)
 
@@ -246,8 +395,8 @@ class _TermKernel:
                 self.terms.append((table.real, table.imag, receive, send))
             else:
                 self.terms.append((table.real, None, receive.real, send.real))
-        self.height = height = max(1, _BLOCK_ENTRIES // max(n, 1))
-        self.blocks = [slice(start, min(start + height, n)) for start in range(0, n, height)]
+        self.blocks = _row_blocks(n)
+        self.height = self.blocks[0].stop if self.blocks else 1
 
     def add(
         self,

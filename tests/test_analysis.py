@@ -57,8 +57,8 @@ from impactfield.spectral import decompose, select_modes, spectral_radius
 
 from util import (
     arcs,
+    cell_propagator_failing_at,
     count_calls,
-    propagator_failing_at,
     read_correlations_csv,
     read_curves_csv,
     read_fits_csv,
@@ -508,20 +508,23 @@ def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None
     g = generate_er(n=30, p=0.15, directed=True, seed=11)
     cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
     assert cells and all(cell.error is None for cell in cells)
-    # one pass per cell builds every order's approximation
-    assert len(weights) == len(cells) and passes == len(cells)
+    # one pass per cell builds every order's approximation; only the
+    # directed cells build a dense W, the symmetrized ones build none
+    directed = sum(cell.treatment is Treatment.DIRECTED for cell in cells)
+    assert directed == 2 and len(weights) == directed and passes == len(cells)
 
 
-def test_symmetric_cell_holds_one_dense_matrix_until_its_pass(monkeypatch) -> None:
-    # W is built by one scatter and I - W is formed and inverted in W's
-    # own memory, so from the start of the cell to its pass the cell adds
-    # one n x n float array; a separate I - W would make that two
-    n = 400
+@pytest.mark.parametrize("n", [400, 401])
+def test_symmetric_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch, n) -> None:
+    # I - W is built from the arcs straight into packed storage and
+    # inverted there, so from the start of the cell to its pass the cell
+    # adds n(n + 1)/2 floats and small temporaries; a dense W or inverse
+    # would add at least n^2
     starts: list[int] = []
     growth: list[int] = []
-    build, dyad_pass = impactfield.analysis.build_weight, impactfield.analysis._dyad_pass
+    build, dyad_pass = impactfield.analysis._cell_propagator, impactfield.analysis._dyad_pass
 
-    def marking_build_weight(*args, **kwargs):
+    def marking_cell_propagator(*args, **kwargs):
         starts.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return build(*args, **kwargs)
@@ -530,7 +533,7 @@ def test_symmetric_cell_holds_one_dense_matrix_until_its_pass(monkeypatch) -> No
         growth.append(tracemalloc.get_traced_memory()[1] - starts[-1])
         return dyad_pass(*args, **kwargs)
 
-    monkeypatch.setattr("impactfield.analysis.build_weight", marking_build_weight)
+    monkeypatch.setattr("impactfield.analysis._cell_propagator", marking_cell_propagator)
     monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
     tracemalloc.start()
@@ -539,7 +542,7 @@ def test_symmetric_cell_holds_one_dense_matrix_until_its_pass(monkeypatch) -> No
     finally:
         tracemalloc.stop()
     assert [cell.error for cell in cells] == [None]
-    assert len(growth) == 1 and growth[0] < 1.5 * 8 * n * n
+    assert len(growth) == 1 and 4 * n * (n + 1) < growth[0] < 0.6 * 8 * n * n
 
 
 def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:
@@ -644,7 +647,7 @@ def test_failed_treatment_yields_error_cells_not_an_abort() -> None:
 
 def test_cell_failing_after_its_treatment_decomposed_keeps_the_others(monkeypatch) -> None:
     # the decomposition succeeds; only the gamma=0.9 cell's solve fails
-    monkeypatch.setattr("impactfield.analysis.exact_propagator", propagator_failing_at(0.9))
+    monkeypatch.setattr("impactfield.analysis._cell_propagator", cell_propagator_failing_at(0.9))
     g = generate_er(n=15, p=0.25, directed=False, seed=47)
     kept, failed = run_study(g, gammas=[0.5, 0.9], network="x")
     assert (kept.gamma, kept.error, kept.error_code) == (0.5, None, 0)

@@ -29,7 +29,7 @@ from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
 from util import (
-    propagator_failing_at,
+    cell_propagator_failing_at,
     read_correlations_csv,
     read_curves_csv,
     read_dyads_csv,
@@ -254,6 +254,18 @@ def test_generator_spec_reads_directed_case_insensitively(value, directed) -> No
     assert graph.directed is directed
 
 
+@pytest.mark.parametrize("n", [39, 40])
+def test_analyze_tables_do_not_depend_on_dyads(tmp_path, n) -> None:
+    # --dyads keeps an unpacked copy of the packed inverse the pass reads,
+    # so the tables of both runs come from the same floats
+    spec = ["analyze", "--input", f"er:n={n},p=0.1,seed=3", "--undirected"]
+    assert main(spec + ["--out", str(tmp_path / "lean")]) == 0
+    assert main(spec + ["--dyads", "--out", str(tmp_path / "kept")]) == 0
+    for name in ("curves.csv", "fits.csv", "correlations.csv"):
+        assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
+    assert list((tmp_path / "kept").glob("dyads_*.csv"))
+
+
 def test_repeated_gamma_is_one_cell(tmp_path) -> None:
     spec = ["analyze", "--input", "er:n=40,p=0.1,seed=1", "--undirected", "--dyads"]
     assert main(spec + ["--gamma", "0.5", "--out", str(tmp_path / "once")]) == 0
@@ -413,7 +425,7 @@ def test_analyze_failed_cell_names_the_cell(tmp_path, capsys) -> None:
 def test_analyze_cell_failing_after_decomposition_keeps_the_others(
     tmp_path, capsys, monkeypatch
 ) -> None:
-    monkeypatch.setattr("impactfield.analysis.exact_propagator", propagator_failing_at(0.9))
+    monkeypatch.setattr("impactfield.analysis._cell_propagator", cell_propagator_failing_at(0.9))
     out = tmp_path / "out"
     path = write_input(tmp_path, "paw.txt", PAW)
     code = main(["analyze", "--input", path, "--undirected", "--gamma", "0.5", "--gamma", "0.9",

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import impactfield
 
@@ -309,6 +310,34 @@ def test_distance_one_exactly_on_adjacent_pairs() -> None:
         adjacency = g.adjacency() != 0.0
         one_hop = dist.reachable & (dist.hops == 1)
         assert np.array_equal(one_hop, adjacency)
+
+
+def test_bit_parallel_hops_match_csgraph() -> None:
+    # 64 targets share a word, so n around word edges and long paths that
+    # leave the level loop for csgraph are compared with its search
+    rng = np.random.default_rng(29)
+    graphs = [
+        generate_er(n=n, p=2.5 / n, directed=directed, seed=int(rng.integers(1 << 30)))
+        for n in (63, 64, 65, 128, 200)
+        for directed in (False, True)
+    ]
+    path = [(i, i + 1) for i in range(LONG - 1)]
+    graphs += [
+        arcs(LONG, path),
+        arcs(LONG, path, directed=False),
+        arcs(LONG, path + [(LONG - 1, 0)]),
+        # nodes 1, 4 and 66 to 69 are isolated
+        arcs(70, [(0, 2), (2, 3), (3, 5), (65, 0)] + [(i, i + 1) for i in range(5, 65)]),
+        arcs(70, [(0, 2), (2, 3), (65, 0)], directed=False),
+    ]
+    for g in graphs:
+        expected = csgraph.shortest_path(
+            g.structure_sparse(), directed=g.directed, unweighted=True
+        )
+        expected[np.isinf(expected)] = 0.0
+        hops = geodesic_distances(g).hops
+        assert hops.dtype == np.min_scalar_type(g.n - 1)
+        assert np.array_equal(hops, expected.astype(hops.dtype))
 
 
 def test_distances_match_reference_bfs() -> None:

@@ -23,7 +23,9 @@ from impactfield.errors import (
 from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     WeightMatrix,
+    _PackedSymmetric,
     _real_terms,
+    _symmetric_propagator,
     approx_impact,
     build_weight,
     equilibrium_state,
@@ -164,6 +166,7 @@ def test_symmetric_route_matches_lu_on_identity_corpus() -> None:
     [
         [[0.0, 1.0 - 1e-15], [1.0 - 1e-15, 0.0]],  # symmetric, rcond ~ 5e-16
         [[0.0, 1.0], [1.0, 0.0]],  # symmetric and exactly singular
+        [[0.0, 2.0], [2.0, 0.0]],  # symmetric and indefinite: no Cholesky factor
         [[0.0, 2.0 - 2e-15], [0.5, 0.0]],  # nonsymmetric, rcond ~ 1e-16
     ],
 )
@@ -172,6 +175,52 @@ def test_singular_system_is_refused_on_both_routes(w) -> None:
     weight = WeightMatrix(gamma=0.5, rho=1.0, W=w)
     with pytest.raises(SolverError):
         exact_propagator(weight)
+
+
+def test_symmetric_refusal_names_an_exact_condition_number() -> None:
+    # the packed route sums the inverse's 1-norm exactly; LU estimates it
+    weight = WeightMatrix(gamma=0.5, rho=1.0, W=np.array([[0.0, 1.0 - 1e-15], [1.0 - 1e-15, 0.0]]))
+    with pytest.raises(SolverError, match="reciprocal condition number"):
+        exact_propagator(weight)
+    weight = WeightMatrix(gamma=0.5, rho=1.0, W=np.array([[0.0, 2.0 - 2e-15], [0.5, 0.0]]))
+    with pytest.raises(SolverError, match="reciprocal condition estimate"):
+        exact_propagator(weight)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_offsets_are_lapack_rectangular_full_packed(n) -> None:
+    # trttf packs each lower entry's own index to where the map puts it
+    rows, cols = np.tril_indices(n)
+    index = np.zeros((n, n))
+    index[rows, cols] = np.arange(rows.size) + 1.0
+    packed, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(index), transr="N", uplo="L")
+    assert info == 0
+    expected = _PackedSymmetric(n, np.zeros(n * (n + 1) // 2))
+    expected.data[expected.offsets(rows, cols)] = index[rows, cols]
+    assert np.array_equal(packed, expected.data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 31, 40])
+def test_packed_row_blocks_are_the_unpacked_inverse(n) -> None:
+    graph = generate_er(n=n, p=min(1.0, 4.0 / n), directed=False, seed=n)
+    if not graph.edges:
+        graph = arcs(n, [(0, 1)], directed=False)
+    weight = build_weight(graph, 0.875)
+    inverse = _symmetric_propagator(graph, 0.875, weight.rho)
+    # the study's packed inverse is the one exact_propagator unpacks, and
+    # LAPACK's own unpacking of its triangle agrees
+    values = exact_propagator(weight).values
+    assert inverse.unpack().tobytes() == values.tobytes()
+    lower, info = scipy.linalg.lapack.dtfttr(n, inverse.data, transr="N", uplo="L")
+    lower = np.tril(lower)
+    assert info == 0 and np.array_equal(values, lower + np.tril(lower, -1).T)
+    for height in (1, 2, 3, n):
+        out = np.full((n, n), np.nan)
+        for start in range(0, n, height):
+            rows = slice(start, min(start + height, n))
+            inverse.read_rows(rows, out[rows])
+        assert out.tobytes() == values.tobytes()
+    assert inverse.norm1() == pytest.approx(scipy.linalg.norm(values, 1), rel=1e-14)
 
 
 OVERWRITE_GRAPHS = {

@@ -13,7 +13,14 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from impactfield import Graph, build_weight, exact_propagator, generate_er
-from impactfield.analysis import CorrelationRecord, CurvePoint, DecayCurve, ExponentialFit, Treatment
+from impactfield.analysis import (
+    CorrelationRecord,
+    CurvePoint,
+    DecayCurve,
+    ExponentialFit,
+    Treatment,
+    _cell_propagator,
+)
 from impactfield.errors import (
     ConjugateClosureError,
     GraphValidationError,
@@ -63,13 +70,13 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
     return calls
 
 
-def propagator_failing_at(gamma: float):
-    """``exact_propagator`` that raises SolverError at one gamma only."""
+def cell_propagator_failing_at(gamma: float):
+    """``analysis._cell_propagator`` that raises SolverError at one gamma only."""
 
-    def propagator(weight: WeightMatrix, **kwargs) -> ImpactMatrix:
-        if weight.gamma == gamma:
+    def propagator(treated: Graph, cell_gamma: float, rho: float, keep: bool):
+        if cell_gamma == gamma:
             raise SolverError(f"singular system at gamma={gamma!r}")
-        return exact_propagator(weight, **kwargs)
+        return _cell_propagator(treated, cell_gamma, rho, keep)
 
     return propagator
 
