@@ -15,7 +15,9 @@ same sums and moments over a single block.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import dataclasses
+import functools
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,14 +36,15 @@ from .graph import DistanceMatrix, Graph, geodesic_distances, symmetrize_weak
 from .impact import (
     ImpactMatrix,
     _real_terms,
+    _row_blocks,
     _symmetric_propagator,
     _TermKernel,
-    approx_impact,
     build_weight,
     exact_propagator,
     gamma_grid,
 )
 from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, decompose, select_modes, spectral_radius
+from .spectral import _cyclic_nodes
 
 __all__ = [
     "Treatment",
@@ -109,8 +112,7 @@ class StudyCell:
     The cell is the only record of its network, treatment and gamma; its
     curve, fit and correlations hold only their own numbers. A failed
     cell carries an error message and exit-code class instead of results;
-    the sweep itself never aborts on a single bad cell. Matrices are
-    attached only when the caller asked to keep them.
+    the sweep itself never aborts on a single bad cell.
     """
 
     network: str
@@ -122,9 +124,6 @@ class StudyCell:
     notes: tuple[str, ...] = ()
     error: str | None = None
     error_code: int = 0
-    exact: ImpactMatrix | None = None
-    approximations: dict[int, ImpactMatrix] | None = None
-    distances: DistanceMatrix | None = None
 
 
 def _pair_counts(dist: DistanceMatrix) -> np.ndarray:
@@ -277,15 +276,19 @@ def dyad_correlation(
 
 # fills the given buffer with (or returns a view of) a block of the exact rows
 _RowReader = Callable[[slice, np.ndarray], np.ndarray]
+# rows, their hop counts as intp, exact rows, and approximation rows per order
+_DyadBlock = tuple[slice, np.ndarray, np.ndarray, list[np.ndarray]]
+# called with a cell's treatment, gamma, approximation orders and blocks
+_DyadConsumer = Callable[[Treatment, float, list[int], Iterator[_DyadBlock]], None]
 
 
 def _dyad_pass(
-    read_rows: _RowReader, dist: DistanceMatrix, mode_sets: list[ModeSet]
+    read_rows: _RowReader,
+    dist: DistanceMatrix,
+    mode_sets: list[ModeSet],
+    consume: Callable[[Iterator[_DyadBlock]], None] | None = None,
 ) -> tuple[np.ndarray, list[_DyadMoments]]:
     """Curve sums and per-order correlation moments in one pass over row blocks.
-
-    ``read_rows(rows, buffer)`` gives the exact propagator's rows ``rows``,
-    in ``buffer`` or in a view of its own.
 
     ``mode_sets`` come from ``select_modes`` at rising orders, so each
     one's real terms are a prefix of the next one's: every pair of order
@@ -293,17 +296,16 @@ def _dyad_pass(
     Each order's block continues the running sum of the order before it,
     term by term as ``approx_impact`` sums, so its dyads hold the same
     values. Only the dyads are read, so unreachable pairs need no zeroing.
+
+    ``consume``, if given, then reads the blocks of a second sweep with no
+    BLAS call: the moments' threaded dot products, interleaved with a pool
+    formatting the blocks, would leave BLAS threads spinning on its cores.
     """
-    kernel = _TermKernel(mode_sets[-1], dist)
+    kernel = _TermKernel(mode_sets[-1], dist) if mode_sets else None
     cuts = [len(_real_terms(modes)) for modes in mode_sets]
     sums = np.zeros(len(dist.pair_counts))
     moments = [_DyadMoments() for _ in mode_sets]
-    buffer = np.empty((kernel.height, dist.n))
-    exact_buffer = np.empty_like(buffer)
-    for rows in kernel.blocks:
-        exact_rows = read_rows(rows, exact_buffer[: rows.stop - rows.start])
-        # one cast of the narrow hop counts serves every term's table gather
-        hops = dist.hops[rows].astype(np.intp)
+    for rows, hops, exact_rows, order_sums in _sweep(read_rows, dist, kernel, cuts):
         # add.at adds pair by pair in row-major order, as a single call on
         # the whole matrix does, so the curve's bits do not depend on blocks
         np.add.at(sums, hops.ravel(), exact_rows.ravel())
@@ -313,14 +315,42 @@ def _dyad_pass(
         if not x.size:
             continue
         x_mean, x_ss = _centre(x)
-        block = buffer[: rows.stop - rows.start]
-        block.fill(0.0)
-        done = 0
-        for cut, moment in zip(cuts, moments):
-            kernel.add(block, rows, hops, done, cut)
-            done = cut
+        for moment, block in zip(moments, order_sums):
             moment.merge(x, x_mean, x_ss, block[mask])
+    if consume is not None:
+        consume(_dyad_blocks(_sweep(read_rows, dist, kernel, cuts)))
     return sums, moments
+
+
+def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int]):
+    """Per row block: rows, hop counts, exact rows, and each order's rows in turn."""
+    blocks = _row_blocks(dist.n)
+    buffer = np.empty((blocks[0].stop if blocks else 1, dist.n))
+    exact_buffer = np.empty_like(buffer)
+    for rows in blocks:
+        size = rows.stop - rows.start
+        # one cast of the narrow hop counts serves every term's table gather
+        hops = dist.hops[rows].astype(np.intp)
+        exact_rows = read_rows(rows, exact_buffer[:size])
+        yield rows, hops, exact_rows, _order_sums(kernel, cuts, rows, hops, buffer[:size])
+
+
+def _order_sums(kernel, cuts: list[int], rows: slice, hops: np.ndarray, block: np.ndarray):
+    block.fill(0.0)
+    done = 0
+    for cut in cuts:
+        kernel.add(block, rows, hops, done, cut)
+        done = cut
+        yield block
+
+
+def _dyad_blocks(sweep) -> Iterator[_DyadBlock]:
+    """A sweep's blocks in arrays of their own, zeroed where ``approx_impact`` zeroes."""
+    for rows, hops, exact_rows, order_sums in sweep:
+        reachable = hops >= 1
+        reachable[np.arange(len(hops)), np.arange(rows.start, rows.stop)] = True
+        approximations = [np.where(reachable, block, 0.0) for block in order_sums]
+        yield rows, hops, exact_rows.copy(), approximations
 
 
 def validate_study_options(
@@ -364,7 +394,7 @@ def run_study(
     network: str = "",
     dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
     fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
-    keep_matrices: bool = False,
+    dyads: _DyadConsumer | None = None,
     symmetrize: bool = True,
 ) -> list[StudyCell]:
     """Full treatment-by-gamma sweep for one network.
@@ -376,6 +406,12 @@ def run_study(
     exact-versus-approximation correlation per requested order. A cell
     that fails validation or numerics is recorded with an error marker
     and the sweep continues. Cells come back sorted by (treatment, gamma).
+
+    A directed treatment asks for at most as many modes as it has nodes
+    on cycles, and an order above the modes kept is noted, not correlated.
+    ``dyads``, if given, reads each cell's row blocks (``_DyadConsumer``),
+    each order's rows equal to ``approx_impact``'s, in arrays no later
+    block reuses, so a reader may keep them or hand them to a pool.
     """
     gammas = sorted(set(gamma_grid() if gammas is None else gammas))
     orders = tuple(sorted(set(orders)))
@@ -383,94 +419,64 @@ def run_study(
 
     cells: list[StudyCell] = []
     for treatment, treated in _study_treatments(graph, symmetrize):
+        keys = [StudyCell(network, treatment, gamma) for gamma in gammas]
         try:
             dist = geodesic_distances(treated)
             # only the leading modes feed the approximations, and asking
             # for just those keeps defective transient structure out of
-            # the directed decomposition
-            if treated.n <= dense_threshold:
-                k = min(treated.n, max(orders) + 4)
-            else:
-                # k >= 1 lets decompose name a graph too small to iterate
-                k = max(1, min(treated.n - 2, max(orders) + 4))
+            # the directed decomposition: each digraph node off the cycles
+            # adds an eigenvalue 0, whose modes add nothing at hop >= 1
+            limit = treated.n if treated.n <= dense_threshold else treated.n - 2
+            if treated.directed:
+                limit = min(limit, _cyclic_nodes(treated))
+            # k >= 1 lets decompose name a graph too small to iterate
+            k = max(1, min(limit, max(orders) + 4))
             decomposition = decompose(treated, k=k, dense_threshold=dense_threshold)
             # the radius decompose normalized by, stored on treated
             rho = spectral_radius(treated, dense_threshold=dense_threshold)
         except ImpactfieldError as exc:
-            cells.extend(_failed_cell(network, treatment, gamma, exc) for gamma in gammas)
+            cells.extend(_failed(key, exc) for key in keys)
             continue
-        for gamma in gammas:
+        for key in keys:
             try:
-                cells.append(
-                    _run_cell(
-                        treated,
-                        dist,
-                        decomposition,
-                        rho,
-                        network,
-                        treatment,
-                        gamma,
-                        orders,
-                        fit_range,
-                        keep_matrices,
-                    )
-                )
+                cell = _run_cell(key, treated, dist, decomposition, rho, orders, fit_range, dyads)
             except ImpactfieldError as exc:
-                cells.append(_failed_cell(network, treatment, gamma, exc))
+                cell = _failed(key, exc)
+            cells.append(cell)
     return cells
 
 
-def _failed_cell(
-    network: str, treatment: Treatment, gamma: float, exc: ImpactfieldError
-) -> StudyCell:
-    return StudyCell(
-        network=network,
-        treatment=treatment,
-        gamma=gamma,
-        error=str(exc),
-        error_code=exc.exit_code,
-    )
+def _failed(cell: StudyCell, exc: ImpactfieldError) -> StudyCell:
+    return dataclasses.replace(cell, error=str(exc), error_code=exc.exit_code)
 
 
-def _cell_propagator(
-    treated: Graph, gamma: float, rho: float, keep: bool
-) -> tuple[_RowReader, np.ndarray | None]:
-    """A cell's exact propagator as a reader of its row blocks, and, when
-    ``keep`` is set, as a whole n x n array.
+def _cell_propagator(treated: Graph, gamma: float, rho: float) -> _RowReader:
+    """A cell's exact propagator, as a reader of its row blocks.
 
     An undirected network's propagator is symmetric, so it is built,
-    inverted and read in packed storage, n(n + 1)/2 floats; the kept
-    array is an unpacked copy. A directed one is inverted by LU with
-    ``I - W`` formed in W's own memory; no reference to W is kept.
+    inverted and read in packed storage, n(n + 1)/2 floats. A directed
+    one is inverted by LU with ``I - W`` formed in W's own memory; no
+    reference to W is kept.
     """
     if not treated.directed:
-        # the kept array is allocated first, so that on a brk heap the
-        # packed inverse lies above it and its memory is reused once freed
-        kept = np.empty((treated.n, treated.n)) if keep else None
-        inverse = _symmetric_propagator(treated, gamma, rho)
-        return inverse.read_rows, None if kept is None else inverse.unpack(kept)
+        return _symmetric_propagator(treated, gamma, rho).read_rows
     values = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True).values
-    return (lambda rows, buffer: values[rows]), values if keep else None
+    return lambda rows, buffer: values[rows]
 
 
 def _run_cell(
-    treated: Graph,
-    dist: DistanceMatrix,
-    decomposition,
-    rho: float,
-    network: str,
-    treatment: Treatment,
-    gamma: float,
-    orders: tuple[int, ...],
-    fit_range: tuple[int, int],
-    keep_matrices: bool,
+    cell: StudyCell, treated: Graph, dist: DistanceMatrix, decomposition, rho: float,
+    orders: tuple[int, ...], fit_range: tuple[int, int], dyads: _DyadConsumer | None,
 ) -> StudyCell:
-    read_rows, kept = _cell_propagator(treated, gamma, rho, keep_matrices)
+    """The results of ``cell``, the key of one cell of a sweep."""
+    gamma = cell.gamma
+    read_rows = _cell_propagator(treated, gamma, rho)
     counts = _pair_counts(dist)
-    mode_sets = [select_modes(decomposition, gamma, order) for order in orders]
-    sums, moments = _dyad_pass(read_rows, dist, mode_sets)
-    # a packed inverse is not held beside its unpacked copy and the approximations
-    del read_rows
+    # orders are ascending, so those with modes enough are a prefix
+    kept = [order for order in orders if order <= decomposition.num_modes]
+    mode_sets = [select_modes(decomposition, gamma, order) for order in kept]
+    consume = dyads and functools.partial(dyads, cell.treatment, gamma, kept)
+    sums, moments = _dyad_pass(read_rows, dist, mode_sets, consume)
     curve = _curve(sums, counts)
     notes: list[str] = []
     fit: ExponentialFit | None
@@ -481,26 +487,18 @@ def _run_cell(
         notes.append(f"fit skipped: {exc}")
     records: list[CorrelationRecord] = []
     n_dyads = int(counts[1:].sum())
-    for order, moment in zip(orders, moments):
+    for order, moment in zip(kept, moments):
         try:
             pearson = moment.pearson()
         except (InsufficientDataError, UndefinedCorrelationError) as exc:
             notes.append(f"order={order} correlation suppressed: {exc}")
             continue
         records.append(CorrelationRecord(order=order, pearson_r=pearson, n_dyads=n_dyads))
-    return StudyCell(
-        network=network,
-        treatment=treatment,
-        gamma=gamma,
-        curve=curve,
-        fit=fit,
-        correlations=tuple(records),
-        notes=tuple(notes),
-        exact=None if kept is None else ImpactMatrix(values=kept, gamma=gamma),
-        approximations=(
-            {modes.order: approx_impact(modes, dist) for modes in mode_sets}
-            if keep_matrices
-            else None
-        ),
-        distances=dist if keep_matrices else None,
+    notes.extend(
+        f"order={order} correlation suppressed: order {order} exceeds the "
+        f"{decomposition.num_modes} modes kept"
+        for order in orders[len(kept) :]
+    )
+    return dataclasses.replace(
+        cell, curve=curve, fit=fit, correlations=tuple(records), notes=tuple(notes)
     )

@@ -245,8 +245,19 @@ def _analyze(args: argparse.Namespace) -> int:
         graph = _read_edge_list(Path(args.input), args.directed)
     # without --symmetrize a directed network keeps only its raw treatment
     symmetrize = args.symmetrize or not args.directed
+    # a failed dump skips the later dumps, not the study or the tables
+    dump_errors: list[ValidationError] = []
+
+    def dump(treatment, gamma, orders, blocks) -> None:
+        path = out / f"dyads_{treatment.value}_{gamma!r}.csv"
+        try:
+            if not dump_errors:
+                _write(write_dyads_csv, path, graph, orders, blocks)
+        except ValidationError as exc:
+            dump_errors.append(exc)
+
     cells = run_study(
-        graph, network=network, keep_matrices=args.dyads, symmetrize=symmetrize, **study
+        graph, network=network, dyads=dump if args.dyads else None, symmetrize=symmetrize, **study
     )
     _write_tables(out, cells)
     exit_code = 0
@@ -258,21 +269,14 @@ def _analyze(args: argparse.Namespace) -> int:
             continue
         for note in cell.notes:
             print(f"{where}: {note}", file=sys.stderr)
-        if args.dyads and cell.exact is not None:
-            _write(
-                write_dyads_csv,
-                out / f"dyads_{cell.treatment.value}_{cell.gamma!r}.csv",
-                graph,
-                cell.distances,
-                cell.exact,
-                cell.approximations or {},
-            )
         summary = " ".join(
             f"r{record.order}={record.pearson_r:.4g}" for record in cell.correlations
         )
         if cell.fit is not None:
             summary += f" slope={cell.fit.slope:.4g} fit_r2={cell.fit.r_squared:.4g}"
         print(f"{network} {cell.treatment.value} gamma={cell.gamma:.4g}: {summary.strip()}")
+    if dump_errors:
+        raise dump_errors[0]
     return exit_code
 
 

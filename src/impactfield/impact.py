@@ -375,16 +375,14 @@ def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:
 class _TermKernel:
     """The real terms of a mode set, summed into blocks of approximation rows.
 
-    ``blocks`` cuts the n rows into slices of ``height`` =
-    ``max(1, _BLOCK_ENTRIES // n)`` rows, so every temporary of ``add``
-    is one block in size. Each term is the gain times
+    Callers pass the row blocks of ``_row_blocks``, so every temporary of
+    ``add`` is one block in size. Each term is the gain times
     ``(gamma * lam)^d`` per hop count d, read from a table, times the
     outer product of its vectors; a folded term is twice the real part
     of one member of its conjugate pair, and any other term is real.
     """
 
     def __init__(self, modes: ModeSet, dist: DistanceMatrix) -> None:
-        n = dist.n
         exponents = np.arange(int(dist.hops.max(initial=0)) + 1)
         self.terms = []
         for mode, folded in _real_terms(modes):
@@ -395,8 +393,6 @@ class _TermKernel:
                 self.terms.append((table.real, table.imag, receive, send))
             else:
                 self.terms.append((table.real, None, receive.real, send.real))
-        self.blocks = _row_blocks(n)
-        self.height = self.blocks[0].stop if self.blocks else 1
 
     def add(
         self,
@@ -440,7 +436,7 @@ def approx_impact(modes: ModeSet, dist: DistanceMatrix) -> ImpactMatrix:
         raise ValidationError("mode set and distances must agree on n")
     kernel = _TermKernel(modes, dist)
     values = np.zeros((n, n))
-    for rows in kernel.blocks:
+    for rows in _row_blocks(n):
         block = values[rows]
         kernel.add(block, rows, dist.hops[rows].astype(np.intp))
         block[~dist.reachable[rows]] = 0.0

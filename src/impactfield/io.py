@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import StudyCell
-from .graph import DistanceMatrix, Graph
-from .impact import ImpactMatrix
+from .analysis import StudyCell, _DyadBlock
+from .graph import Graph
 
 __all__ = [
     "atomic_write_text",
@@ -145,54 +144,48 @@ def _csv_field(value: str) -> str:
 
 
 def write_dyads_csv(
-    path: Path | str,
-    graph: Graph,
-    dist: DistanceMatrix,
-    exact: ImpactMatrix,
-    approximations: dict[int, ImpactMatrix],
+    path: Path | str, graph: Graph, orders: list[int], blocks: Iterable[_DyadBlock]
 ) -> None:
-    """Joint per-dyad dump: every off-diagonal ordered pair, row-major.
+    """Joint per-dyad dump of a cell: every off-diagonal ordered pair, row-major.
 
+    ``blocks`` are the cell's row blocks as ``run_study`` hands them to
+    its ``dyads`` reader, with approximation rows for each of ``orders``.
     Unreachable pairs are kept, with ``inf`` in the distance column.
-    Blocks of source rows are formatted in worker processes, one per
-    usable CPU, and written in row order, so the bytes do not depend on
-    the CPU count.
+    Tasks of at most ``DYAD_BLOCK_ROWS`` source rows are formatted in
+    worker processes, one per usable CPU, and written in row order, so
+    the bytes do not depend on the CPU count.
     """
-    orders = sorted(approximations)
     n = graph.n
     header = _csv_text(_dyads_header(orders), [])
     if n < 2:
         atomic_write_text(path, header)
         return
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
-    # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
-    top = int(dist.hops.max(initial=0))
-    hop_text = np.array(["inf"] + [str(d) for d in range(1, top + 1)], dtype=object)
-    values = [exact.values] + [approximations[order].values for order in orders]
-    starts = range(0, n, DYAD_BLOCK_ROWS)
-    rows = [slice(start, start + DYAD_BLOCK_ROWS) for start in starts]
-    block = functools.partial(_dyad_block, labels=labels, hop_text=hop_text)
-    with _block_map(len(rows)) as mapper:
-        blocks = mapper(
-            block,
-            starts,
-            (dist.hops[r] for r in rows),
-            ([matrix[r] for matrix in values] for r in rows),
-        )
-        atomic_write_text(path, itertools.chain([header], blocks))
+    block = functools.partial(_dyad_block, labels=labels)
+    with _block_map(-(-n // DYAD_BLOCK_ROWS)) as mapper:
+        atomic_write_text(path, itertools.chain([header], mapper(block, _dyad_tasks(blocks))))
 
 
-def _dyad_block(
-    start: int,
-    hops: np.ndarray,
-    values: list[np.ndarray],
-    labels: list[str],
-    hop_text: np.ndarray,
-) -> str:
-    """The dump's lines for the source rows from ``start`` on, one per row of the slices.
+def _dyad_tasks(blocks: Iterable[_DyadBlock]) -> Iterator[tuple]:
+    """Tasks of at most ``DYAD_BLOCK_ROWS`` rows: first row, hop counts, values.
+
+    A pool pickles a task some time after it is submitted, which is safe
+    because ``run_study`` reuses no array of a block it has handed out.
+    """
+    for rows, hops, exact, approximations in blocks:
+        for lo in range(0, rows.stop - rows.start, DYAD_BLOCK_ROWS):
+            part = slice(lo, lo + DYAD_BLOCK_ROWS)
+            yield rows.start + lo, hops[part], [values[part] for values in (exact, *approximations)]
+
+
+def _dyad_block(task: tuple[int, np.ndarray, list[np.ndarray]], labels: list[str]) -> str:
+    """The dump's lines for one task, one per source row from its first on.
 
     Lines are built column by column; the diagonal pair is dropped.
     """
+    start, hops, values = task
+    # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
+    hop_text = np.array(["inf", *map(str, range(1, hops.max(initial=0) + 1))], dtype=object)
     hop_rows = hop_text[hops].tolist()
     value_rows = [block.tolist() for block in values]
     lines = []

@@ -233,11 +233,13 @@ def _cut(values: np.ndarray, right: np.ndarray, left: np.ndarray, keep: int):
 
 def _symmetric_modes(values: np.ndarray, vectors: np.ndarray, k: int | None):
     """Canonically ordered, cut eigenpairs of a symmetric matrix."""
-    values = values.astype(complex)
     order = _canonical_order(values)
-    values, right = values[order], vectors[:, order].astype(complex)
+    values = values[order].astype(complex)
+    keep = _closed_prefix(values, k)
+    # only the kept vectors are reordered and made complex: no n x n copy
+    right = vectors[:, order[:keep]].astype(complex)
     # orthonormal basis: the left rows are the plain transpose
-    return _cut(values, right, right.T, _closed_prefix(values, k))
+    return _cut(values, right, right.T, keep)
 
 
 def _dense_eig(solver, matrix: np.ndarray, **options):
@@ -268,17 +270,20 @@ def _arpack_radius(graph: Graph) -> float:
 
 def _nilpotent(graph: Graph) -> bool:
     """Radius 0 by structure: all weights zero, or a digraph whose nonzero arcs form no cycle."""
-    return not graph._arcs[2].any() or graph.directed and _is_acyclic(graph)
+    return not graph._arcs[2].any() or graph.directed and not _cyclic_nodes(graph)
 
 
-def _is_acyclic(graph: Graph) -> bool:
-    # no self-loops exist, so the digraph is acyclic exactly when every
-    # strongly connected component is a single node; a zero-weight arc
-    # is no entry of A, so it closes no cycle
+def _cyclic_nodes(graph: Graph) -> int:
+    """Nodes on cycles of nonzero arcs, which bound a digraph's nonzero eigenvalues.
+
+    No self-loops exist, so these are the strongly connected components
+    of more than one node; a zero-weight arc is no entry of A.
+    """
     weighted = graph.adjacency_sparse()
     weighted.eliminate_zeros()
-    n_components, _ = csgraph.connected_components(weighted, directed=True, connection="strong")
-    return n_components == graph.n
+    _, labels = csgraph.connected_components(weighted, directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    return int(sizes[sizes > 1].sum())
 
 
 def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> float:
@@ -375,8 +380,10 @@ def _dense_spectrum(graph: Graph):
     """Eigenvalues, right and left vectors of ``A`` itself (no left ones if symmetric)."""
     if not graph.directed:
         # driver evd is LAPACK syevd, as in numpy's eigh; scipy's default
-        # (evr) is slower at these sizes and gives other bits
-        return *_dense_eig(sla.eigh, graph.adjacency(), driver="evd"), None
+        # (evr) is slower at these sizes and gives other bits. The fresh
+        # adjacency is symmetric: its transpose is the same matrix in the
+        # column-major order that syevd overwrites without a copy.
+        return *_dense_eig(sla.eigh, graph.adjacency().T, driver="evd", overwrite_a=True), None
     values, left, right = _dense_eig(sla.eig, graph.adjacency(), left=True, right=True)
     return values, right, left
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import os
 import stat
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -38,6 +37,7 @@ from impactfield.errors import (
     ValidationError,
 )
 from impactfield.graph import (
+    DistanceMatrix,
     Graph,
     generate_er,
     geodesic_distances,
@@ -56,12 +56,16 @@ from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_
 from impactfield.spectral import decompose, select_modes, spectral_radius
 
 from util import (
+    TracedMemory,
     arcs,
     cell_propagator_failing_at,
+    complex_approx_impact,
     count_calls,
+    cycle_with_trees,
     read_correlations_csv,
     read_curves_csv,
     read_fits_csv,
+    streamed_study,
 )
 
 
@@ -456,32 +460,48 @@ def test_study_validates_inputs() -> None:
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_study_keeps_matrices_only_on_request(directed) -> None:
+def test_study_streams_the_propagator_and_approximation_rows(directed) -> None:
     g = generate_er(n=12, p=0.3, directed=directed, seed=61)
-    lean = run_study(g, gammas=[0.5])
-    assert all(
-        cell.exact is None and cell.approximations is None and cell.distances is None
-        for cell in lean
-    )
     orders = (1, 2, 3)
-    kept = run_study(g, gammas=[0.5], orders=orders, keep_matrices=True)
+    lean = run_study(g, gammas=[0.5], orders=orders)
+    cells, matrices = streamed_study(g, gammas=[0.5], orders=orders)
+    # reading the blocks changes no number of the cells
+    assert [(c.treatment, c.curve, c.fit, c.correlations, c.notes) for c in cells] == [
+        (c.treatment, c.curve, c.fit, c.correlations, c.notes) for c in lean
+    ]
     treated = {Treatment.DIRECTED: g, Treatment.SYMMETRIZED: symmetrize_weak(g) if directed else g}
-    assert [cell.treatment for cell in kept] == [cell.treatment for cell in lean]
-    assert len(kept) == 1 + directed
-    for cell in kept:
+    assert len(cells) == 1 + directed
+    assert list(matrices) == [(cell.treatment, 0.5) for cell in cells]
+    for cell in cells:
         graph = treated[cell.treatment]
-        assert cell.error is None and cell.distances is not None
-        w = build_weight(graph, 0.5)
-        assert np.array_equal(cell.exact.values, exact_propagator(w).values)
-        # the study sums each order on from the one before; the kept
-        # matrices must still be the standalone approximations, bit for bit
+        exact, approximations, hops = matrices[cell.treatment, 0.5]
+        dist = geodesic_distances(graph)
+        assert cell.error is None and np.array_equal(hops, dist.hops)
+        assert np.array_equal(exact, exact_propagator(build_weight(graph, 0.5)).values)
+        # the pass sums each order on from the one before; its rows must
+        # still be the standalone approximations, bit for bit
         decomposition = decompose(graph, k=max(orders) + 4)
-        assert set(cell.approximations) == set(orders)
-        for order, approx in cell.approximations.items():
-            expected = approx_impact(select_modes(decomposition, 0.5, order), cell.distances)
-            assert approx.values.shape == (g.n, g.n)
-            assert approx.order == order and approx.gamma == 0.5
-            assert np.array_equal(approx.values, expected.values)
+        assert list(approximations) == list(orders)
+        for order, approx in approximations.items():
+            expected = approx_impact(select_modes(decomposition, 0.5, order), dist)
+            assert np.array_equal(approx, expected.values)
+
+
+@pytest.mark.parametrize("cycle", [2, 3, 4, 5])
+def test_digraph_with_fewer_cycle_nodes_than_padded_modes_decomposes(cycle) -> None:
+    # each node off the cycle adds an eigenvalue 0, whose eigenspace the
+    # trees make defective; a request for max(orders) + 4 modes reached it
+    # and failed every directed cell on the Gram check
+    g = cycle_with_trees(cycle, 60, seed=cycle)
+    cells, matrices = streamed_study(g, gammas=[0.5, 0.875], symmetrize=False)
+    assert [cell.error for cell in cells] == [None, None]
+    assert all([r.order for r in cell.correlations] == [1, 2] for cell in cells)
+    dist = geodesic_distances(g)
+    decomposition = decompose(g, k=cycle)
+    for cell in cells:
+        approximation = matrices[cell.treatment, cell.gamma][1][1]
+        expected = complex_approx_impact(select_modes(decomposition, cell.gamma, 1), dist)
+        np.testing.assert_allclose(approximation, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None:
@@ -520,27 +540,22 @@ def test_symmetric_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch, n)
     # inverted there, so from the start of the cell to its pass the cell
     # adds n(n + 1)/2 floats and small temporaries; a dense W or inverse
     # would add at least n^2
-    starts: list[int] = []
     growth: list[int] = []
     build, dyad_pass = impactfield.analysis._cell_propagator, impactfield.analysis._dyad_pass
 
     def marking_cell_propagator(*args, **kwargs):
-        starts.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
+        memory.mark()
         return build(*args, **kwargs)
 
     def measuring_dyad_pass(*args, **kwargs):
-        growth.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        growth.append(memory.growth())
         return dyad_pass(*args, **kwargs)
 
     monkeypatch.setattr("impactfield.analysis._cell_propagator", marking_cell_propagator)
     monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as memory:
         cells = run_study(g, gammas=[0.875], orders=(1, 2))
-    finally:
-        tracemalloc.stop()
     assert [cell.error for cell in cells] == [None]
     assert len(growth) == 1 and 4 * n * (n + 1) < growth[0] < 0.6 * 8 * n * n
 
@@ -554,20 +569,16 @@ def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:
     dyad_pass = impactfield.analysis._dyad_pass
 
     def measuring_dyad_pass(*args, **kwargs):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        memory.mark()
         result = dyad_pass(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        peaks.append(memory.growth())
         return result
 
     monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", 2 * n)
     monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
-    tracemalloc.start()
-    try:
+    with TracedMemory() as memory:
         cells = run_study(g, gammas=[0.875], orders=(1, 2))
-    finally:
-        tracemalloc.stop()
     assert [cell.error for cell in cells] == [None]
     assert len(peaks) == 1 and peaks[0] < n * n / 2
 
@@ -581,13 +592,9 @@ def test_mean_impact_by_distance_casts_no_whole_hop_array() -> None:
     assert dist.hops.dtype == np.uint16
     dist.pair_counts  # cached before the measurement
     impact = ImpactMatrix(values=np.random.default_rng(2).random((n, n)), gamma=0.5)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with TracedMemory() as memory:
         curve = mean_impact_by_distance(impact, dist)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+        peak = memory.growth()
     assert peak < n * n
     # the narrow indices add in the same order as intp ones, so the bits hold
     sums = np.zeros(len(dist.pair_counts))
@@ -619,16 +626,19 @@ def test_blocked_statistics_match_the_whole_matrix_ones(monkeypatch, graph, rows
     # blocks of rows, and blocks of 1-3 rows include some with no dyad
     monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", (rows or graph.n) * graph.n)
     orders = (1, 2, 3)
-    cells = run_study(graph, gammas=[0.5, 0.9375], orders=orders, keep_matrices=True)
+    cells, matrices = streamed_study(graph, gammas=[0.5, 0.9375], orders=orders)
     assert cells and all(cell.error is None for cell in cells)
     # the symmetrized digraph has no sinks
     empty = [cell for cell in cells if cell.treatment is Treatment.DIRECTED or not graph.directed]
-    assert empty and not any((cell.distances.hops[:3] >= 1).any() for cell in empty)
+    assert empty and not any((matrices[c.treatment, c.gamma][2][:3] >= 1).any() for c in empty)
     for cell in cells:
-        assert cell.curve == mean_impact_by_distance(cell.exact, cell.distances)
+        values, approximations, hops = matrices[cell.treatment, cell.gamma]
+        exact, dist = ImpactMatrix(values=values, gamma=cell.gamma), DistanceMatrix(hops=hops)
+        assert cell.curve == mean_impact_by_distance(exact, dist)
         assert [record.order for record in cell.correlations] == list(orders)
         for record in cell.correlations:
-            whole = dyad_correlation(cell.exact, cell.approximations[record.order], cell.distances)
+            approx = ImpactMatrix(approximations[record.order], cell.gamma, order=record.order)
+            whole = dyad_correlation(exact, approx, dist)
             assert record.pearson_r == pytest.approx(whole, rel=1e-12, abs=0.0)
 
 

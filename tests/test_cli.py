@@ -29,7 +29,9 @@ from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
 
 from util import (
+    TracedMemory,
     cell_propagator_failing_at,
+    cycle_with_trees,
     read_correlations_csv,
     read_curves_csv,
     read_dyads_csv,
@@ -256,14 +258,52 @@ def test_generator_spec_reads_directed_case_insensitively(value, directed) -> No
 
 @pytest.mark.parametrize("n", [39, 40])
 def test_analyze_tables_do_not_depend_on_dyads(tmp_path, n) -> None:
-    # --dyads keeps an unpacked copy of the packed inverse the pass reads,
-    # so the tables of both runs come from the same floats
+    # --dyads reads the same packed inverse as the pass, after it, so the
+    # tables of both runs come from the same floats
     spec = ["analyze", "--input", f"er:n={n},p=0.1,seed=3", "--undirected"]
     assert main(spec + ["--out", str(tmp_path / "lean")]) == 0
     assert main(spec + ["--dyads", "--out", str(tmp_path / "kept")]) == 0
     for name in ("curves.csv", "fits.csv", "correlations.csv"):
         assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
     assert list((tmp_path / "kept").glob("dyads_*.csv"))
+
+
+def test_analyze_order_above_the_kept_modes_is_noted(tmp_path, capsys) -> None:
+    # a 2-cycle with trees off it keeps two modes; order 3 gets a note,
+    # and the curve, the fit and orders 1 and 2 stay
+    source = write_input(tmp_path, "g.txt", serialize_edge_list(cycle_with_trees(2, 60, seed=2)))
+    spec = ["analyze", "--input", source, "--directed", "--gamma", "0.5"]
+    assert main(spec + ["--out", str(tmp_path / "two")]) == 0
+    capsys.readouterr()
+    assert main(spec + ["--orders", "1,2,3", "--dyads", "--out", str(tmp_path / "three")]) == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "impactfield: cell g/directed/gamma=0.5: order=3 correlation suppressed: "
+        "order 3 exceeds the 2 modes kept\n"
+    )
+    for name in ("curves.csv", "fits.csv", "correlations.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+    dump = tmp_path / "three" / "dyads_directed_0.5.csv"
+    assert dump.read_text().partition("\n")[0] == "src,dst,dist,exact,approx1,approx2"
+
+
+def test_dyad_dumps_hold_no_matrix_past_their_cell(tmp_path, monkeypatch) -> None:
+    # each dump is written from its cell's row blocks while the cell's
+    # packed inverse is alive, so the peak does not grow with the cells;
+    # a kept exact matrix and approximations would add 3 * 8n^2 per gamma.
+    # The formatting is stubbed, so the peak is the study's, not a task's text.
+    n = 400
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(impactfield.io, "_dyad_block", lambda *args, **kwargs: "")
+    spec = ["analyze", "--input", f"er:n={n},p={5 / (n - 1)!r},seed=1", "--undirected", "--dyads"]
+    peaks = []
+    for gammas, out in ((["--gamma", "0.5"], "one"), (["--gamma-grid"], "grid")):
+        with TracedMemory() as memory:
+            assert main(spec + gammas + ["--out", str(tmp_path / out)]) == 0
+            peaks.append(memory.growth())
+    assert len(list((tmp_path / "grid").glob("dyads_*.csv"))) == 5
+    assert peaks[1] < peaks[0] + 0.1 * 8 * n * n
+    assert peaks[1] < 4 * 8 * n * n
 
 
 def test_repeated_gamma_is_one_cell(tmp_path) -> None:

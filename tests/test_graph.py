@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,7 @@ from impactfield.errors import AlreadyUndirectedWarning
 from impactfield.graph import _FRONTIER_LEVELS, largest_component_diameter
 
 from util import (
+    TracedMemory,
     arcs,
     bfs_hops,
     hop_distance,
@@ -382,15 +382,11 @@ def test_pair_counts_cast_no_whole_array() -> None:
     n = 800
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=3)
     g.structure_sparse()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    with TracedMemory() as memory:
         dist = geodesic_distances(g)
-        tracemalloc.reset_peak()
+        memory.reset_peak()
         counts = dist.pair_counts
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+        peak = memory.growth()
     assert dist.hops.dtype == np.uint16
     assert np.array_equal(counts, np.bincount(dist.hops.ravel()))
     assert peak < 4 * n * n

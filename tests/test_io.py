@@ -12,10 +12,9 @@ import pytest
 
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
-from impactfield.impact import ImpactMatrix
 from impactfield.io import DYAD_BLOCK_ROWS, _bounded_map, atomic_write_text, write_dyads_csv
 
-from util import arcs, hop_distance, read_dyads_csv, rowwise_dyads_csv
+from util import arcs, read_dyads_csv, rowwise_dyads_csv, streamed_study
 
 # name -> (graph, treatment, orders)
 DUMP_CASES = {
@@ -44,28 +43,32 @@ DUMP_CASES = {
 }
 
 
-def _study_matrices(graph: Graph, treatment, orders):
-    # cells come sorted by treatment, so the asked-for one is the last
-    *_, cell = run_study(
-        graph,
-        gammas=[0.5],
-        orders=orders,
-        keep_matrices=True,
-        symmetrize=treatment is not Treatment.DIRECTED,
+def _dump(path, graph: Graph, treatment, orders):
+    """Stream one gamma=0.5 study cell's dump to ``path``; return its matrices.
+
+    The cell is the treatment asked for, or the only one of undirected input.
+    """
+    symmetrize = treatment is not Treatment.DIRECTED
+
+    def write(cell_treatment, gamma, kept, blocks):
+        if treatment in (None, cell_treatment):
+            write_dyads_csv(path, graph, kept, blocks)
+
+    run_study(graph, gammas=[0.5], orders=orders, dyads=write, symmetrize=symmetrize)
+    cells, matrices = streamed_study(
+        graph, gammas=[0.5], orders=orders, symmetrize=symmetrize
     )
-    assert treatment in (None, cell.treatment)
-    assert cell.error is None
-    # the dict arrives in the caller's order, not sorted
-    return cell.distances, cell.exact, {order: cell.approximations[order] for order in orders}
+    assert all(cell.error is None for cell in cells)
+    # cells come sorted by treatment, so the asked-for one is the last
+    return matrices[cells[-1].treatment, 0.5]
 
 
 @pytest.mark.parametrize("name", list(DUMP_CASES))
 def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
     graph, treatment, orders = DUMP_CASES[name]
-    dist, exact, approximations = _study_matrices(graph, treatment, orders)
     path, reference = tmp_path / "dyads.csv", tmp_path / "reference.csv"
-    write_dyads_csv(path, graph, dist, exact, approximations)
-    rowwise_dyads_csv(reference, graph, dist, exact, approximations)
+    exact, approximations, hops = _dump(path, graph, treatment, orders)
+    rowwise_dyads_csv(reference, graph, hops, exact, approximations)
     assert path.read_bytes() == reference.read_bytes()
 
     rows = read_dyads_csv(path)
@@ -74,11 +77,10 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
     assert list(rows[0])[4:] == [f"approx{order}" for order in sorted(orders)]
     for row, (i, j) in zip(rows, pairs):
         assert (row["src"], row["dst"]) == (graph.label_of(i), graph.label_of(j))
-        d = hop_distance(dist, i, j)
-        assert row["dist"] == (math.inf if d is None else d)
-        assert row["exact"] == exact.values[i, j]
+        assert row["dist"] == (math.inf if hops[i, j] == 0 else hops[i, j])
+        assert row["exact"] == exact[i, j]
         for order in orders:
-            assert row[f"approx{order}"] == approximations[order].values[i, j]
+            assert row[f"approx{order}"] == approximations[order][i, j]
 
 
 def _two_component_digraph(n: int) -> Graph:
@@ -97,13 +99,11 @@ def _two_component_digraph(n: int) -> Graph:
 def test_dyad_dump_over_several_blocks_matches_on_any_cpu_count(
     tmp_path, monkeypatch, treatment
 ) -> None:
-    # three whole blocks and a partial one; half the pairs are unreachable
-    graph = _two_component_digraph(3 * DYAD_BLOCK_ROWS + 5)
-    dist, exact, approximations = _study_matrices(graph, treatment, (1, 2))
-    assert not dist.reachable.all()
-    reference = tmp_path / "reference.csv"
-    rowwise_dyads_csv(reference, graph, dist, exact, approximations)
-
+    # three whole formatting tasks and a partial one, from pass blocks of
+    # 40 rows, which are cut at 32; half the pairs are unreachable
+    n = 3 * DYAD_BLOCK_ROWS + 5
+    graph = _two_component_digraph(n)
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", 40 * n)
     pools = []
     real_pool = concurrent.futures.ProcessPoolExecutor
 
@@ -115,8 +115,12 @@ def test_dyad_dump_over_several_blocks_matches_on_any_cpu_count(
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         path = tmp_path / f"dyads_{len(cpus)}.csv"
-        write_dyads_csv(path, graph, dist, exact, approximations)
-        assert path.read_bytes() == reference.read_bytes()
+        exact, approximations, hops = _dump(path, graph, treatment, (1, 2))
+    assert (hops == 0).sum() > n * n // 2
+    reference = tmp_path / "reference.csv"
+    rowwise_dyads_csv(reference, graph, hops, exact, approximations)
+    for cpus in (1, 2):
+        assert (tmp_path / f"dyads_{cpus}.csv").read_bytes() == reference.read_bytes()
     # two CPUs start one pool; one CPU formats in-process
     assert pools == [{"max_workers": 2}]
     assert sorted(path.name for path in tmp_path.iterdir()) == [
@@ -151,21 +155,20 @@ def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-20, 20, (4, 4))
     values.flat[: len(special)] = special
-    exact = ImpactMatrix(values=values, gamma=0.5)
-    approx = ImpactMatrix(values=values[::-1].copy(), gamma=0.5, order=1)
-    dist = geodesic_distances(graph)
+    approx = values[::-1].copy()
+    hops = geodesic_distances(graph).hops.astype(np.intp)
     path, reference = tmp_path / "dyads.csv", tmp_path / "reference.csv"
-    write_dyads_csv(path, graph, dist, exact, {1: approx})
-    rowwise_dyads_csv(reference, graph, dist, exact, {1: approx})
+    write_dyads_csv(path, graph, [1], iter([(slice(0, 4), hops, values, [approx])]))
+    rowwise_dyads_csv(reference, graph, hops, values, {1: approx})
     assert path.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_dyad_dump_of_a_graph_without_pairs_is_the_header(tmp_path, n) -> None:
     graph = Graph(n=n, directed=False, edges=())
-    empty = ImpactMatrix(values=np.zeros((n, n)), gamma=0.5)
+    blocks = [(slice(0, n), np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), [])]
     path = tmp_path / "dyads.csv"
-    write_dyads_csv(path, graph, geodesic_distances(graph), empty, {})
+    write_dyads_csv(path, graph, [], iter(blocks))
     assert path.read_text() == "src,dst,dist,exact\n"
 
 

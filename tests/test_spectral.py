@@ -26,7 +26,7 @@ from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize
 from impactfield.impact import approx_impact
 from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
 
-from util import arcs, count_calls, twin_components, twin_three_cycles
+from util import TracedMemory, arcs, count_calls, twin_components, twin_three_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,20 @@ def test_cut_decomposition_owns_only_its_modes(directed, dense_threshold) -> Non
         assert array.base is None and array.flags.c_contiguous
     assert dec.right_vectors.shape == (g.n, dec.num_modes)
     assert dec.left_rows.shape == (dec.num_modes, g.n)
+
+
+def test_dense_symmetric_decompose_makes_no_n_by_n_copy() -> None:
+    # syevd overwrites the adjacency with its eigenvectors beside a 2n^2
+    # workspace, and only the kept vectors are reordered and made complex;
+    # a reordered or complex copy of all n would add 8n^2 or 16n^2 bytes
+    n = 600
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
+    g.adjacency_sparse()  # the cached arcs are not the decomposition's
+    with TracedMemory() as memory:
+        dec = decompose(g, k=6)
+        peak = memory.growth()
+    assert dec.num_modes == 6
+    assert peak < 3.5 * 8 * n * n
 
 
 def test_conjugate_closure_of_full_spectrum() -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from impactfield.analysis import (
     ExponentialFit,
     Treatment,
     _cell_propagator,
+    run_study,
 )
 from impactfield.errors import (
     ConjugateClosureError,
@@ -73,12 +75,63 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
 def cell_propagator_failing_at(gamma: float):
     """``analysis._cell_propagator`` that raises SolverError at one gamma only."""
 
-    def propagator(treated: Graph, cell_gamma: float, rho: float, keep: bool):
+    def propagator(treated: Graph, cell_gamma: float, rho: float):
         if cell_gamma == gamma:
             raise SolverError(f"singular system at gamma={gamma!r}")
-        return _cell_propagator(treated, cell_gamma, rho, keep)
+        return _cell_propagator(treated, cell_gamma, rho)
 
     return propagator
+
+
+class TracedMemory:
+    """tracemalloc inside a ``with`` block, measured from a mark.
+
+    ``mark`` takes the traced memory as the base and resets the peak;
+    entering the block marks once. ``growth`` is the peak since the last
+    reset above the base, and ``reset_peak`` resets the peak alone.
+    """
+
+    def __enter__(self) -> "TracedMemory":
+        tracemalloc.start()
+        self.mark()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        tracemalloc.stop()
+
+    def mark(self) -> None:
+        self.base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    def reset_peak(self) -> None:
+        tracemalloc.reset_peak()
+
+    def growth(self) -> int:
+        return tracemalloc.get_traced_memory()[1] - self.base
+
+
+def streamed_study(graph: Graph, **options):
+    """``run_study`` with a ``dyads`` reader that assembles each cell's blocks.
+
+    Returns the cells and, keyed by (treatment, gamma), the cell's exact
+    matrix, its approximations as ``{order: matrix}`` and its hop counts,
+    built from the streamed rows. Rows no block covers hold NaN (hops -1).
+    The blocks are all read before any is copied, so a block whose arrays
+    a later block reused would show.
+    """
+    matrices = {}
+
+    def read(treatment, gamma, orders, blocks):
+        n = graph.n
+        exact, hops = np.full((n, n), np.nan), np.full((n, n), -1)
+        approximations = {order: np.full((n, n), np.nan) for order in orders}
+        for rows, hop_rows, exact_rows, approximation_rows in list(blocks):
+            exact[rows], hops[rows] = exact_rows, hop_rows
+            for order, values in zip(orders, approximation_rows, strict=True):
+                approximations[order][rows] = values
+        matrices[treatment, gamma] = exact, approximations, hops
+
+    return run_study(graph, dyads=read, **options), matrices
 
 
 def loop_adjacency(graph: Graph) -> np.ndarray:
@@ -123,6 +176,21 @@ def whole_array_er_edges(n: int, p: float, directed: bool, seed: int) -> list[tu
 def hop_distance(dist: DistanceMatrix, src: int, dst: int) -> int | None:
     """Hop count from src to dst, or None when no path exists."""
     return int(dist.hops[src, dst]) if dist.reachable[src, dst] else None
+
+
+def cycle_with_trees(cycle: int, n: int, seed: int) -> Graph:
+    """A directed ``cycle``-node cycle with random in- and out-trees off it.
+
+    Every further node gets one arc, to or from an earlier node, so it
+    closes no cycle: the graph has ``cycle`` nonzero eigenvalues, the
+    cycle's, and an eigenvalue 0 that the trees make defective.
+    """
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % cycle, 1.0) for i in range(cycle)]
+    for node in range(cycle, n):
+        other = int(rng.integers(node))
+        edges.append((node, other, 1.0) if rng.random() < 0.5 else (other, node, 1.0))
+    return Graph(n=n, directed=True, edges=tuple(edges))
 
 
 def twin_three_cycles() -> Graph:
@@ -275,14 +343,15 @@ def distance_factored_impact(weight: WeightMatrix, dist: DistanceMatrix) -> Impa
 def rowwise_dyads_csv(
     path: Path | str,
     graph: Graph,
-    dist: DistanceMatrix,
-    exact: ImpactMatrix,
-    approximations: dict[int, ImpactMatrix],
+    hops: np.ndarray,
+    exact: np.ndarray,
+    approximations: dict[int, np.ndarray],
 ) -> None:
     """Reference dyad dump: one ``csv.writer`` row per ordered pair.
 
-    Formats every field on its own, so it is the slow, independent route
-    the column-wise ``io.write_dyads_csv`` must match byte for byte.
+    Formats every field on its own from whole matrices, so it is the
+    slow, independent route the column-wise, streamed
+    ``io.write_dyads_csv`` must match byte for byte.
     """
     orders = sorted(approximations)
     buffer = io.StringIO()
@@ -292,14 +361,13 @@ def rowwise_dyads_csv(
         for j in range(graph.n):
             if i == j:
                 continue
-            d = hop_distance(dist, i, j)
             row = [
                 graph.label_of(i),
                 graph.label_of(j),
-                "inf" if d is None else str(d),
-                repr(float(exact.values[i, j])),
+                "inf" if hops[i, j] == 0 else str(hops[i, j]),
+                repr(float(exact[i, j])),
             ]
-            row.extend(repr(float(approximations[order].values[i, j])) for order in orders)
+            row.extend(repr(float(approximations[order][i, j])) for order in orders)
             writer.writerow(row)
     Path(path).write_text(buffer.getvalue(), encoding="utf-8")
 
