@@ -10,7 +10,9 @@ A study cell reads its matrices in one pass over blocks of rows. Each
 block adds to the per-distance sums, and its dyads' Pearson moments
 merge into running ones by the pairwise update of Chan, Golub & LeVeque
 (1979). ``mean_impact_by_distance`` and ``dyad_correlation`` are the
-same sums and moments over a single block.
+same sums and moments over a single block. An undirected cell, whose
+matrices are symmetric, reads only the upper triangle of its rows and
+doubles its sums and moments, so they still count ordered pairs.
 """
 
 from __future__ import annotations
@@ -274,8 +276,8 @@ def dyad_correlation(
     return moments.pearson()
 
 
-# fills the given buffer with (or returns a view of) a block of the exact rows
-_RowReader = Callable[[slice, np.ndarray], np.ndarray]
+# fills the buffer with (or returns a view of) a block of exact rows, or of their triangle
+_RowReader = Callable[[slice, np.ndarray, bool], np.ndarray]
 # rows, their hop counts as intp, exact rows, and approximation rows per order
 _DyadBlock = tuple[slice, np.ndarray, np.ndarray, list[np.ndarray]]
 # called with a cell's treatment, gamma, approximation orders and blocks
@@ -287,6 +289,7 @@ def _dyad_pass(
     dist: DistanceMatrix,
     mode_sets: list[ModeSet],
     consume: Callable[[Iterator[_DyadBlock]], None] | None = None,
+    triangle: bool = False,
 ) -> tuple[np.ndarray, list[_DyadMoments]]:
     """Curve sums and per-order correlation moments in one pass over row blocks.
 
@@ -297,17 +300,20 @@ def _dyad_pass(
     term by term as ``approx_impact`` sums, so its dyads hold the same
     values. Only the dyads are read, so unreachable pairs need no zeroing.
 
-    ``consume``, if given, then reads the blocks of a second sweep with no
-    BLAS call: the moments' threaded dot products, interleaved with a pool
-    formatting the blocks, would leave BLAS threads spinning on its cores.
+    With ``triangle`` (a symmetric cell) each unordered pair is read once, from
+    the upper triangle, and the sums and moments double to count ordered pairs.
+
+    ``consume``, if given, then reads the full-row blocks of a second sweep
+    with no BLAS call: the moments' threaded dot products, interleaved with a
+    pool formatting the blocks, would leave BLAS threads spinning on its cores.
     """
     kernel = _TermKernel(mode_sets[-1], dist) if mode_sets else None
     cuts = [len(_real_terms(modes)) for modes in mode_sets]
     sums = np.zeros(len(dist.pair_counts))
     moments = [_DyadMoments() for _ in mode_sets]
-    for rows, hops, exact_rows, order_sums in _sweep(read_rows, dist, kernel, cuts):
+    for rows, hops, exact_rows, order_sums in _sweep(read_rows, dist, kernel, cuts, triangle):
         # add.at adds pair by pair in row-major order, as a single call on
-        # the whole matrix does, so the curve's bits do not depend on blocks
+        # the whole matrix does, so full rows' curve bits do not depend on blocks
         np.add.at(sums, hops.ravel(), exact_rows.ravel())
         mask = hops >= 1
         x = exact_rows[mask]
@@ -317,22 +323,36 @@ def _dyad_pass(
         x_mean, x_ss = _centre(x)
         for moment, block in zip(moments, order_sums):
             moment.merge(x, x_mean, x_ss, block[mask])
+    if triangle:
+        # a pair's mirror holds the same exact value, and doubling is exact
+        sums *= 2.0
+        for moment in moments:
+            moment.count, moment.x_ss, moment.y_ss, moment.xy = (
+                2 * moment.count, 2.0 * moment.x_ss, 2.0 * moment.y_ss, 2.0 * moment.xy
+            )
     if consume is not None:
         consume(_dyad_blocks(_sweep(read_rows, dist, kernel, cuts)))
     return sums, moments
 
 
-def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int]):
-    """Per row block: rows, hop counts, exact rows, and each order's rows in turn."""
-    blocks = _row_blocks(dist.n)
-    buffer = np.empty((blocks[0].stop if blocks else 1, dist.n))
-    exact_buffer = np.empty_like(buffer)
-    for rows in blocks:
-        size = rows.stop - rows.start
+def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int], triangle=False):
+    """Per row block: rows, hop counts, exact rows, and each order's rows in turn.
+
+    A ``triangle`` block's columns start at its first row; hop 0 masks its
+    diagonal square's diagonal and lower part.
+    """
+    n, blocks = dist.n, _row_blocks(dist.n, triangle)
+    firsts = [rows.start if triangle else 0 for rows in blocks]
+    entries = max([(b.stop - b.start) * (n - first) for b, first in zip(blocks, firsts)] or [1])
+    buffer, exact_buffer = np.empty(entries), np.empty(entries)
+    for rows, first in zip(blocks, firsts):
         # one cast of the narrow hop counts serves every term's table gather
-        hops = dist.hops[rows].astype(np.intp)
-        exact_rows = read_rows(rows, exact_buffer[:size])
-        yield rows, hops, exact_rows, _order_sums(kernel, cuts, rows, hops, buffer[:size])
+        hops = dist.hops[rows, first:].astype(np.intp)
+        if triangle:
+            hops[:, : len(hops)][np.tri(len(hops), dtype=bool)] = 0
+        exact_rows = read_rows(rows, exact_buffer[: hops.size].reshape(hops.shape), triangle)
+        block = buffer[: hops.size].reshape(hops.shape)
+        yield rows, hops, exact_rows, _order_sums(kernel, cuts, rows, hops, block)
 
 
 def _order_sums(kernel, cuts: list[int], rows: slice, hops: np.ndarray, block: np.ndarray):
@@ -461,7 +481,7 @@ def _cell_propagator(treated: Graph, gamma: float, rho: float) -> _RowReader:
     if not treated.directed:
         return _symmetric_propagator(treated, gamma, rho).read_rows
     values = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True).values
-    return lambda rows, buffer: values[rows]
+    return lambda rows, buffer, triangle: values[rows, rows.start if triangle else 0 :]
 
 
 def _run_cell(
@@ -476,7 +496,7 @@ def _run_cell(
     kept = [order for order in orders if order <= decomposition.num_modes]
     mode_sets = [select_modes(decomposition, gamma, order) for order in kept]
     consume = dyads and functools.partial(dyads, cell.treatment, gamma, kept)
-    sums, moments = _dyad_pass(read_rows, dist, mode_sets, consume)
+    sums, moments = _dyad_pass(read_rows, dist, mode_sets, consume, not treated.directed)
     curve = _curve(sums, counts)
     notes: list[str] = []
     fit: ExponentialFit | None

@@ -14,8 +14,9 @@ held as its lower triangle in rectangular full packed storage,
 n(n + 1)/2 floats, built straight from the arcs by the study, factorized
 and inverted in place by Cholesky, and refused when its exact reciprocal
 condition number is below ``_RCOND_FLOOR``; readers assemble full row
-blocks from the triangle. Any other system goes through LU on a dense
-n x n array, refused on LAPACK's condition estimate.
+blocks from the triangle, or read the triangle itself. Any other system
+goes through LU on a dense n x n array, refused on LAPACK's condition
+estimate.
 """
 
 from __future__ import annotations
@@ -54,10 +55,19 @@ _RCOND_FLOOR = 1e-14
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """The n rows cut into blocks of ``max(1, _BLOCK_ENTRIES // n)`` rows."""
-    height = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return [slice(start, min(start + height, n)) for start in range(0, n, height)]
+def _row_blocks(n: int, triangle: bool = False) -> list[slice]:
+    """The n rows cut into blocks of ``max(1, _BLOCK_ENTRIES // w)`` rows of w columns.
+
+    Rows are full (w = n), or with ``triangle`` start at the block's first
+    row (w = n - start), and no block straddles ``_PackedSymmetric.half``.
+    """
+    blocks, start = [], 0
+    for end in (n - n // 2, n) if triangle else (n,):
+        while start < end:
+            height = max(1, _BLOCK_ENTRIES // (n - start if triangle else n))
+            blocks.append(slice(start, min(start + height, end)))
+            start = blocks[-1].stop
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +186,8 @@ class _PackedSymmetric:
     * the trailing triangle, rows and columns m.., lies row by row at the
       left: entry (m + r, m + c), r >= c, is ``P[r + t, c]``.
 
-    ``read_rows`` assembles full rows from these slices, a block at a time.
+    ``read_rows`` assembles full rows from these slices, a block at a time,
+    or reads one triangle of them.
     """
 
     def __init__(self, n: int, data: np.ndarray) -> None:
@@ -196,12 +207,21 @@ class _PackedSymmetric:
         nodes = np.arange(self.n)
         return self.offsets(nodes, nodes)
 
-    def read_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the full rows ``rows`` (a step-1 slice) and return it."""
+    def read_rows(self, rows: slice, out: np.ndarray, triangle: bool = False) -> np.ndarray:
+        """Fill ``out`` with the full rows ``rows`` (a step-1 slice) and return it.
+
+        With ``triangle``, rows on one side of ``half`` from column ``rows.start`` on,
+        with the diagonal square's lower part unspecified; rows below ``half`` are a view.
+        """
         n, m, s = self.n, self.half, self.shift
         t = 1 - s
         packed = self.data.reshape(m, n + s)
         start = rows.start
+        if triangle and rows.stop <= m:
+            return packed[rows, start + s : n + s]
+        if triangle:
+            out[...] = packed[start - m + t : n - m + t, start - m : rows.stop - m].T
+            return out
         for lo, hi in ((start, min(rows.stop, m)), (max(start, m), rows.stop)):
             if lo >= hi:
                 continue
@@ -404,11 +424,11 @@ class _TermKernel:
     ) -> None:
         """Add terms ``start:stop`` at rows ``rows``, with hop counts ``hops``, to ``block``.
 
-        ``hops`` holds the rows' hop counts as intp, cast once by the
-        caller, so no term's table gather casts them again.
+        The block may hold only its rows' last columns, as a triangle's does.
+        ``hops`` holds their hop counts as intp, cast once for every term's gather.
         """
         for real, imag, receive, send in self.terms[start:stop]:
-            outer = np.outer(receive[rows], send)
+            outer = np.outer(receive[rows], send[len(send) - block.shape[1] :])
             if imag is None:
                 outer *= real[hops]
                 block += outer

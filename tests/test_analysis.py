@@ -58,6 +58,7 @@ from impactfield.spectral import decompose, select_modes, spectral_radius
 from util import (
     TracedMemory,
     arcs,
+    assert_curves_close,
     cell_propagator_failing_at,
     complex_approx_impact,
     count_calls,
@@ -632,14 +633,98 @@ def test_blocked_statistics_match_the_whole_matrix_ones(monkeypatch, graph, rows
     empty = [cell for cell in cells if cell.treatment is Treatment.DIRECTED or not graph.directed]
     assert empty and not any((matrices[c.treatment, c.gamma][2][:3] >= 1).any() for c in empty)
     for cell in cells:
-        values, approximations, hops = matrices[cell.treatment, cell.gamma]
-        exact, dist = ImpactMatrix(values=values, gamma=cell.gamma), DistanceMatrix(hops=hops)
-        assert cell.curve == mean_impact_by_distance(exact, dist)
-        assert [record.order for record in cell.correlations] == list(orders)
-        for record in cell.correlations:
-            approx = ImpactMatrix(approximations[record.order], cell.gamma, order=record.order)
-            whole = dyad_correlation(exact, approx, dist)
-            assert record.pearson_r == pytest.approx(whole, rel=1e-12, abs=0.0)
+        assert_statistics_of_the_whole_matrices(cell, matrices[cell.treatment, cell.gamma], orders)
+
+
+def assert_statistics_of_the_whole_matrices(cell: StudyCell, matrices, orders) -> None:
+    """A cell's curve and correlations against those of its streamed whole matrices.
+
+    A directed cell's curve has their bits; a symmetrized one sums one
+    triangle in its own order, so its points agree to 1e-12 relative.
+    """
+    values, approximations, hops = matrices
+    exact, dist = ImpactMatrix(values=values, gamma=cell.gamma), DistanceMatrix(hops=hops)
+    whole_curve = mean_impact_by_distance(exact, dist)
+    if cell.treatment is Treatment.DIRECTED:
+        assert cell.curve == whole_curve
+    else:
+        assert_curves_close(cell.curve, whole_curve)
+    assert [record.order for record in cell.correlations] == list(orders)
+    for record in cell.correlations:
+        approx = ImpactMatrix(approximations[record.order], cell.gamma, order=record.order)
+        whole = dyad_correlation(exact, approx, dist)
+        assert record.pearson_r == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+TRIANGLE_GRAPHS = {
+    "odd": generate_er(n=13, p=0.3, directed=False, seed=3),
+    "even": generate_er(n=12, p=0.3, directed=False, seed=4),
+    # unreachable pairs lie inside the triangle and its diagonal squares
+    "two-components": arcs(
+        10,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 5), (7, 8), (8, 9)],
+        directed=False,
+    ),
+    "weighted": Graph(
+        n=9,
+        directed=False,
+        edges=tuple(
+            (i, j, 0.5 + 1.5 * w)
+            for (i, j), w in zip(
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (0, 8), (2, 6)],
+                np.random.default_rng(5).random(10),
+            )
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("graph", TRIANGLE_GRAPHS.values(), ids=TRIANGLE_GRAPHS.keys())
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_triangle_pass_matches_the_whole_matrix_statistics(monkeypatch, graph, rows) -> None:
+    # an undirected cell reads each unordered pair once and doubles its
+    # sums and moments; the whole matrices, which the dyad reader gets in
+    # full rows, must give the same curve and correlations to rounding
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", rows * graph.n)
+    n, half = graph.n, graph.n - graph.n // 2
+    # blocks of more than one row would straddle half but for the cut there
+    assert rows == 1 or any(
+        b.stop == half and b.start + rows * n // (n - b.start) > half
+        for b in impactfield.impact._row_blocks(n, triangle=True)
+    )
+    orders = (1, 2, 3)
+    cells, matrices = streamed_study(graph, gammas=[0.5, 0.9375], orders=orders)
+    assert cells and all(cell.error is None for cell in cells)
+    for cell in cells:
+        assert_statistics_of_the_whole_matrices(cell, matrices[cell.treatment, cell.gamma], orders)
+
+
+TINY_UNDIRECTED = {
+    "one-edge": arcs(2, [(0, 1)], directed=False),
+    "two-edges": arcs(4, [(0, 1), (2, 3)], directed=False),
+    "path": arcs(3, [(0, 1), (1, 2)], directed=False),
+}
+
+
+@pytest.mark.parametrize("graph", TINY_UNDIRECTED.values(), ids=TINY_UNDIRECTED.keys())
+def test_triangle_pass_counts_ordered_dyads_on_tiny_graphs(monkeypatch, graph) -> None:
+    # a triangle holds half the dyads, which must not reach MIN_DYADS or
+    # the flat-vector gate halved: records and notes are the full rows' ones
+    cells = run_study(graph, orders=(1, 2))
+    dyad_pass = impactfield.analysis._dyad_pass
+    monkeypatch.setattr(
+        "impactfield.analysis._dyad_pass", lambda *args: dyad_pass(*args[:4], False)
+    )
+    expected = run_study(graph, orders=(1, 2))
+    assert [cell.error for cell in cells] == [cell.error for cell in expected]
+    for cell, want in zip(cells, expected):
+        assert cell.notes == want.notes
+        assert_curves_close(cell.curve, want.curve)
+        assert [(r.order, r.n_dyads) for r in cell.correlations] == [
+            (r.order, r.n_dyads) for r in want.correlations
+        ]
+        for record, want_record in zip(cell.correlations, want.correlations):
+            assert record.pearson_r == pytest.approx(want_record.pearson_r, rel=1e-12, abs=0.0)
 
 
 def test_failed_treatment_yields_error_cells_not_an_abort() -> None:

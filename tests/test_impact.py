@@ -25,6 +25,7 @@ from impactfield.impact import (
     WeightMatrix,
     _PackedSymmetric,
     _real_terms,
+    _row_blocks,
     _symmetric_propagator,
     approx_impact,
     build_weight,
@@ -39,6 +40,7 @@ from util import (
     complex_approx_impact,
     distance_factored_impact,
     hop_distance,
+    packed_symmetric,
     series_oracle,
     series_terms_for_tolerance,
     small_er_corpus,
@@ -193,11 +195,9 @@ def test_packed_offsets_are_lapack_rectangular_full_packed(n) -> None:
     rows, cols = np.tril_indices(n)
     index = np.zeros((n, n))
     index[rows, cols] = np.arange(rows.size) + 1.0
-    packed, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(index), transr="N", uplo="L")
-    assert info == 0
     expected = _PackedSymmetric(n, np.zeros(n * (n + 1) // 2))
     expected.data[expected.offsets(rows, cols)] = index[rows, cols]
-    assert np.array_equal(packed, expected.data)
+    assert np.array_equal(packed_symmetric(index).data, expected.data)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 31, 40])
@@ -221,6 +221,43 @@ def test_packed_row_blocks_are_the_unpacked_inverse(n) -> None:
             inverse.read_rows(rows, out[rows])
         assert out.tobytes() == values.tobytes()
     assert inverse.norm1() == pytest.approx(scipy.linalg.norm(values, 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_packed_triangle_rows_are_the_unpacked_upper_triangle(n) -> None:
+    # rows below half are views of the packed floats, the others one
+    # transposed copy; a block read from its first row on is the upper
+    # triangle's part of those rows, whatever its height
+    matrix = np.random.default_rng(n).random((n, n))
+    matrix += matrix.T
+    packed = packed_symmetric(matrix)
+    whole = packed.unpack()
+    assert whole.tobytes() == matrix.tobytes()
+    half = n - n // 2
+    for height in range(1, n + 1):
+        for side in (range(half), range(half, n)):
+            for start in side[::height]:
+                rows = slice(start, min(start + height, side.stop))
+                out = np.full((rows.stop - start, n - start), np.nan)
+                block = packed.read_rows(rows, out, triangle=True)
+                assert np.shares_memory(block, packed.data) == (rows.stop <= half)
+                upper = np.triu(np.ones(block.shape, dtype=bool))
+                assert np.array_equal(block[upper], whole[rows, start:][upper])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("entries", [1, 4, 9, 100])
+def test_triangle_row_blocks_cover_the_rows_on_each_side_of_half(monkeypatch, n, entries):
+    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", entries)
+    blocks = _row_blocks(n, triangle=True)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n
+    half = n - n // 2
+    for rows in blocks:
+        assert rows.stop <= half or rows.start >= half
+        height = max(1, entries // (n - rows.start))
+        end = half if rows.start < half else n
+        assert rows.stop - rows.start == min(height, end - rows.start)
 
 
 OVERWRITE_GRAPHS = {

@@ -10,6 +10,7 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
@@ -30,7 +31,7 @@ from impactfield.errors import (
     ValidationError,
 )
 from impactfield.graph import DistanceMatrix
-from impactfield.impact import ImpactMatrix, WeightMatrix
+from impactfield.impact import ImpactMatrix, WeightMatrix, _PackedSymmetric
 from impactfield.io import (
     CORRELATIONS_HEADER,
     CURVES_HEADER,
@@ -49,6 +50,22 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
             src, dst = dst, src
         edges.append((src, dst, weight))
     return Graph(n=n, directed=directed, edges=tuple(edges))
+
+
+def packed_symmetric(matrix: np.ndarray) -> _PackedSymmetric:
+    """A dense symmetric matrix packed by LAPACK's own ``trttf``, lower triangle."""
+    data, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(matrix), transr="N", uplo="L")
+    assert info == 0
+    return _PackedSymmetric(len(matrix), data)
+
+
+def assert_curves_close(curve: DecayCurve, expected: DecayCurve, rel: float = 1e-12) -> None:
+    """The same distances and pair counts, and each mean within ``rel`` relative."""
+    assert [(p.distance, p.n_pairs) for p in curve.points] == [
+        (p.distance, p.n_pairs) for p in expected.points
+    ]
+    for point, want in zip(curve.points, expected.points):
+        assert math.isclose(point.mean_impact, want.mean_impact, rel_tol=rel, abs_tol=0.0)
 
 
 def count_calls(monkeypatch, module, names) -> dict[str, int]:
