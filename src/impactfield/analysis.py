@@ -37,12 +37,11 @@ from .errors import (
 from .graph import DistanceMatrix, Graph, geodesic_distances, symmetrize_weak
 from .impact import (
     ImpactMatrix,
+    _cell_propagator,
     _real_terms,
     _row_blocks,
-    _symmetric_propagator,
+    _RowReader,
     _TermKernel,
-    build_weight,
-    exact_propagator,
     gamma_grid,
 )
 from .spectral import DEFAULT_DENSE_THRESHOLD, ModeSet, decompose, select_modes, spectral_radius
@@ -276,8 +275,6 @@ def dyad_correlation(
     return moments.pearson()
 
 
-# fills the buffer with (or returns a view of) a block of exact rows, or of their triangle
-_RowReader = Callable[[slice, np.ndarray, bool], np.ndarray]
 # rows, their hop counts as intp, exact rows, and approximation rows per order
 _DyadBlock = tuple[slice, np.ndarray, np.ndarray, list[np.ndarray]]
 # called with a cell's treatment, gamma, approximation orders and blocks
@@ -468,20 +465,6 @@ def run_study(
 
 def _failed(cell: StudyCell, exc: ImpactfieldError) -> StudyCell:
     return dataclasses.replace(cell, error=str(exc), error_code=exc.exit_code)
-
-
-def _cell_propagator(treated: Graph, gamma: float, rho: float) -> _RowReader:
-    """A cell's exact propagator, as a reader of its row blocks.
-
-    An undirected network's propagator is symmetric, so it is built,
-    inverted and read in packed storage, n(n + 1)/2 floats. A directed
-    one is inverted by LU with ``I - W`` formed in W's own memory; no
-    reference to W is kept.
-    """
-    if not treated.directed:
-        return _symmetric_propagator(treated, gamma, rho).read_rows
-    values = exact_propagator(build_weight(treated, gamma, rho=rho), overwrite_weight=True).values
-    return lambda rows, buffer, triangle: values[rows, rows.start if triangle else 0 :]
 
 
 def _run_cell(

@@ -11,17 +11,18 @@ direction, which is exactly the direction geodesic_distances counts, so
 
 Two routes invert ``I - W``. A symmetric system (undirected input) is
 held as its lower triangle in rectangular full packed storage,
-n(n + 1)/2 floats, built straight from the arcs by the study, factorized
-and inverted in place by Cholesky, and refused when its exact reciprocal
-condition number is below ``_RCOND_FLOOR``; readers assemble full row
-blocks from the triangle, or read the triangle itself. Any other system
-goes through LU on a dense n x n array, refused on LAPACK's condition
-estimate.
+n(n + 1)/2 floats, factorized and inverted in place by Cholesky, and
+refused when its exact reciprocal condition number is below
+``_RCOND_FLOOR``; readers assemble full row blocks from the triangle, or
+read the triangle itself. Any other system is a column-major n x n
+array that LU factorizes in place and solves into an identity, refused
+on LAPACK's condition estimate. A study cell builds either from the arcs.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,20 +141,16 @@ def gamma_grid() -> list[float]:
     return [1.0 - 2.0**-k for k in range(1, 6)]
 
 
-def _system(weight: WeightMatrix, overwrite: bool = False) -> np.ndarray:
-    """``I - W``, formed in ``weight.W`` when ``overwrite`` is set.
-
-    The off-diagonal is ``0 - w``, not ``-w``: negation would turn the
-    +0.0 entries into -0.0, which ``np.eye(n) - W`` does not.
-    """
-    system = np.subtract(0.0, weight.W, out=weight.W if overwrite else None)
-    system[np.diag_indices_from(system)] += 1.0
+def _system(weight: WeightMatrix) -> np.ndarray:
+    """``I - W`` as a new column-major array, which ``_factorize`` factorizes in place."""
+    system = np.eye(weight.n, order="F")
+    system -= weight.W
     return system
 
 
 def _factorize(system: np.ndarray):
-    # every caller hands over a system it will not read again, so LAPACK
-    # may factorize it in place; its 1-norm is taken first
+    # every caller hands over a column-major system it will not read
+    # again, so getrf factorizes it in place; its 1-norm is taken first
     anorm = scipy.linalg.norm(system, 1, check_finite=False)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
     try:
@@ -162,6 +159,13 @@ def _factorize(system: np.ndarray):
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
     _check_rcond(*gecon(lu, anorm, norm="1"), "estimate")
     return lu, piv
+
+
+def _lu_inverse(system: np.ndarray) -> np.ndarray:
+    """``system^-1``: getrf overwrites the column-major ``system``, getrs an identity."""
+    factor = _factorize(system)
+    identity = np.eye(len(system), order="F")
+    return scipy.linalg.lu_solve(factor, identity, overwrite_b=True, check_finite=False)
 
 
 def _check_rcond(rcond: float, info: int, kind: str) -> None:
@@ -245,10 +249,9 @@ class _PackedSymmetric:
                 square[lower.T] = square.T[lower.T]
         return out
 
-    def unpack(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The whole matrix, written into ``out`` (n x n) or a new array."""
-        if out is None:
-            out = np.empty((self.n, self.n))
+    def unpack(self) -> np.ndarray:
+        """The whole matrix, as a new n x n array."""
+        out = np.empty((self.n, self.n))
         for rows in _row_blocks(self.n):
             self.read_rows(rows, out[rows])
         return out
@@ -322,22 +325,37 @@ def _symmetric_propagator(graph: Graph, gamma: float, rho: float) -> _PackedSymm
     return _packed_inverse(system, anorm)
 
 
-def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) -> ImpactMatrix:
+# fills the buffer with (or returns a view of) a block of exact rows, or of their triangle
+_RowReader = Callable[[slice, np.ndarray, bool], np.ndarray]
+
+
+def _cell_propagator(graph: Graph, gamma: float, rho: float) -> _RowReader:
+    """A study cell's exact propagator, as a reader of its row blocks.
+
+    ``I - W`` is written from the arcs, with no dense ``W``. An undirected
+    network's is symmetric, so it is built, inverted and read in packed
+    storage, n(n + 1)/2 floats. A directed one is built in a column-major
+    identity and inverted by ``_lu_inverse``, so the cell holds two n x n
+    arrays until the factor is dropped, and the inverse after.
+    """
+    if not graph.directed:
+        return _symmetric_propagator(graph, gamma, rho).read_rows
+    src, dst, values, _ = _weight_arcs(graph, gamma, rho)
+    system = np.eye(graph.n, order="F")
+    system[src, dst] = np.subtract(0.0, values)
+    inverse = _lu_inverse(system)
+    return lambda rows, buffer, triangle: inverse[rows, rows.start if triangle else 0 :]
+
+
+def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
     """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve.
 
     A symmetric ``W`` (undirected input, or a digraph whose arcs all come
     in equal-weight pairs) makes ``I - W`` symmetric positive definite:
     its lower triangle is packed into n(n + 1)/2 floats, inverted there
     through a Cholesky factorization, and unpacked. Any other ``W`` goes
-    through LU. Both routes refuse a numerically singular system.
-
-    By default ``weight.W`` is left intact and the values are a new
-    array. With ``overwrite_weight=True`` (after scipy's ``overwrite_a``),
-    LU forms and factorizes ``I - W`` inside ``weight.W``, and the packed
-    route unpacks its inverse there, so the caller must not read
-    ``weight.W`` again: its contents are unspecified afterwards, and on
-    the packed route the returned ``values`` share its buffer. The values
-    are bitwise those of the default call.
+    through LU. Both routes refuse a numerically singular system, and
+    neither writes to ``weight.W``.
     """
     if scipy.linalg.issymmetric(weight.W):
         # W is symmetric, so its transpose is the same matrix in the
@@ -345,11 +363,9 @@ def exact_propagator(weight: WeightMatrix, *, overwrite_weight: bool = False) ->
         data, _ = scipy.linalg.lapack.dtrttf(weight.W.T, transr="N", uplo="L")
         system = _PackedSymmetric(weight.n, np.subtract(0.0, data, out=data))
         system.data[system.diagonal()] += 1.0
-        inverse = _packed_inverse(system, system.norm1())
-        values = inverse.unpack(weight.W if overwrite_weight else None)
+        values = _packed_inverse(system, system.norm1()).unpack()
     else:
-        lu, piv = _factorize(_system(weight, overwrite_weight))
-        values = scipy.linalg.lu_solve((lu, piv), np.eye(weight.n))
+        values = _lu_inverse(_system(weight))
     return ImpactMatrix(values=values, gamma=weight.gamma)
 
 

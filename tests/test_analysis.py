@@ -7,10 +7,8 @@ with slope ln gamma and the fit must come back with r squared 1.
 
 from __future__ import annotations
 
-import gc
 import os
 import stat
-import weakref
 
 import numpy as np
 import pytest
@@ -505,34 +503,53 @@ def test_digraph_with_fewer_cycle_nodes_than_padded_modes_decomposes(cycle) -> N
         np.testing.assert_allclose(approximation, expected, rtol=1e-12, atol=1e-15)
 
 
-def test_study_frees_the_weight_matrix_before_approximating(monkeypatch) -> None:
-    # the approximations read only the modes and the hop counts, so no
-    # dense W may stay alive past its inversion
-    weights: list[weakref.ref] = []
-    passes = 0
-    dyad_pass = impactfield.analysis._dyad_pass
+@pytest.mark.parametrize("n", [400, 401])
+def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -> None:
+    # I - W is built from the arcs straight into a column-major identity,
+    # which getrf factorizes in place and getrs solves into a second one,
+    # so from the start of the cell to its pass the cell adds two n x n
+    # arrays and small temporaries; a dense W, or a copy made for LAPACK,
+    # would add a third
+    growth: list[tuple[bool, int]] = []
+    build, dyad_pass = impactfield.analysis._cell_propagator, impactfield.analysis._dyad_pass
 
-    def recording_build_weight(*args, **kwargs):
-        weight = build_weight(*args, **kwargs)
-        weights.append(weakref.ref(weight))
-        return weight
+    def marking_cell_propagator(*args, **kwargs):
+        memory.mark()
+        return build(*args, **kwargs)
 
-    def checking_dyad_pass(*args, **kwargs):
-        nonlocal passes
-        gc.collect()
-        assert weights and all(ref() is None for ref in weights)
-        passes += 1
-        return dyad_pass(*args, **kwargs)
+    def measuring_dyad_pass(read_rows, dist, mode_sets, consume, triangle):
+        growth.append((triangle, memory.growth()))
+        return dyad_pass(read_rows, dist, mode_sets, consume, triangle)
 
-    monkeypatch.setattr("impactfield.analysis.build_weight", recording_build_weight)
-    monkeypatch.setattr("impactfield.analysis._dyad_pass", checking_dyad_pass)
-    g = generate_er(n=30, p=0.15, directed=True, seed=11)
-    cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
-    assert cells and all(cell.error is None for cell in cells)
-    # one pass per cell builds every order's approximation; only the
-    # directed cells build a dense W, the symmetrized ones build none
-    directed = sum(cell.treatment is Treatment.DIRECTED for cell in cells)
-    assert directed == 2 and len(weights) == directed and passes == len(cells)
+    monkeypatch.setattr("impactfield.analysis._cell_propagator", marking_cell_propagator)
+    monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=True, seed=1)
+    hops = geodesic_distances(g).hops.nbytes
+    with TracedMemory() as memory:
+        cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
+    assert [cell.error for cell in cells] == [None] * 4
+    # one pass per cell builds every order's approximation
+    directed = [size for triangle, size in growth if not triangle]
+    assert len(growth) == len(cells) and len(directed) == 2
+    assert all(2 * 8 * n * n < size < 2.25 * 8 * n * n + hops for size in directed)
+
+
+def test_reciprocal_digraph_treatments_agree() -> None:
+    # arcs in equal-weight pairs make W symmetric, but the directed cell
+    # inverts it by LU while the symmetrized one takes packed Cholesky;
+    # the two treatments of the same matrix agree at rounding level
+    base = generate_er(n=60, p=0.1, directed=False, seed=5)
+    pairs = [arc for src, dst, w in base.edges for arc in ((src, dst, w), (dst, src, w))]
+    g = Graph(n=base.n, directed=True, edges=tuple(pairs))
+    cells = run_study(g, gammas=[0.5, 0.875, 0.96875], orders=(1, 2))
+    assert [cell.error for cell in cells] == [None] * 6
+    directed, symmetrized = cells[:3], cells[3:]
+    for raw, sym in zip(directed, symmetrized):
+        assert (raw.treatment, sym.treatment) == (Treatment.DIRECTED, Treatment.SYMMETRIZED)
+        assert_curves_close(raw.curve, sym.curve, rel=1e-12)
+        assert [r.order for r in raw.correlations] == [r.order for r in sym.correlations] == [1, 2]
+        for r, s in zip(raw.correlations, sym.correlations):
+            assert r.pearson_r == pytest.approx(s.pearson_r, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [400, 401])

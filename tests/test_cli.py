@@ -27,6 +27,7 @@ from impactfield import cli
 from impactfield.analysis import DEFAULT_FIT_RANGE, DEFAULT_ORDERS, Treatment, run_study
 from impactfield.cli import main
 from impactfield.graph import generate_er, parse_edge_list, serialize_edge_list
+from impactfield.impact import gamma_grid
 
 from util import (
     TracedMemory,
@@ -331,6 +332,7 @@ def test_repeated_gamma_is_one_cell(tmp_path) -> None:
 )
 def test_study_option_defaults_are_the_library_ones(argv) -> None:
     study = cli._study_options(cli.build_parser().parse_args(argv))
+    assert study["gammas"] == gamma_grid()
     assert study["orders"] == DEFAULT_ORDERS
     assert study["fit_range"] == DEFAULT_FIT_RANGE
 

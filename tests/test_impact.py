@@ -23,6 +23,7 @@ from impactfield.errors import (
 from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     WeightMatrix,
+    _cell_propagator,
     _PackedSymmetric,
     _real_terms,
     _row_blocks,
@@ -260,7 +261,7 @@ def test_triangle_row_blocks_cover_the_rows_on_each_side_of_half(monkeypatch, n,
         assert rows.stop - rows.start == min(height, end - rows.start)
 
 
-OVERWRITE_GRAPHS = {
+CELL_GRAPHS = {
     "cholesky": generate_er(n=30, p=0.15, directed=False, seed=7),
     "lu": generate_er(n=30, p=0.15, directed=True, seed=7),
     # the disconnected Cholesky inverse holds -0.0 entries, which a
@@ -270,18 +271,24 @@ OVERWRITE_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("graph", OVERWRITE_GRAPHS.values(), ids=OVERWRITE_GRAPHS.keys())
-def test_in_place_inverse_is_bitwise_the_default_one(graph) -> None:
+@pytest.mark.parametrize("graph", CELL_GRAPHS.values(), ids=CELL_GRAPHS.keys())
+def test_cell_propagator_rows_are_bitwise_the_dense_inverse(graph) -> None:
+    # a study cell builds I - W from the arcs, never W; its rows must be
+    # the public propagator's, including the sign of every zero
+    n = graph.n
     for gamma in (0.5, 0.96875):
         weight = build_weight(graph, gamma)
         before = weight.W.copy()
         expected = exact_propagator(weight).values
         assert weight.W.tobytes() == before.tobytes()
-        values = exact_propagator(weight, overwrite_weight=True).values
-        # tobytes tells -0.0 from +0.0, which array_equal does not
-        assert values.tobytes() == expected.tobytes()
-        if scipy.linalg.issymmetric(before):
-            assert np.shares_memory(values, weight.W)
+        read_rows = _cell_propagator(graph, gamma, weight.rho)
+        for height in (1, 3, n):
+            out = np.full((n, n), np.nan)
+            for start in range(0, n, height):
+                rows = slice(start, min(start + height, n))
+                out[rows] = read_rows(rows, out[rows], False)
+            # tobytes tells -0.0 from +0.0, which array_equal does not
+            assert out.tobytes() == expected.tobytes()
 
 
 def test_equilibrium_leaves_the_weight_intact() -> None:

@@ -21,7 +21,6 @@ from impactfield.analysis import (
     DecayCurve,
     ExponentialFit,
     Treatment,
-    _cell_propagator,
     run_study,
 )
 from impactfield.errors import (
@@ -31,7 +30,7 @@ from impactfield.errors import (
     ValidationError,
 )
 from impactfield.graph import DistanceMatrix
-from impactfield.impact import ImpactMatrix, WeightMatrix, _PackedSymmetric
+from impactfield.impact import ImpactMatrix, WeightMatrix, _cell_propagator, _PackedSymmetric
 from impactfield.io import (
     CORRELATIONS_HEADER,
     CURVES_HEADER,
@@ -90,7 +89,7 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
 
 
 def cell_propagator_failing_at(gamma: float):
-    """``analysis._cell_propagator`` that raises SolverError at one gamma only."""
+    """``impact._cell_propagator`` that raises SolverError at one gamma only."""
 
     def propagator(treated: Graph, cell_gamma: float, rho: float):
         if cell_gamma == gamma:
