@@ -4,11 +4,10 @@ Provides the spectral radius, dense and iterative decompositions with
 dual left rows, and greedy mode selection with conjugate closure so
 that truncated sums stay real.
 
-At or below the dense threshold one eigensolve of ``A`` itself serves
-both the radius and the decomposition: rho is the largest modulus of
-its spectrum and the eigenvalues are divided by it; no ARPACK run is
-made. Above the threshold ARPACK estimates rho and then solves
-``B = A / rho``.
+One eigensolve of ``A`` per side serves both the radius and the
+decomposition on every route: dense at or below the threshold, ARPACK
+above it. rho is the largest modulus of that spectrum, and the
+eigenvalues are divided by it.
 
 Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
 above the dense threshold), so the left rows are the transposed right
@@ -17,8 +16,9 @@ solve, ``(VL^H VR)^-1 VL^H`` over the kept modes and every mode sharing
 their eigenvalues, so they are the dual basis of the right vectors even
 within a repeated eigenvalue. The left vectors come from the same
 two-sided ``geev`` call as the right ones at or below the dense
-threshold; above it, from a second ARPACK run on ``B^T``, which must
-agree with the first run on every eigenvalue it found. A full
+threshold; above it, from a second ARPACK run on ``A^T``. On both
+routes the left side must hold every eigenvalue of the right side as
+often as the right side does. A full
 decomposition must reconstruct ``B``; a truncated one must keep no mode
 whose condition number, its left-row norm, exceeds ``_CONDITION_MAX``.
 
@@ -250,22 +250,30 @@ def _dense_eig(solver, matrix: np.ndarray, **options):
         raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from exc
 
 
-def _arpack_radius(graph: Graph) -> float:
-    # ARPACK runs on A / max|w| and the radius is scaled back, so weights
-    # near the float ceiling give an overflowing radius, not an ARPACK
-    # failure; unit weights divide by 1.0, which is exact
+def _arpack(graph: Graph, k: int, vectors: bool = True):
+    """ARPACK's k largest-modulus eigenpairs of ``A / s``, with ``s = max|w|``, and s.
+
+    With vectors, one ``(values, vectors)`` side per run: the right side,
+    then for a digraph the left side from a second run on the transpose;
+    without, the right run's values alone. Dividing by s means weights
+    near the float ceiling give an overflowing radius, not an ARPACK
+    failure; unit weights divide by 1.0, which is exact.
+    """
     matrix = graph.adjacency_sparse()
     scale = float(np.abs(matrix.data).max(initial=0.0)) or 1.0
     matrix.data /= scale
-    v0 = np.ones(graph.n) / np.sqrt(graph.n)
+    solver = spla.eigs if graph.directed else spla.eigsh
+    matrices = [matrix, matrix.T.tocsr()] if graph.directed and vectors else [matrix]
+    options = dict(k=k, which="LM", v0=np.ones(graph.n) / np.sqrt(graph.n), tol=0)
     try:
-        if graph.directed:
-            vals = spla.eigs(matrix, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)
-        else:
-            vals = spla.eigsh(matrix, k=1, which="LM", v0=v0, tol=1e-10, return_eigenvectors=False)
+        runs = [solver(m, return_eigenvectors=vectors, **options) for m in matrices]
     except spla.ArpackError as exc:
-        raise ConvergenceError(f"spectral radius estimation did not converge: {exc}") from exc
-    return float(np.max(np.abs(vals))) * scale
+        raise ConvergenceError(f"iterative eigensolver did not converge: {exc}") from exc
+    if len(runs) == 2:
+        # eigs on A^T returns u with u^T A = lambda u^T, so conj(u) is the
+        # left eigenvector in the sense of geev
+        runs[1] = (runs[1][0], np.conj(runs[1][1]))
+    return runs, scale
 
 
 def _nilpotent(graph: Graph) -> bool:
@@ -291,9 +299,10 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
 
     At or below the dense threshold it is the largest modulus of the
     full dense spectrum (``eigvals``, or ``eigvalsh`` for an undirected
-    graph); above it, an iterative estimate with a deterministic start
-    vector. A two-node graph, too small for the iterative solver, takes
-    the dense value at any threshold.
+    graph); above it, the largest modulus of ARPACK's leading value, one
+    run with a deterministic start vector and no eigenvectors. A
+    two-node graph, too small for the iterative solver, takes the dense
+    value at any threshold.
     An edgeless graph, a graph whose edge weights are all zero and a
     digraph whose nonzero-weight arcs form no cycle (nilpotent
     adjacency) have radius 0.0, decided structurally because
@@ -302,8 +311,8 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
 
     The radius is solved once per Graph instance and route (dense or
     iterative); later calls on that instance, as from ``decompose`` and
-    ``build_weight``, return the stored value. On the dense route a
-    ``decompose`` that runs first stores the largest modulus of its own
+    ``build_weight``, return the stored value. A ``decompose`` that runs
+    first, on either route, stores the largest modulus of its own
     spectrum, so no separate radius solve runs. An equal but distinct
     Graph computes its own; a raising call stores nothing.
     """
@@ -321,11 +330,14 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     return _stored_radius(graph, graph.n <= dense_threshold)
 
 
-def _stored_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None = None) -> float:
+def _stored_radius(
+    graph: Graph, dense_route: bool, spectrum: np.ndarray | None = None, scale: float = 1.0
+) -> float:
     """The radius stored on ``graph`` for one route, solved on first use.
 
-    ARPACK estimates it above the threshold when n > 2; otherwise it is the
-    largest modulus of the dense spectrum, ``spectrum`` if given.
+    It is ``scale`` times the largest modulus of ``spectrum``; without
+    one, of the dense spectrum of A at or below the threshold or when
+    n <= 2, else of ARPACK's leading value of ``A / scale``.
     """
     radii = vars(graph).setdefault("_spectral_radii", {})
     if dense_route not in radii:
@@ -336,7 +348,10 @@ def _stored_radius(graph: Graph, dense_route: bool, spectrum: np.ndarray | None 
                 spectrum = _dense_eig(sla.eigvals, graph.adjacency())
             else:
                 spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
-        radius = _arpack_radius(graph) if spectrum is None else float(np.max(np.abs(spectrum)))
+        elif spectrum is None:
+            (spectrum,), scale = _arpack(graph, 1, vectors=False)
+        # scaled as a Python float, which overflows to inf without a warning
+        radius = float(np.max(np.abs(spectrum))) * scale
         if not np.isfinite(radius):
             raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
         radii[dense_route] = radius
@@ -377,39 +392,61 @@ def _dual_rows(values, right, keep, left_values, left):
 
 
 def _dense_spectrum(graph: Graph):
-    """Eigenvalues, right and left vectors of ``A`` itself (no left ones if symmetric)."""
+    """The sides of ``A`` itself, as ``_arpack`` gives them: right, then left if directed."""
     if not graph.directed:
         # driver evd is LAPACK syevd, as in numpy's eigh; scipy's default
         # (evr) is slower at these sizes and gives other bits. The fresh
         # adjacency is symmetric: its transpose is the same matrix in the
         # column-major order that syevd overwrites without a copy.
-        return *_dense_eig(sla.eigh, graph.adjacency().T, driver="evd", overwrite_a=True), None
+        return [_dense_eig(sla.eigh, graph.adjacency().T, driver="evd", overwrite_a=True)]
     values, left, right = _dense_eig(sla.eig, graph.adjacency(), left=True, right=True)
-    return values, right, left
-
-
-def _dense_eigenpairs(graph: Graph, spectrum, rho: float, k: int | None):
-    """Leading eigenpairs of ``B = A / rho`` from the dense spectrum of ``A``.
-
-    The eigenvalues are divided first, so every tolerance below applies
-    at the scale of ``B``; scaling leaves the eigenvectors as they are.
-    """
-    values, right, left = spectrum
-    values = values / rho
-    if left is None:
-        return _symmetric_modes(values, right, k)
     # geev may return a repeated real eigenvalue as a conjugate pair with a
     # rounding-level imaginary part (positive member first); the real and
-    # imaginary parts of the pair's vectors span the same eigenspace
-    pairs = np.flatnonzero((values.imag > 0.0) & (values.imag <= _PAIR_TOL))
+    # imaginary parts of the pair's vectors span the same eigenspace. The
+    # tolerance is taken relative to rho, the largest modulus, so that it
+    # applies at the scale of B.
+    tiny = _PAIR_TOL * np.abs(values).max()
+    pairs = np.flatnonzero((values.imag > 0.0) & (values.imag <= tiny))
     for vectors in (left, right):
         vectors[:, pairs + 1] = vectors[:, pairs].imag
         vectors[:, pairs] = vectors[:, pairs].real
     values[pairs] = values[pairs + 1] = values[pairs].real
+    return [(values, right), (values, left)]
+
+
+def _ordered_side(values: np.ndarray, vectors: np.ndarray):
+    """One side's eigenpairs of a real matrix, conjugate-closed and canonically ordered.
+
+    A partial solve can cut a conjugate pair on one side only; appending
+    the missing partner is exact because the matrix is real.
+    """
+    missing = np.flatnonzero(conjugate_partners(values) < 0)
+    if missing.size:
+        values = np.concatenate([values, np.conj(values[missing])])
+        vectors = np.hstack([vectors, np.conj(vectors[:, missing])])
     order = _canonical_order(values)
-    values, left, right = values[order], left[:, order], right[:, order]
+    return values[order], vectors[:, order]
+
+
+def _directed_modes(graph: Graph, rho: float, k: int | None, right_side, left_side):
+    """Canonically ordered, cut eigenpairs of ``B = A / rho`` with dual left rows.
+
+    Each side is ``(values, vectors)`` of B, one vector per column; left
+    vectors ``v`` satisfy ``v^H B = lambda v^H``.
+    """
+    values, right = _ordered_side(*right_side)
+    left_values, left = _ordered_side(*left_side)
+    # every eigenvalue on the right side, not only the kept ones, must turn
+    # up on the left side as often as on the right one; one value at a
+    # time, as a full spectrum's n x n distance table would outweigh A
+    for value in values:
+        near = _MATCH_TOL * max(1.0, abs(value))
+        if (abs(left_values - value) <= near).sum() < (abs(values - value) <= near).sum():
+            raise ConvergenceError(
+                f"left spectrum does not match right spectrum near eigenvalue {value!r}"
+            )
     keep = _closed_prefix(values, k)
-    left = _dual_rows(values, right, keep, values, left)
+    left = _dual_rows(values, right, keep, left_values, left)
     if keep == graph.n:
         # what a full decomposition promises is reconstruction
         rebuilt_error = np.max(np.abs((right * values) @ left - graph.adjacency() / rho))
@@ -421,54 +458,6 @@ def _dense_eigenpairs(graph: Graph, spectrum, rho: float, k: int | None):
     return _cut(values, right, left, keep)
 
 
-def _conjugate_closure(values: np.ndarray, vectors: np.ndarray):
-    """Append the conjugate of every complex eigenpair missing its partner."""
-    missing = np.flatnonzero(conjugate_partners(values) < 0)
-    if not missing.size:
-        return values, vectors
-    return (
-        np.concatenate([values, np.conj(values[missing])]),
-        np.hstack([vectors, np.conj(vectors[:, missing])]),
-    )
-
-
-def _iterative_eigenpairs(graph: Graph, b_sparse, k: int):
-    n = graph.n
-    if k > n - 2:
-        raise ValidationError(
-            "iterative decomposition needs k <= n - 2; raise the dense threshold instead"
-        )
-    v0 = np.ones(n) / np.sqrt(n)
-    request = min(k + 2, n - 2)
-    try:
-        if not graph.directed:
-            return _symmetric_modes(*spla.eigsh(b_sparse, k=request, which="LM", v0=v0, tol=0), k)
-        right_run = spla.eigs(b_sparse, k=request, which="LM", v0=v0, tol=0)
-        left_run = spla.eigs(b_sparse.T.tocsr(), k=request, which="LM", v0=v0, tol=0)
-    except spla.ArpackError as exc:
-        raise ConvergenceError(f"iterative decomposition did not converge: {exc}") from exc
-    # the two runs can cut a conjugate pair on opposite sides; closing each
-    # is exact because the matrix is real
-    values, right = _conjugate_closure(*right_run)
-    order = _canonical_order(values)
-    values, right = values[order], right[:, order]
-    left_values, left = _conjugate_closure(*left_run)
-    # every eigenvalue of the right run, not only the kept ones, must turn up
-    # in the left run as often as in the right one
-    tol = _MATCH_TOL * np.maximum(1.0, np.abs(values))[:, None]
-    copies = (np.abs(values[:, None] - values) <= tol).sum(axis=1)
-    found = (np.abs(values[:, None] - left_values) <= tol).sum(axis=1)
-    if (found < copies).any():
-        raise ConvergenceError(
-            "left spectrum does not match right spectrum near eigenvalue "
-            f"{values[np.argmax(found < copies)]!r}"
-        )
-    keep = _closed_prefix(values, k)
-    # eigs on B^T returns u with u^T B = lambda u^T, so conj(u) is the left
-    # eigenvector in the sense of geev
-    return _cut(values, right, _dual_rows(values, right, keep, left_values, np.conj(left)), keep)
-
-
 def decompose(
     graph: Graph,
     k: int | None = None,
@@ -476,10 +465,9 @@ def decompose(
 ) -> SpectralDecomposition:
     """Eigendecomposition of the radius-normalized adjacency ``B = A / rho(A)``.
 
-    A zero radius raises NormalizationError before any eigensolve. On the
-    dense route rho is the one ``spectral_radius`` has stored, else the
-    largest modulus of this decomposition's spectrum, stored; no ARPACK
-    run is made. The raw
+    Bad arguments and a zero radius raise before any eigensolve. On
+    either route rho is the one ``spectral_radius`` has stored, else the
+    largest modulus of this decomposition's own spectrum, stored. The raw
     adjacency has the same eigenvectors and the eigenvalues
     ``eigenvalues * spectral_radius(graph)``.
 
@@ -500,9 +488,9 @@ def decompose(
         exceeds ``_CONDITION_MAX`` (else DefectivenessError).
     dense_threshold : int
         At or below this size one dense eigensolve of ``A`` backs the
-        result, radius included (see the module docstring); above it an
-        iterative solver computes k pairs of ``B`` and their dual left
-        rows (k is then required).
+        result, radius included (see the module docstring); above it one
+        ARPACK run on ``A``, and one on ``A^T`` for a digraph, does (k is
+        then required, at most n - 2).
     """
     if graph.n == 0 or not graph.edges:
         raise ValidationError("decomposition requires a graph with at least one edge")
@@ -511,6 +499,12 @@ def decompose(
             raise ValidationError("k must be a positive integer")
         if k > graph.n:
             raise ValidationError(f"k={k} exceeds the matrix dimension {graph.n}")
+    dense_route = graph.n <= dense_threshold
+    if not dense_route and (k is None or k > graph.n - 2):
+        raise ValidationError(
+            "decomposition above the dense threshold needs k <= n - 2; "
+            "pass a smaller k or raise the dense threshold"
+        )
     if (graph._arcs[2] < 0.0).any():
         warnings.warn(
             "negative edge weights: no positivity guarantee for the principal mode",
@@ -520,25 +514,22 @@ def decompose(
 
     if _nilpotent(graph):
         raise NormalizationError(_ZERO_RADIUS)
-    dense_route = graph.n <= dense_threshold
     if dense_route:
-        spectrum = _dense_spectrum(graph)
-        # the radius is the largest modulus of this same spectrum
-        _stored_radius(graph, dense_route=True, spectrum=spectrum[0])
+        sides, scale = _dense_spectrum(graph), 1.0
+    else:
+        sides, scale = _arpack(graph, min(k + 2, graph.n - 2))
+    # the radius is the largest modulus of this same spectrum
+    _stored_radius(graph, dense_route, spectrum=sides[0][0], scale=scale)
     rho = spectral_radius(graph, dense_threshold=dense_threshold)
     if rho == 0.0:
         raise NormalizationError(_ZERO_RADIUS)
-
-    b_sparse = graph.adjacency_sparse() / rho
-    if dense_route:
-        values, right, left = _dense_eigenpairs(graph, spectrum, rho, k)
+    # dividing the eigenvalues first puts every tolerance of the tail at the
+    # scale of B; scaling leaves the eigenvectors as they are
+    sides = [(values * scale / rho, vectors) for values, vectors in sides]
+    if graph.directed:
+        values, right, left = _directed_modes(graph, rho, k, *sides)
     else:
-        if k is None:
-            raise ValidationError(
-                "full decomposition above the dense threshold is not supported; "
-                "pass k or raise the threshold"
-            )
-        values, right, left = _iterative_eigenpairs(graph, b_sparse, k)
+        values, right, left = _symmetric_modes(*sides[0], k)
 
     _canonicalize(values, right, left)
     _enforce_conjugate_symmetry(values, right, left)
@@ -556,6 +547,7 @@ def decompose(
             f"eigenvalue {complex(values[worst])} has condition number {kappa[worst]:.1e} "
             f"above {_CONDITION_MAX:.0e}; the kept modes are near defective"
         )
+    b_sparse = graph.adjacency_sparse() / rho
     residual = float(np.linalg.norm(b_sparse @ right - right * values, axis=0).max())
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL:.0e}")

@@ -24,7 +24,13 @@ from impactfield.errors import (
 )
 from impactfield.graph import Graph, generate_er, geodesic_distances, symmetrize_weak
 from impactfield.impact import approx_impact
-from impactfield.spectral import conjugate_partners, decompose, select_modes, spectral_radius
+from impactfield.spectral import (
+    DEFAULT_DENSE_THRESHOLD,
+    conjugate_partners,
+    decompose,
+    select_modes,
+    spectral_radius,
+)
 
 from util import TracedMemory, arcs, count_calls, twin_components, twin_three_cycles
 
@@ -366,23 +372,50 @@ def test_dense_solver_failure_is_a_convergence_error(monkeypatch, solver, direct
 @pytest.mark.parametrize("route", ["radius", "decomposition"])
 def test_arpack_error_is_a_convergence_error(monkeypatch, route) -> None:
     # error 3 ("no shifts could be applied") is an ArpackError that is
-    # not an ArpackNoConvergence; the radius estimate asks eigs for one
-    # pair, so failing only larger requests reaches the decomposition's own
-    eigs = spla.eigs
-
+    # not an ArpackNoConvergence; a decomposition takes its radius from its
+    # own run, so the failing call is the decomposition's own
     def fail(*args, **kwargs):
-        if route == "radius" or kwargs["k"] > 1:
-            raise spla.ArpackError(3)
-        return eigs(*args, **kwargs)
+        raise spla.ArpackError(3)
 
     g = generate_er(n=30, p=0.2, directed=True, seed=5)
     monkeypatch.setattr(spla, "eigs", fail)
-    if route == "radius":
-        with pytest.raises(ConvergenceError, match="^spectral radius estimation"):
+    with pytest.raises(ConvergenceError, match="^iterative eigensolver did not converge"):
+        if route == "radius":
             spectral_radius(g, dense_threshold=10)
-    else:
-        with pytest.raises(ConvergenceError, match="^iterative decomposition"):
+        else:
             decompose(g, k=4, dense_threshold=10)
+
+
+@pytest.mark.parametrize("k", [None, 29])
+def test_bad_k_above_the_dense_threshold_is_refused_before_arpack(monkeypatch, k) -> None:
+    # a failing solve must not turn a bad argument into a convergence error
+    def fail(*args, **kwargs):
+        calls.append(kwargs)
+        raise spla.ArpackError(3)
+
+    calls = []
+    monkeypatch.setattr(spla, "eigs", fail)
+    g = generate_er(n=30, p=0.2, directed=True, seed=5)
+    with pytest.raises(ValidationError):
+        decompose(g, k=k, dense_threshold=10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_iterative_decompose_solves_once_per_side(monkeypatch, directed) -> None:
+    # one run on A, and for a digraph one on its transpose; the radius is
+    # the largest modulus of the same run, and later radius calls reuse it
+    g = generate_er(n=40, p=0.15, directed=directed, seed=3)
+    calls = count_calls(monkeypatch, spla, ("eigs", "eigsh"))
+    decompose(g, k=5, dense_threshold=10)
+    assert spectral_radius(g, dense_threshold=10) == pytest.approx(_dense_radius(g), rel=1e-12)
+    assert calls == ({"eigs": 2, "eigsh": 0} if directed else {"eigs": 0, "eigsh": 1})
+
+
+@pytest.mark.parametrize("dense_threshold", [10, DEFAULT_DENSE_THRESHOLD])
+def test_undirected_leading_eigenvalue_is_exactly_one(dense_threshold) -> None:
+    g = generate_er(n=40, p=0.15, directed=False, seed=3)
+    assert abs(decompose(g, k=5, dense_threshold=dense_threshold).eigenvalues[0]) == 1.0
 
 
 def test_iterative_route_on_twin_components_is_a_convergence_error() -> None:
