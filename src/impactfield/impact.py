@@ -191,7 +191,8 @@ class _PackedSymmetric:
       left: entry (m + r, m + c), r >= c, is ``P[r + t, c]``.
 
     ``read_rows`` assembles full rows from these slices, a block at a time,
-    or reads one triangle of them.
+    or reads one triangle of them, as ``norm1`` does: only ``offsets`` and
+    ``read_rows`` know the layout.
     """
 
     def __init__(self, n: int, data: np.ndarray) -> None:
@@ -257,33 +258,26 @@ class _PackedSymmetric:
         return out
 
     def norm1(self) -> float:
-        """The exact 1-norm, summed from the packed floats a few rows at a time.
+        """The exact 1-norm, summed from ``read_rows``'s triangle a few rows at a time.
 
-        Column j's absolute sum is that of column j of the lower triangle
-        plus that of row j, less the diagonal entry they share. Row r of
-        ``P`` holds column r of the lower triangle from ``P[r, r + s]`` on,
-        and row m + r - t of the trailing triangle before it.
+        Column j's absolute sum is that of column j of the upper triangle
+        plus that of row j, less the diagonal entry they share.
         """
-        n, m, s = self.n, self.half, self.shift
-        t = 1 - s
-        packed = self.data.reshape(m, n + s)
+        n = self.n
         columns, rows = np.zeros(n), np.zeros(n)
         # a row block's worth of floats, but at most a 32nd of the rows,
-        # so the temporary stays small beside the matrix
+        # so the buffer stays small beside the matrix
         height = max(1, min(_BLOCK_ENTRIES // max(n, 1), n // 32))
-        for lo in range(0, m, height):
-            hi = min(lo + height, m)
-            chunk = np.abs(packed[lo:hi])
-            left, square, right = chunk[:, : lo + s], chunk[:, lo + s : hi + s], chunk[:, hi + s :]
-            upper, below = np.triu(square), np.tril(square, -1)
-            columns[lo:hi] += right.sum(axis=1) + upper.sum(axis=1)
-            rows[lo:hi] += upper.sum(axis=0)
-            rows[hi:] += right.sum(axis=0)
-            rows[m - t + lo : m - t + hi] += left.sum(axis=1) + below.sum(axis=1)
-            columns[m : m + lo + s] += left.sum(axis=0)
-            columns[m + lo + s : m + hi + s - 1] += below[:, :-1].sum(axis=0)
-        diagonal = np.abs(self.data[self.diagonal()])
-        return float((columns + rows - diagonal).max(initial=0.0))
+        buffer, lower = np.empty(height * n), np.tri(height, k=-1, dtype=bool)
+        for lo, hi in ((0, self.half), (self.half, n)):
+            for start in range(lo, hi, height):
+                block = slice(start, min(start + height, hi))
+                out = buffer[: (block.stop - start) * (n - start)].reshape(-1, n - start)
+                chunk = np.abs(self.read_rows(block, out, triangle=True), out=out)
+                chunk[:, : len(chunk)][lower[: len(chunk), : len(chunk)]] = 0.0
+                columns[start:] += chunk.sum(axis=0)
+                rows[block] = chunk.sum(axis=1)
+        return float((columns + rows - np.abs(self.data[self.diagonal()])).max(initial=0.0))
 
 
 def _packed_inverse(system: _PackedSymmetric, anorm: float) -> _PackedSymmetric:

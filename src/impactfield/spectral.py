@@ -6,8 +6,8 @@ that truncated sums stay real.
 
 One eigensolve of ``A`` per side serves both the radius and the
 decomposition on every route: dense at or below the threshold, ARPACK
-above it. rho is the largest modulus of that spectrum, and the
-eigenvalues are divided by it.
+above it. rho is always the largest modulus of that spectrum, never a
+stored standalone radius, and the eigenvalues are divided by it.
 
 Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
 above the dense threshold), so the left rows are the transposed right
@@ -309,12 +309,11 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     eigensolvers return noise or fail on them; downstream normalization
     must reject it. A radius that overflows raises NormalizationError.
 
-    The radius is solved once per Graph instance and route (dense or
-    iterative); later calls on that instance, as from ``decompose`` and
-    ``build_weight``, return the stored value. A ``decompose`` that runs
-    first, on either route, stores the largest modulus of its own
-    spectrum, so no separate radius solve runs. An equal but distinct
-    Graph computes its own; a raising call stores nothing.
+    The radius is stored on the Graph instance per route (dense or
+    iterative), and this solve runs only when none is stored there.
+    ``decompose`` always stores its own spectrum's largest modulus there,
+    replacing a standalone value. An equal but distinct Graph computes
+    its own; a raising call stores nothing.
     """
     if graph.n == 0:
         raise ValidationError("spectral radius of an empty graph is undefined")
@@ -327,35 +326,28 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
         return 0.0
     if _nilpotent(graph):
         return 0.0
-    return _stored_radius(graph, graph.n <= dense_threshold)
-
-
-def _stored_radius(
-    graph: Graph, dense_route: bool, spectrum: np.ndarray | None = None, scale: float = 1.0
-) -> float:
-    """The radius stored on ``graph`` for one route, solved on first use.
-
-    It is ``scale`` times the largest modulus of ``spectrum``; without
-    one, of the dense spectrum of A at or below the threshold or when
-    n <= 2, else of ARPACK's leading value of ``A / scale``.
-    """
+    dense_route = graph.n <= dense_threshold
     radii = vars(graph).setdefault("_spectral_radii", {})
     if dense_route not in radii:
-        if spectrum is None and (dense_route or graph.n <= 2):
-            # an undirected adjacency is symmetric, so the symmetric solver
-            # (syevd, see _dense_spectrum) suffices
-            if graph.directed:
-                spectrum = _dense_eig(sla.eigvals, graph.adjacency())
-            else:
-                spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
-        elif spectrum is None:
+        scale = 1.0
+        if not dense_route and graph.n > 2:
             (spectrum,), scale = _arpack(graph, 1, vectors=False)
-        # scaled as a Python float, which overflows to inf without a warning
-        radius = float(np.max(np.abs(spectrum))) * scale
-        if not np.isfinite(radius):
-            raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
-        radii[dense_route] = radius
+        elif graph.directed:
+            spectrum = _dense_eig(sla.eigvals, graph.adjacency())
+        else:
+            # a symmetric adjacency takes syevd, as in _dense_spectrum
+            spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
+        radii[dense_route] = _radius(spectrum, scale)
     return radii[dense_route]
+
+
+def _radius(spectrum: np.ndarray, scale: float) -> float:
+    """``scale`` times the largest modulus of ``spectrum``, or NormalizationError if infinite."""
+    # scaled as a Python float, which overflows to inf without a warning
+    radius = float(np.max(np.abs(spectrum))) * scale
+    if not np.isfinite(radius):
+        raise NormalizationError(f"cannot normalize: spectral radius {radius!r}")
+    return radius
 
 
 def _dual_rows(values, right, keep, left_values, left):
@@ -466,10 +458,10 @@ def decompose(
     """Eigendecomposition of the radius-normalized adjacency ``B = A / rho(A)``.
 
     Bad arguments and a zero radius raise before any eigensolve. On
-    either route rho is the one ``spectral_radius`` has stored, else the
-    largest modulus of this decomposition's own spectrum, stored. The raw
-    adjacency has the same eigenvectors and the eigenvalues
-    ``eigenvalues * spectral_radius(graph)``.
+    either route rho is the largest modulus of this decomposition's own
+    spectrum, stored on ``graph`` in place of any radius a standalone
+    ``spectral_radius`` call stored there. The raw adjacency has the same
+    eigenvectors and the eigenvalues ``eigenvalues * spectral_radius(graph)``.
 
     Parameters
     ----------
@@ -518,8 +510,8 @@ def decompose(
         sides, scale = _dense_spectrum(graph), 1.0
     else:
         sides, scale = _arpack(graph, min(k + 2, graph.n - 2))
-    # the radius is the largest modulus of this same spectrum
-    _stored_radius(graph, dense_route, spectrum=sides[0][0], scale=scale)
+    # the radius is this same spectrum's largest modulus, whatever was stored
+    vars(graph).setdefault("_spectral_radii", {})[dense_route] = _radius(sides[0][0], scale)
     rho = spectral_radius(graph, dense_threshold=dense_threshold)
     if rho == 0.0:
         raise NormalizationError(_ZERO_RADIUS)

@@ -362,6 +362,22 @@ def test_study_runs_one_dense_radius_eigensolve_per_treatment(monkeypatch) -> No
     assert arpack == {"eigs": 0, "eigsh": 0}
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_study_does_not_depend_on_a_prior_radius_call(directed) -> None:
+    # build_weight without rho stores a standalone radius on the graph; the
+    # study's decomposition of that same graph normalizes by its own spectrum
+    def fresh() -> Graph:
+        return generate_er(n=300, p=5 / 299, directed=directed, seed=2)
+
+    alone = run_study(fresh(), gammas=[0.875])
+    g = fresh()
+    build_weight(g, 0.5)
+    after = run_study(g, gammas=[0.875])
+    assert all(cell.error is None for cell in alone)
+    assert [cell.curve for cell in after] == [cell.curve for cell in alone]
+    assert [cell.correlations for cell in after] == [cell.correlations for cell in alone]
+
+
 def test_dense_radius_of_equal_radius_cycles_is_exact() -> None:
     # the only cycles are a 2-cycle and a 5-cycle, so six eigenvalues have
     # modulus 1; a k=1 ARPACK estimate reads 1.0000002, the dense radius is

@@ -201,7 +201,9 @@ def test_packed_offsets_are_lapack_rectangular_full_packed(n) -> None:
     assert np.array_equal(packed_symmetric(index).data, expected.data)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 31, 40])
+# n // 32 makes norm1's blocks one row up to n = 63; 64, 65 and 401 give
+# blocks of several rows on both sides of half, at even and odd n
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 31, 40, 64, 65, 401])
 def test_packed_row_blocks_are_the_unpacked_inverse(n) -> None:
     graph = generate_er(n=n, p=min(1.0, 4.0 / n), directed=False, seed=n)
     if not graph.edges:

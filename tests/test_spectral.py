@@ -530,6 +530,28 @@ def test_decompose_stores_the_radius_it_divides_by(monkeypatch, directed) -> Non
     assert abs(np.abs(dec.eigenvalues).max() - 1.0) <= 4e-16
 
 
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("seed", range(8))
+def test_decomposition_does_not_depend_on_a_prior_radius_call(seed, directed) -> None:
+    # a standalone radius solve (eigvals, eigvalsh, or a one-value ARPACK
+    # run) rounds differently from the decomposition's spectrum, which
+    # always supplies the rho it divides by, also when the decomposition
+    # is then refused
+    def outcome(graph: Graph, threshold: int) -> bytes | str:
+        try:
+            return decompose(graph, k=6, dense_threshold=threshold).eigenvalues.tobytes()
+        except ConvergenceError as exc:
+            return str(exc)
+
+    for threshold in (10, DEFAULT_DENSE_THRESHOLD):
+        fresh = generate_er(n=60, p=5 / 59, directed=directed, seed=seed)
+        asked = generate_er(n=60, p=5 / 59, directed=directed, seed=seed)
+        spectral_radius(asked, dense_threshold=threshold)
+        assert outcome(asked, threshold) == outcome(fresh, threshold)
+        radius = spectral_radius(fresh, dense_threshold=threshold)
+        assert spectral_radius(asked, dense_threshold=threshold) == radius
+
+
 @pytest.mark.parametrize("treated", ["directed", "symmetrized"])
 def test_kept_projector_does_not_depend_on_a_prior_radius_call(treated) -> None:
     def fresh() -> Graph:
