@@ -252,7 +252,7 @@ def _analyze(args: argparse.Namespace) -> int:
         path = out / f"dyads_{treatment.value}_{gamma!r}.csv"
         try:
             if not dump_errors:
-                _write(write_dyads_csv, path, graph, orders, blocks)
+                _write(write_dyads_csv, path, graph, treatment, orders, blocks)
         except ValidationError as exc:
             dump_errors.append(exc)
 

@@ -5,6 +5,11 @@ round-trips exactly; unreachable distances serialize as the literal
 string ``inf``. Files are UTF-8 whatever the locale. All writers go
 through an atomic temp-file-plus-rename so a crashed run never leaves a
 partial file behind.
+
+``repr`` bounds the per-dyad dump: shortest round-trip printing costs
+about a microsecond per float, so the dump's formatting tasks run in
+worker processes, and a symmetrized cell, whose lines (i, j) and (j, i)
+share their distance and values, formats each unordered pair once.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .analysis import StudyCell, _DyadBlock
+from .analysis import StudyCell, Treatment, _DyadBlock
 from .graph import Graph
 
 __all__ = [
@@ -41,8 +47,10 @@ CURVES_HEADER = ["network", "treatment", "gamma", "distance", "mean_impact", "n_
 FITS_HEADER = ["network", "treatment", "gamma", "d_min", "d_max", "slope", "intercept", "r_squared"]
 CORRELATIONS_HEADER = ["network", "treatment", "gamma", "order", "pearson_r", "n_dyads"]
 MANIFEST_HEADER = ["network", "n", "edges", "mean_degree", "diameter", "status"]
-# source rows per formatting task of the dyad dump
-DYAD_BLOCK_ROWS = 32
+# lines per formatting task of the dyad dump, in full source rows. Up to
+# 2 x workers tasks' text waits for the writer: at n = 1000, 32 rows held
+# about 4 MB more at peak than 16 and saved under 3% of the wall time
+DYAD_BLOCK_ROWS = 16
 
 
 def _fmt(value: float) -> str:
@@ -63,14 +71,17 @@ def atomic_write_text(path: Path | str, text: str | Iterable[str]) -> None:
     ``open`` would give it, ``0o666`` less the umask, not the owner-only
     mode of the temp file.
     """
+    chunks = [text] if isinstance(text, str) else text
+    _atomic_write(path, (chunk.encode() for chunk in chunks))
+
+
+def _atomic_write(path: Path | str, chunks: Iterable[bytes | memoryview]) -> None:
+    """``atomic_write_text`` for chunks already encoded."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            if isinstance(text, str):
-                handle.write(text)
-            else:
-                handle.writelines(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
             os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
@@ -144,59 +155,140 @@ def _csv_field(value: str) -> str:
 
 
 def write_dyads_csv(
-    path: Path | str, graph: Graph, orders: list[int], blocks: Iterable[_DyadBlock]
+    path: Path | str,
+    graph: Graph,
+    treatment: Treatment,
+    orders: list[int],
+    blocks: Iterable[_DyadBlock],
 ) -> None:
     """Joint per-dyad dump of a cell: every off-diagonal ordered pair, row-major.
 
     ``blocks`` are the cell's row blocks as ``run_study`` hands them to
     its ``dyads`` reader, with approximation rows for each of ``orders``.
     Unreachable pairs are kept, with ``inf`` in the distance column.
-    Tasks of at most ``DYAD_BLOCK_ROWS`` source rows are formatted in
-    worker processes, one per usable CPU, and written in row order, so
-    the bytes do not depend on the CPU count.
+    Tasks of at most ``DYAD_BLOCK_ROWS`` full rows' worth of lines are
+    formatted in worker processes, one per usable CPU, and written in
+    row order, so the bytes do not depend on the CPU count.
+
+    A symmetrized ``treatment`` has symmetric matrices and hop counts, so
+    each of its tasks formats its rows from their diagonal on, once per
+    unordered pair, and mirrors every line (i, j) to (j, i). The mirrored
+    lines of rows below the task wait in an unlinked temporary file
+    beside ``path``, not in memory, until their row is written.
     """
     n = graph.n
-    header = _csv_text(_dyads_header(orders), [])
+    header = _csv_text(_dyads_header(orders), []).encode()
     if n < 2:
-        atomic_write_text(path, header)
+        _atomic_write(path, [header])
         return
+    mirror = treatment is Treatment.SYMMETRIZED
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
-    block = functools.partial(_dyad_block, labels=labels)
-    with _block_map(-(-n // DYAD_BLOCK_ROWS)) as mapper:
-        atomic_write_text(path, itertools.chain([header], mapper(block, _dyad_tasks(blocks))))
+    task = functools.partial(_dyad_task, labels=labels, mirror=mirror)
+    with (
+        _block_map(-(-n // DYAD_BLOCK_ROWS)) as mapper,
+        tempfile.TemporaryFile(dir=Path(path).parent) as spill,
+    ):
+        texts = _dyad_texts(mapper(task, _dyad_tasks(blocks, n, mirror)), spill)
+        _atomic_write(path, itertools.chain([header], texts))
 
 
-def _dyad_tasks(blocks: Iterable[_DyadBlock]) -> Iterator[tuple]:
-    """Tasks of at most ``DYAD_BLOCK_ROWS`` rows: first row, hop counts, values.
+def _dyad_tasks(blocks: Iterable[_DyadBlock], n: int, mirror: bool) -> Iterator[tuple]:
+    """Tasks of at least one row: first row, hop counts, values.
 
-    A pool pickles a task some time after it is submitted, which is safe
-    because ``run_study`` reuses no array of a block it has handed out.
+    A task's rows give at most ``DYAD_BLOCK_ROWS * (n - 1)`` lines, which a
+    mirrored row gives twice for each pair past its diagonal; its arrays
+    hold the columns from its first row on. A pool pickles a task some
+    time after it is submitted, which is safe because ``run_study`` reuses
+    no array of a block it has handed out.
     """
+    budget = DYAD_BLOCK_ROWS * (n - 1)
     for rows, hops, exact, approximations in blocks:
-        for lo in range(0, rows.stop - rows.start, DYAD_BLOCK_ROWS):
-            part = slice(lo, lo + DYAD_BLOCK_ROWS)
-            yield rows.start + lo, hops[part], [values[part] for values in (exact, *approximations)]
+        cuts, lines = [rows.start], 0
+        for row in range(rows.start, rows.stop):
+            cost = 2 * (n - 1 - row) if mirror else n - 1
+            if lines and lines + cost > budget:
+                cuts.append(row)
+                lines = 0
+            lines += cost
+        cuts.append(rows.stop)
+        for start, stop in itertools.pairwise(cuts):
+            part = slice(start - rows.start, stop - rows.start)
+            first = start if mirror else 0
+            values = [block[part, first:] for block in (exact, *approximations)]
+            yield start, hops[part, first:], values
 
 
-def _dyad_block(task: tuple[int, np.ndarray, list[np.ndarray]], labels: list[str]) -> str:
-    """The dump's lines for one task, one per source row from its first on.
+def _dyad_task(
+    task: tuple[int, np.ndarray, list[np.ndarray]], labels: list[str], mirror: bool
+) -> tuple[bytes, np.ndarray, int]:
+    """The dump's text for one task: its rows, then the lines it mirrors to later rows.
 
-    Lines are built column by column; the diagonal pair is dropped.
+    Each of the task's rows holds its lines from the task's first column
+    on, the diagonal pair dropped. Mirrored, each pair past the diagonal
+    is formatted once, as the fields its two lines share; the mirrored
+    lines of rows within the task lead those rows, and those of each row
+    below it form one piece. The rows, then the pieces, come back as one
+    UTF-8 text, with the end offset of each and the number of rows: one
+    large object, not thousands of small ones, is what the writer's heap
+    then holds.
     """
     start, hops, values = task
+    first = len(labels) - hops.shape[1]
     # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
     hop_text = np.array(["inf", *map(str, range(1, hops.max(initial=0) + 1))], dtype=object)
-    hop_rows = hop_text[hops].tolist()
-    value_rows = [block.tolist() for block in values]
-    lines = []
-    for offset, hop_row in enumerate(hop_rows):
+    rows, mirrored = [], []
+    for offset in range(len(hops)):
         i = start + offset
-        columns = [itertools.repeat(labels[i]), labels, hop_row]
-        columns.extend(map(repr, block[offset]) for block in value_rows)
-        row = list(map(",".join, zip(*columns)))
-        del row[i]  # the diagonal pair
-        lines.extend(row)
-    return "\n".join(lines) + "\n"
+        lo = offset + 1 if mirror else 0
+        columns = [hop_text[hops[offset, lo:]].tolist()]
+        columns.extend(map(repr, block[offset, lo:].tolist()) for block in values)
+        fields = list(map(",".join, zip(*columns)))
+        targets = labels[first + lo :]
+        lines = list(map(",".join, zip(itertools.repeat(labels[i]), targets, fields)))
+        if mirror:
+            lines[:0] = [above[offset - k - 1] for k, above in enumerate(mirrored)]
+            mirrored.append(list(map(",".join, zip(targets, itertools.repeat(labels[i]), fields))))
+        else:
+            del lines[i]  # the diagonal pair
+        rows.append(lines)
+    below = len(hops)
+    rows.extend(zip(*(above[below - k - 1 :] for k, above in enumerate(mirrored))))
+    # a mirrored last row can have no lines of its own
+    texts = [("\n".join(lines) + "\n").encode() if lines else b"" for lines in rows]
+    return b"".join(texts), np.cumsum([len(text) for text in texts], dtype=np.int64), below
+
+
+def _parts(text: bytes, ends: list[int]) -> Iterator[memoryview]:
+    """Views of the consecutive parts of ``text`` that end at ``ends``."""
+    view = memoryview(text)
+    return (view[lo:hi] for lo, hi in itertools.pairwise([0, *ends]))
+
+
+def _dyad_texts(results: Iterable[tuple], spill: BinaryIO) -> Iterator[memoryview]:
+    """Each task's rows, in order, behind the pieces earlier tasks mirrored to them.
+
+    A task's pieces are appended to ``spill``; only the row they start at
+    and the file offsets that bound them are kept, and each earlier task's
+    pieces for a task's rows are read back with one ``pread``. The parts
+    are handed to the writer as they are, with no copy that joins them.
+    """
+    spilled: list[tuple[int, np.ndarray]] = []
+    start = 0
+    for text, ends, height in results:
+        stop = start + height
+        sources = []
+        for row, offsets in spilled:
+            bounds = offsets[start - row : stop - row + 1]
+            chunk = os.pread(spill.fileno(), int(bounds[-1] - bounds[0]), int(bounds[0]))
+            sources.append(_parts(chunk, (bounds[1:] - bounds[0]).tolist()))
+        sources.append(_parts(text, ends[:height].tolist()))
+        yield from itertools.chain.from_iterable(zip(*sources))
+        if len(ends) > height:
+            split = int(ends[height - 1])
+            spilled.append((stop, np.concatenate([[split], ends[height:]]) - split + spill.tell()))
+            spill.write(memoryview(text)[split:])
+            spill.flush()  # pread reads the file, not the write buffer
+        start = stop
 
 
 @contextlib.contextmanager

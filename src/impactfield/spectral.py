@@ -11,7 +11,8 @@ stored standalone radius, and the eigenvalues are divided by it.
 
 Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
 above the dense threshold), so the left rows are the transposed right
-vectors. For directed graphs the left rows always come from one Gram
+vectors, bit for bit, and every approximation of an undirected graph is
+exactly symmetric. For directed graphs the left rows always come from one Gram
 solve, ``(VL^H VR)^-1 VL^H`` over the kept modes and every mode sharing
 their eigenvalues, so they are the dual basis of the right vectors even
 within a repeated eigenvalue. The left vectors come from the same
@@ -148,14 +149,18 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((-values.imag, -values.real, -snapped))
 
 
-def _canonicalize(values: np.ndarray, right: np.ndarray, left: np.ndarray) -> None:
-    """Fix vector scale and phase in place, preserving left-right pairing."""
-    for mode in range(len(values)):
+def _canonicalize(right: np.ndarray, left: np.ndarray | None = None) -> None:
+    """Fix vector scale and phase in place, preserving left-right pairing.
+
+    Without ``left`` only the right vectors are scaled.
+    """
+    for mode in range(right.shape[1]):
         column = right[:, mode]
         pivot = column[int(np.argmax(np.abs(column)))]
         scale = np.linalg.norm(column) * (pivot / abs(pivot))
         right[:, mode] = column / scale
-        left[mode, :] = left[mode, :] * scale
+        if left is not None:
+            left[mode, :] = left[mode, :] * scale
 
 
 def conjugate_partners(values: np.ndarray) -> np.ndarray:
@@ -238,6 +243,7 @@ def _symmetric_modes(values: np.ndarray, vectors: np.ndarray, k: int | None):
     keep = _closed_prefix(values, k)
     # only the kept vectors are reordered and made complex: no n x n copy
     right = vectors[:, order[:keep]].astype(complex)
+    _canonicalize(right)
     # orthonormal basis: the left rows are the plain transpose
     return _cut(values, right, right.T, keep)
 
@@ -520,10 +526,9 @@ def decompose(
     sides = [(values * scale / rho, vectors) for values, vectors in sides]
     if graph.directed:
         values, right, left = _directed_modes(graph, rho, k, *sides)
+        _canonicalize(right, left)
     else:
         values, right, left = _symmetric_modes(*sides[0], k)
-
-    _canonicalize(values, right, left)
     _enforce_conjugate_symmetry(values, right, left)
 
     pairing = np.einsum("ij,ji->i", left, right)

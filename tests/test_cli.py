@@ -295,7 +295,10 @@ def test_dyad_dumps_hold_no_matrix_past_their_cell(tmp_path, monkeypatch) -> Non
     # The formatting is stubbed, so the peak is the study's, not a task's text.
     n = 400
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(impactfield.io, "_dyad_block", lambda *args, **kwargs: "")
+    def no_text(task, **kwargs):
+        return b"", np.zeros(len(task[1]), int), len(task[1])
+
+    monkeypatch.setattr(impactfield.io, "_dyad_task", no_text)
     spec = ["analyze", "--input", f"er:n={n},p={5 / (n - 1)!r},seed=1", "--undirected", "--dyads"]
     peaks = []
     for gammas, out in ((["--gamma", "0.5"], "one"), (["--gamma-grid"], "grid")):
@@ -1170,7 +1173,7 @@ def test_dead_dyad_format_worker_is_a_validation_error(tmp_path, monkeypatch, ca
     # two CPUs, so the several blocks of the dump go to a pool of forked
     # workers, each of which dies on its first block
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(impactfield.io, "_dyad_block", _die)
+    monkeypatch.setattr(impactfield.io, "_dyad_task", _die)
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(
         concurrent.futures,

@@ -10,9 +10,10 @@ import os
 import numpy as np
 import pytest
 
+import impactfield.io
 from impactfield.analysis import Treatment, run_study
 from impactfield.graph import Graph, geodesic_distances, parse_edge_list
-from impactfield.io import DYAD_BLOCK_ROWS, _bounded_map, atomic_write_text, write_dyads_csv
+from impactfield.io import _bounded_map, atomic_write_text, write_dyads_csv
 
 from util import arcs, read_dyads_csv, rowwise_dyads_csv, streamed_study
 
@@ -52,7 +53,7 @@ def _dump(path, graph: Graph, treatment, orders):
 
     def write(cell_treatment, gamma, kept, blocks):
         if treatment in (None, cell_treatment):
-            write_dyads_csv(path, graph, kept, blocks)
+            write_dyads_csv(path, graph, cell_treatment, kept, blocks)
 
     run_study(graph, gammas=[0.5], orders=orders, dyads=write, symmetrize=symmetrize)
     cells, matrices = streamed_study(
@@ -70,6 +71,8 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
     exact, approximations, hops = _dump(path, graph, treatment, orders)
     rowwise_dyads_csv(reference, graph, hops, exact, approximations)
     assert path.read_bytes() == reference.read_bytes()
+    # the mirrored lines' spill file leaves no trace
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dyads.csv", "reference.csv"]
 
     rows = read_dyads_csv(path)
     pairs = [(i, j) for i in range(graph.n) for j in range(graph.n) if i != j]
@@ -81,6 +84,21 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
         assert row["exact"] == exact[i, j]
         for order in orders:
             assert row[f"approx{order}"] == approximations[order][i, j]
+
+
+@pytest.mark.parametrize("name", [name for name, case in DUMP_CASES.items() if case[1] is None])
+def test_symmetric_dyad_dump_lines_mirror_each_other(tmp_path, name) -> None:
+    # a symmetrized cell formats each unordered pair once, which is only
+    # right if lines (i, j) and (j, i) agree in every field but the labels
+    graph, treatment, orders = DUMP_CASES[name]
+    _dump(tmp_path / "dyads.csv", graph, treatment, orders)
+    lines = (tmp_path / "dyads.csv").read_text().splitlines()[1:]
+    pairs = [(i, j) for i in range(graph.n) for j in range(graph.n) if i != j]
+    assert len(lines) == len(pairs)
+    # the labels may hold commas; dist, exact and the approximations do not
+    fields = {pair: line.rsplit(",", 2 + len(orders))[1:] for pair, line in zip(pairs, lines)}
+    for (i, j), values in fields.items():
+        assert values == fields[j, i]
 
 
 def _two_component_digraph(n: int) -> Graph:
@@ -99,33 +117,45 @@ def _two_component_digraph(n: int) -> Graph:
 def test_dyad_dump_over_several_blocks_matches_on_any_cpu_count(
     tmp_path, monkeypatch, treatment
 ) -> None:
-    # three whole formatting tasks and a partial one, from pass blocks of
-    # 40 rows, which are cut at 32; half the pairs are unreachable
-    n = 3 * DYAD_BLOCK_ROWS + 5
-    graph = _two_component_digraph(n)
-    monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", 40 * n)
-    pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    # odd n in pass blocks of 40 and 36 rows, which formatting tasks cut
+    # by their lines, so some tasks start inside a pass block, and the
+    # last row of n = 73 is a block and a task of its own, with no lines
+    # but those mirrored to it; half the pairs are unreachable
+    pools, starts = [], []
+    real_pool, real_tasks = concurrent.futures.ProcessPoolExecutor, impactfield.io._dyad_tasks
 
     def counted_pool(*args, **kwargs):
         pools.append(kwargs)
         return real_pool(*args, **kwargs)
 
+    def recorded_tasks(*args):
+        for task in real_tasks(*args):
+            starts.append(task[0])
+            yield task
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        path = tmp_path / f"dyads_{len(cpus)}.csv"
-        exact, approximations, hops = _dump(path, graph, treatment, (1, 2))
-    assert (hops == 0).sum() > n * n // 2
-    reference = tmp_path / "reference.csv"
-    rowwise_dyads_csv(reference, graph, hops, exact, approximations)
-    for cpus in (1, 2):
-        assert (tmp_path / f"dyads_{cpus}.csv").read_bytes() == reference.read_bytes()
-    # two CPUs start one pool; one CPU formats in-process
-    assert pools == [{"max_workers": 2}]
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "dyads_1.csv", "dyads_2.csv", "reference.csv"
-    ]
+    monkeypatch.setattr(impactfield.io, "_dyad_tasks", recorded_tasks)
+    for n, block_rows in ((101, 40), (73, 36)):
+        graph = _two_component_digraph(n)
+        monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", block_rows * n)
+        out = tmp_path / str(n)
+        out.mkdir()
+        starts.clear()
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            path = out / f"dyads_{len(cpus)}.csv"
+            exact, approximations, hops = _dump(path, graph, treatment, (1, 2))
+        assert (hops == 0).sum() > n * n // 2
+        assert set(starts) - set(range(0, n, block_rows))
+        reference = out / "reference.csv"
+        rowwise_dyads_csv(reference, graph, hops, exact, approximations)
+        for cpus in (1, 2):
+            assert (out / f"dyads_{cpus}.csv").read_bytes() == reference.read_bytes()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "dyads_1.csv", "dyads_2.csv", "reference.csv"
+        ]
+    # two CPUs start one pool per dump; one CPU formats in-process
+    assert pools == [{"max_workers": 2}] * 2
 
 
 def test_block_map_submits_a_bounded_number_of_blocks_ahead() -> None:
@@ -157,10 +187,16 @@ def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
     values.flat[: len(special)] = special
     approx = values[::-1].copy()
     hops = geodesic_distances(graph).hops.astype(np.intp)
-    path, reference = tmp_path / "dyads.csv", tmp_path / "reference.csv"
-    write_dyads_csv(path, graph, [1], iter([(slice(0, 4), hops, values, [approx])]))
-    rowwise_dyads_csv(reference, graph, hops, values, {1: approx})
-    assert path.read_bytes() == reference.read_bytes()
+    for treatment in Treatment:
+        if treatment is Treatment.SYMMETRIZED:
+            # a symmetrized cell's matrices are symmetric, and only then mirrored
+            upper = np.triu_indices(4, 1)
+            for matrix in (values, approx):
+                matrix.T[upper] = matrix[upper]
+        path, reference = tmp_path / f"{treatment.value}.csv", tmp_path / "reference.csv"
+        write_dyads_csv(path, graph, treatment, [1], iter([(slice(0, 4), hops, values, [approx])]))
+        rowwise_dyads_csv(reference, graph, hops, values, {1: approx})
+        assert path.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -168,7 +204,7 @@ def test_dyad_dump_of_a_graph_without_pairs_is_the_header(tmp_path, n) -> None:
     graph = Graph(n=n, directed=False, edges=())
     blocks = [(slice(0, n), np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), [])]
     path = tmp_path / "dyads.csv"
-    write_dyads_csv(path, graph, [], iter(blocks))
+    write_dyads_csv(path, graph, Treatment.SYMMETRIZED, [], iter(blocks))
     assert path.read_text() == "src,dst,dist,exact\n"
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from impactfield.spectral import spectral_radius
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -25,4 +27,6 @@ def test_readme_library_example_runs() -> None:
     exec(compile(library_example(), f"{README}:Library", "exec"), namespace)
     approx, exact = namespace["approx"], namespace["exact"]
     assert approx.values.shape == exact.values.shape
+    # the exact and approximate matrices are normalized by one radius
+    assert namespace["weight"].rho == spectral_radius(namespace["graph"])
     assert namespace["cells"] and all(cell.error is None for cell in namespace["cells"])

@@ -250,6 +250,22 @@ def test_symmetric_input_gives_real_modes_and_transposed_left() -> None:
     assert np.max(np.abs(dec.left_rows - dec.right_vectors.T)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dense_threshold", [DEFAULT_DENSE_THRESHOLD, 10], ids=["dense", "iterative"]
+)
+def test_undirected_left_rows_are_the_exact_transpose(dense_threshold) -> None:
+    # the dyad dump formats each unordered pair of a symmetric cell once,
+    # which needs every approximation to be symmetric bit for bit
+    g = generate_er(n=60, p=5 / 59, directed=False, seed=3)
+    dec = decompose(g, k=6, dense_threshold=dense_threshold)
+    assert dec.num_modes < g.n
+    assert np.array_equal(dec.left_rows, dec.right_vectors.T)
+    dist = geodesic_distances(g)
+    for order in (1, 2, 3):
+        values = approx_impact(select_modes(dec, 0.875, order), dist).values
+        assert np.array_equal(values, values.T)
+
+
 def test_principal_vector_of_connected_graph_is_positive() -> None:
     g = arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], directed=False)
     dec = decompose(g)
