@@ -50,7 +50,6 @@ from .impact import (
     WeightMatrix,
     approx_impact,
     build_weight,
-    equilibrium_state,
     exact_propagator,
     gamma_grid,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "build_weight",
     "gamma_grid",
     "exact_propagator",
-    "equilibrium_state",
     "approx_impact",
     "Treatment",
     "CurvePoint",

@@ -9,14 +9,14 @@ j on i. Powers of W accumulate index walks from i to j along arc
 direction, which is exactly the direction geodesic_distances counts, so
 ``hops[i, j]`` is the right exponent for entry (i, j).
 
-Two routes invert ``I - W``. A symmetric system (undirected input) is
-held as its lower triangle in rectangular full packed storage,
-n(n + 1)/2 floats, factorized and inverted in place by Cholesky, and
-refused when its exact reciprocal condition number is below
-``_RCOND_FLOOR``; readers assemble full row blocks from the triangle, or
-read the triangle itself. Any other system is a column-major n x n
-array that LU factorizes in place and solves into an identity, refused
-on LAPACK's condition estimate. A study cell builds either from the arcs.
+A study cell and ``exact_propagator`` write ``I - W`` from W's arcs and
+invert it by one rule. If every arc has a reverse arc of equal weight,
+the system is held as its lower triangle in rectangular full packed
+storage, n(n + 1)/2 floats, inverted in place by Cholesky, and refused
+when its exact reciprocal condition number is below ``_RCOND_FLOOR``;
+readers assemble full row blocks from the triangle, or read the triangle
+itself. Any other system is a column-major n x n array that LU factorizes
+in place and solves into an identity, refused on LAPACK's estimate.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "build_weight",
     "gamma_grid",
     "exact_propagator",
-    "equilibrium_state",
     "approx_impact",
 ]
 
@@ -141,29 +140,16 @@ def gamma_grid() -> list[float]:
     return [1.0 - 2.0**-k for k in range(1, 6)]
 
 
-def _system(weight: WeightMatrix) -> np.ndarray:
-    """``I - W`` as a new column-major array, which ``_factorize`` factorizes in place."""
-    system = np.eye(weight.n, order="F")
-    system -= weight.W
-    return system
-
-
-def _factorize(system: np.ndarray):
-    # every caller hands over a column-major system it will not read
-    # again, so getrf factorizes it in place; its 1-norm is taken first
+def _lu_inverse(system: np.ndarray) -> np.ndarray:
+    """``system^-1``: getrf overwrites the column-major ``system``, getrs an identity."""
+    # the 1-norm, for LAPACK's condition estimate, is taken before getrf overwrites it
     anorm = scipy.linalg.norm(system, 1, check_finite=False)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (system,))
     try:
-        lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
+        factor = scipy.linalg.lu_factor(system, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"(I - W) could not be factorized: {exc}") from exc
-    _check_rcond(*gecon(lu, anorm, norm="1"), "estimate")
-    return lu, piv
-
-
-def _lu_inverse(system: np.ndarray) -> np.ndarray:
-    """``system^-1``: getrf overwrites the column-major ``system``, getrs an identity."""
-    factor = _factorize(system)
+    _check_rcond(*gecon(factor[0], anorm, norm="1"), "estimate")
     identity = np.eye(len(system), order="F")
     return scipy.linalg.lu_solve(factor, identity, overwrite_b=True, check_finite=False)
 
@@ -250,13 +236,6 @@ class _PackedSymmetric:
                 square[lower.T] = square.T[lower.T]
         return out
 
-    def unpack(self) -> np.ndarray:
-        """The whole matrix, as a new n x n array."""
-        out = np.empty((self.n, self.n))
-        for rows in _row_blocks(self.n):
-            self.read_rows(rows, out[rows])
-        return out
-
     def norm1(self) -> float:
         """The exact 1-norm, summed from ``read_rows``'s triangle a few rows at a time.
 
@@ -280,98 +259,91 @@ class _PackedSymmetric:
         return float((columns + rows - np.abs(self.data[self.diagonal()])).max(initial=0.0))
 
 
-def _packed_inverse(system: _PackedSymmetric, anorm: float) -> _PackedSymmetric:
-    """Invert a packed symmetric ``I - W`` in place, or refuse it.
+def _packed_inverse(
+    n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray
+) -> _PackedSymmetric:
+    """``(I - W)^-1`` of a symmetric W given by its arcs, built and inverted in packed storage.
 
-    ``rho(W) = gamma < 1`` puts every eigenvalue of a symmetric ``I - W``
-    in (1 - gamma, 1 + gamma), so it is positive definite and has a
-    Cholesky factor. The reciprocal condition number is exact: ``anorm``
-    is the system's 1-norm, and the inverse's is summed from its rows.
+    Each pair of arcs sets its lower entry once, from the arc that leaves
+    the larger index. ``rho(W) = gamma < 1`` makes ``I - W`` positive
+    definite, so it has a Cholesky factor. The reciprocal condition number
+    is exact, from the 1-norms of the system (read from the arcs) and of
+    the inverse (summed from its rows).
     """
+    system = _PackedSymmetric(n, np.zeros(n * (n + 1) // 2))
+    system.data[system.diagonal()] = 1.0
+    lower = src > dst
+    system.data[system.offsets(src[lower], dst[lower])] = np.subtract(0.0, values[lower])
+    anorm = 1.0 + np.bincount(dst, np.abs(values), minlength=n).max(initial=0.0)
     options = {"transr": "N", "uplo": "L", "overwrite_a": 1}
-    factor, info = scipy.linalg.lapack.dpftrf(system.n, system.data, **options)
+    factor, info = scipy.linalg.lapack.dpftrf(n, system.data, **options)
     if info != 0:
         raise SolverError(f"(I - W) could not be factorized: pftrf returned info={info}")
-    data, info = scipy.linalg.lapack.dpftri(system.n, factor, **options)
+    data, info = scipy.linalg.lapack.dpftri(n, factor, **options)
     if info != 0:
         raise SolverError(f"(I - W) could not be inverted: pftri returned info={info}")
-    inverse = _PackedSymmetric(system.n, data)
+    inverse = _PackedSymmetric(n, data)
     # a zero or NaN product (no rows, or NaN in the inverse) reads as condition 0
     norms = anorm * inverse.norm1()
     _check_rcond(1.0 / norms if norms > 0.0 else 0.0, 0, "number")
     return inverse
 
 
-def _symmetric_propagator(graph: Graph, gamma: float, rho: float) -> _PackedSymmetric:
-    """The propagator of an undirected graph, built and inverted in packed storage.
-
-    Each edge sets its lower entry of ``I - W`` once, from the arc that
-    leaves the larger index; the 1-norm is one plus the largest column
-    sum of ``|W|``, read from the arcs.
-    """
-    src, dst, values, _ = _weight_arcs(graph, gamma, rho)
-    n = graph.n
-    system = _PackedSymmetric(n, np.zeros(n * (n + 1) // 2))
-    system.data[system.diagonal()] = 1.0
-    lower = src > dst
-    system.data[system.offsets(src[lower], dst[lower])] = np.subtract(0.0, values[lower])
-    anorm = 1.0 + np.bincount(dst, np.abs(values), minlength=n).max()
-    return _packed_inverse(system, anorm)
+def _reciprocal(src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> bool:
+    """Whether each of the distinct arcs (i, j, w) has a reverse arc (j, i, w)."""
+    # the arcs sorted by (i, j) then match their reverses sorted by (j, i);
+    # the sort buffers die with this call, before any propagator is allocated
+    forward, backward = np.lexsort((dst, src)), np.lexsort((src, dst))
+    pairs = ((src, dst), (dst, src), (values, values))
+    return all(np.array_equal(a[forward], b[backward]) for a, b in pairs)
 
 
 # fills the buffer with (or returns a view of) a block of exact rows, or of their triangle
 _RowReader = Callable[[slice, np.ndarray, bool], np.ndarray]
 
 
-def _cell_propagator(graph: Graph, gamma: float, rho: float) -> _RowReader:
-    """A study cell's exact propagator, as a reader of its row blocks.
+def _propagator(
+    n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray, symmetric: bool
+) -> _RowReader:
+    """``(I - W)^-1``, W given by its off-diagonal arcs, as a reader of its row blocks.
 
-    ``I - W`` is written from the arcs, with no dense ``W``. An undirected
-    network's is symmetric, so it is built, inverted and read in packed
-    storage, n(n + 1)/2 floats. A directed one is built in a column-major
-    identity and inverted by ``_lu_inverse``, so the cell holds two n x n
-    arrays until the factor is dropped, and the inverse after.
+    A symmetric W takes ``_packed_inverse``. Any other ``I - W`` is written
+    into a column-major identity for ``_lu_inverse``: two n x n arrays
+    until the factor is dropped, the inverse alone after.
     """
-    if not graph.directed:
-        return _symmetric_propagator(graph, gamma, rho).read_rows
-    src, dst, values, _ = _weight_arcs(graph, gamma, rho)
-    system = np.eye(graph.n, order="F")
+    if symmetric:
+        return _packed_inverse(n, src, dst, values).read_rows
+    system = np.eye(n, order="F")
     system[src, dst] = np.subtract(0.0, values)
     inverse = _lu_inverse(system)
     return lambda rows, buffer, triangle: inverse[rows, rows.start if triangle else 0 :]
 
 
+def _cell_propagator(graph: Graph, gamma: float, rho: float) -> _RowReader:
+    """A study cell's exact propagator, from the arcs, with no dense ``W``."""
+    src, dst, values, _ = _weight_arcs(graph, gamma, rho)
+    # an undirected network's W is symmetric by construction
+    symmetric = not graph.directed or _reciprocal(src, dst, values)
+    return _propagator(graph.n, src, dst, values, symmetric)
+
+
 def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
-    """Exact total-impact matrix ``(I - W)^-1`` via a factorized solve.
+    """Exact total-impact matrix ``(I - W)^-1``, assembled from ``_propagator``'s rows.
 
-    A symmetric ``W`` (undirected input, or a digraph whose arcs all come
-    in equal-weight pairs) makes ``I - W`` symmetric positive definite:
-    its lower triangle is packed into n(n + 1)/2 floats, inverted there
-    through a Cholesky factorization, and unpacked. Any other ``W`` goes
-    through LU. Both routes refuse a numerically singular system, and
-    neither writes to ``weight.W``.
+    The nonzero entries of ``W`` are its arcs, so a symmetric ``W`` takes
+    packed Cholesky and any other LU, as a study cell's do. Both refuse a
+    numerically singular system, and neither writes to ``weight.W``. A
+    nonzero diagonal, which no graph gives, is a ValidationError.
     """
-    if scipy.linalg.issymmetric(weight.W):
-        # W is symmetric, so its transpose is the same matrix in the
-        # column-major order that trttf reads without a copy
-        data, _ = scipy.linalg.lapack.dtrttf(weight.W.T, transr="N", uplo="L")
-        system = _PackedSymmetric(weight.n, np.subtract(0.0, data, out=data))
-        system.data[system.diagonal()] += 1.0
-        values = _packed_inverse(system, system.norm1()).unpack()
-    else:
-        values = _lu_inverse(_system(weight))
-    return ImpactMatrix(values=values, gamma=weight.gamma)
-
-
-def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
-    """Fixed point of ``y = W y + z``, i.e. ``(I - W)^-1 z``."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (weight.n,):
-        raise ValidationError(f"forcing vector must have shape ({weight.n},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValidationError("forcing vector must be finite")
-    lu, piv = _factorize(_system(weight))
-    return scipy.linalg.lu_solve((lu, piv), z)
+    if np.diagonal(weight.W).any():
+        raise ValidationError("W must have a zero diagonal: no graph has self-loops")
+    src, dst = np.nonzero(weight.W)
+    values = weight.W[src, dst]
+    read_rows = _propagator(weight.n, src, dst, values, _reciprocal(src, dst, values))
+    exact = np.empty(weight.W.shape)
+    for rows in _row_blocks(weight.n):
+        exact[rows] = read_rows(rows, exact[rows], False)
+    return ImpactMatrix(values=exact, gamma=weight.gamma)
 
 
 def _real_terms(modes: ModeSet) -> list[tuple[int, bool]]:

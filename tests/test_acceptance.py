@@ -27,7 +27,6 @@ from impactfield import (
     Treatment,
     build_weight,
     decompose,
-    equilibrium_state,
     exact_propagator,
     gamma_grid,
     generate_er,
@@ -44,6 +43,7 @@ from util import (
     arcs,
     connected_er,
     distance_factored_impact,
+    equilibrium_state,
     series_oracle,
     series_terms_for_tolerance,
     small_er_corpus,

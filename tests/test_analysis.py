@@ -45,6 +45,7 @@ from impactfield.graph import (
 )
 from impactfield.impact import (
     ImpactMatrix,
+    _cell_propagator,
     approx_impact,
     build_weight,
     exact_propagator,
@@ -64,6 +65,8 @@ from util import (
     read_correlations_csv,
     read_curves_csv,
     read_fits_csv,
+    read_whole,
+    reciprocal_digraph,
     streamed_study,
 )
 
@@ -519,13 +522,10 @@ def test_digraph_with_fewer_cycle_nodes_than_padded_modes_decomposes(cycle) -> N
         np.testing.assert_allclose(approximation, expected, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [400, 401])
-def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -> None:
-    # I - W is built from the arcs straight into a column-major identity,
-    # which getrf factorizes in place and getrs solves into a second one,
-    # so from the start of the cell to its pass the cell adds two n x n
-    # arrays and small temporaries; a dense W, or a copy made for LAPACK,
-    # would add a third
+def growth_until_pass(monkeypatch, graph: Graph, **options):
+    """The cells of ``run_study`` and, per cell, whether its pass reads a
+    triangle and the traced growth from the start of its propagator to its pass.
+    """
     growth: list[tuple[bool, int]] = []
     build, dyad_pass = impactfield.analysis._cell_propagator, impactfield.analysis._dyad_pass
 
@@ -539,10 +539,21 @@ def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -
 
     monkeypatch.setattr("impactfield.analysis._cell_propagator", marking_cell_propagator)
     monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
+    with TracedMemory() as memory:
+        cells = run_study(graph, **options)
+    return cells, growth
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -> None:
+    # I - W is built from the arcs straight into a column-major identity,
+    # which getrf factorizes in place and getrs solves into a second one,
+    # so from the start of the cell to its pass the cell adds two n x n
+    # arrays and small temporaries; a dense W, or a copy made for LAPACK,
+    # would add a third
     g = generate_er(n=n, p=5.0 / (n - 1), directed=True, seed=1)
     hops = geodesic_distances(g).hops.nbytes
-    with TracedMemory() as memory:
-        cells = run_study(g, gammas=[0.5, 0.875], orders=(1, 2))
+    cells, growth = growth_until_pass(monkeypatch, g, gammas=[0.5, 0.875], orders=(1, 2))
     assert [cell.error for cell in cells] == [None] * 4
     # one pass per cell builds every order's approximation
     directed = [size for triangle, size in growth if not triangle]
@@ -551,13 +562,19 @@ def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -
 
 
 def test_reciprocal_digraph_treatments_agree() -> None:
-    # arcs in equal-weight pairs make W symmetric, but the directed cell
-    # inverts it by LU while the symmetrized one takes packed Cholesky;
-    # the two treatments of the same matrix agree at rounding level
-    base = generate_er(n=60, p=0.1, directed=False, seed=5)
-    pairs = [arc for src, dst, w in base.edges for arc in ((src, dst, w), (dst, src, w))]
-    g = Graph(n=base.n, directed=True, edges=tuple(pairs))
-    cells = run_study(g, gammas=[0.5, 0.875, 0.96875], orders=(1, 2))
+    # arcs in equal-weight pairs make W symmetric, so both treatments take
+    # packed Cholesky, and at one radius their exact rows are the same bits;
+    # each cell normalizes by its own treatment's radius (eig against eigh,
+    # a few ulps apart) and the directed pass sums full rows where the
+    # symmetrized one sums a triangle, so the tables agree at rounding level
+    gammas = [0.5, 0.875, 0.96875]
+    g = reciprocal_digraph(generate_er(n=60, p=0.1, directed=False, seed=5))
+    undirected = symmetrize_weak(g)
+    rho = spectral_radius(undirected)
+    for gamma in gammas:
+        raw, sym = (read_whole(_cell_propagator(t, gamma, rho), g.n) for t in (g, undirected))
+        assert raw.tobytes() == sym.tobytes()
+    cells = run_study(g, gammas=gammas, orders=(1, 2))
     assert [cell.error for cell in cells] == [None] * 6
     directed, symmetrized = cells[:3], cells[3:]
     for raw, sym in zip(directed, symmetrized):
@@ -574,24 +591,25 @@ def test_symmetric_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch, n)
     # inverted there, so from the start of the cell to its pass the cell
     # adds n(n + 1)/2 floats and small temporaries; a dense W or inverse
     # would add at least n^2
-    growth: list[int] = []
-    build, dyad_pass = impactfield.analysis._cell_propagator, impactfield.analysis._dyad_pass
-
-    def marking_cell_propagator(*args, **kwargs):
-        memory.mark()
-        return build(*args, **kwargs)
-
-    def measuring_dyad_pass(*args, **kwargs):
-        growth.append(memory.growth())
-        return dyad_pass(*args, **kwargs)
-
-    monkeypatch.setattr("impactfield.analysis._cell_propagator", marking_cell_propagator)
-    monkeypatch.setattr("impactfield.analysis._dyad_pass", measuring_dyad_pass)
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
-    with TracedMemory() as memory:
-        cells = run_study(g, gammas=[0.875], orders=(1, 2))
+    cells, growth = growth_until_pass(monkeypatch, g, gammas=[0.875], orders=(1, 2))
     assert [cell.error for cell in cells] == [None]
-    assert len(growth) == 1 and 4 * n * (n + 1) < growth[0] < 0.6 * 8 * n * n
+    assert len(growth) == 1 and 4 * n * (n + 1) < growth[0][1] < 0.6 * 8 * n * n
+
+
+def test_reciprocal_directed_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch) -> None:
+    # a digraph whose arcs come in equal-weight pairs has a symmetric W, so
+    # its directed cell takes the packed route: full-row reads, but n(n + 1)/2
+    # floats, with the symmetry check's sort buffers gone before they are
+    # allocated; LU would hold two n x n arrays
+    n = 400
+    g = reciprocal_digraph(generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1))
+    cells, growth = growth_until_pass(
+        monkeypatch, g, gammas=[0.875], orders=(1, 2), symmetrize=False
+    )
+    assert [cell.error for cell in cells] == [None]
+    assert [triangle for triangle, _ in growth] == [False]
+    assert 4 * n * (n + 1) < growth[0][1] < 0.6 * 8 * n * n
 
 
 def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:

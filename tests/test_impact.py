@@ -24,13 +24,12 @@ from impactfield.graph import Graph, generate_er, geodesic_distances
 from impactfield.impact import (
     WeightMatrix,
     _cell_propagator,
+    _packed_inverse,
     _PackedSymmetric,
     _real_terms,
     _row_blocks,
-    _symmetric_propagator,
     approx_impact,
     build_weight,
-    equilibrium_state,
     exact_propagator,
     gamma_grid,
 )
@@ -39,9 +38,13 @@ from impactfield.spectral import conjugate_partners, decompose, select_modes
 from util import (
     arcs,
     complex_approx_impact,
+    dense_inverse,
     distance_factored_impact,
+    equilibrium_state,
     hop_distance,
     packed_symmetric,
+    read_whole,
+    reciprocal_digraph,
     series_oracle,
     series_terms_for_tolerance,
     small_er_corpus,
@@ -209,20 +212,16 @@ def test_packed_row_blocks_are_the_unpacked_inverse(n) -> None:
     if not graph.edges:
         graph = arcs(n, [(0, 1)], directed=False)
     weight = build_weight(graph, 0.875)
-    inverse = _symmetric_propagator(graph, 0.875, weight.rho)
-    # the study's packed inverse is the one exact_propagator unpacks, and
-    # LAPACK's own unpacking of its triangle agrees
-    values = exact_propagator(weight).values
-    assert inverse.unpack().tobytes() == values.tobytes()
+    src, dst = np.nonzero(weight.W)
+    inverse = _packed_inverse(n, src, dst, weight.W[src, dst])
+    # the arc-built packed inverse is LAPACK's inverse of the packed dense
+    # system, bit for bit, and exact_propagator assembles the same rows
+    values = dense_inverse(weight.W)
+    assert exact_propagator(weight).values.tobytes() == values.tobytes()
     lower, info = scipy.linalg.lapack.dtfttr(n, inverse.data, transr="N", uplo="L")
-    lower = np.tril(lower)
-    assert info == 0 and np.array_equal(values, lower + np.tril(lower, -1).T)
+    assert info == 0 and np.array_equal(np.tril(values), np.tril(lower))
     for height in (1, 2, 3, n):
-        out = np.full((n, n), np.nan)
-        for start in range(0, n, height):
-            rows = slice(start, min(start + height, n))
-            inverse.read_rows(rows, out[rows])
-        assert out.tobytes() == values.tobytes()
+        assert read_whole(inverse.read_rows, n, height).tobytes() == values.tobytes()
     assert inverse.norm1() == pytest.approx(scipy.linalg.norm(values, 1), rel=1e-14)
 
 
@@ -234,7 +233,7 @@ def test_packed_triangle_rows_are_the_unpacked_upper_triangle(n) -> None:
     matrix = np.random.default_rng(n).random((n, n))
     matrix += matrix.T
     packed = packed_symmetric(matrix)
-    whole = packed.unpack()
+    whole = read_whole(packed.read_rows, n)
     assert whole.tobytes() == matrix.tobytes()
     half = n - n // 2
     for height in range(1, n + 1):
@@ -270,27 +269,40 @@ CELL_GRAPHS = {
     # negated W (-0.0 off the arcs) would turn into +0.0
     "cholesky-disconnected": arcs(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], directed=False),
     "lu-disconnected": arcs(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 6)]),
+    # a digraph whose arcs all come in equal-weight pairs has a symmetric W
+    "cholesky-reciprocal": reciprocal_digraph(generate_er(n=30, p=0.15, directed=False, seed=7)),
+    "lu-unequal-reverse": reciprocal_digraph(
+        generate_er(n=30, p=0.15, directed=False, seed=7), reverse_weight=2.0
+    ),
 }
 
 
-@pytest.mark.parametrize("graph", CELL_GRAPHS.values(), ids=CELL_GRAPHS.keys())
-def test_cell_propagator_rows_are_bitwise_the_dense_inverse(graph) -> None:
-    # a study cell builds I - W from the arcs, never W; its rows must be
-    # the public propagator's, including the sign of every zero
-    n = graph.n
+@pytest.mark.parametrize("route, graph", CELL_GRAPHS.items(), ids=CELL_GRAPHS.keys())
+def test_cell_propagator_rows_are_bitwise_the_dense_inverse(route, graph) -> None:
+    # a study cell builds I - W from the arcs, never W; its rows and the
+    # public propagator's must be the dense oracle's, including the sign
+    # of every zero, which tobytes tells apart and array_equal does not
+    n, packed = graph.n, route.startswith("cholesky")
     for gamma in (0.5, 0.96875):
         weight = build_weight(graph, gamma)
+        assert np.array_equal(weight.W, weight.W.T) == packed
+        expected = dense_inverse(weight.W)
         before = weight.W.copy()
-        expected = exact_propagator(weight).values
+        assert exact_propagator(weight).values.tobytes() == expected.tobytes()
         assert weight.W.tobytes() == before.tobytes()
         read_rows = _cell_propagator(graph, gamma, weight.rho)
+        # the packed route fills the buffer it is given; LU returns views of its inverse
+        buffer = np.empty((1, n))
+        assert (read_rows(slice(0, 1), buffer, False) is buffer) == packed
         for height in (1, 3, n):
-            out = np.full((n, n), np.nan)
-            for start in range(0, n, height):
-                rows = slice(start, min(start + height, n))
-                out[rows] = read_rows(rows, out[rows], False)
-            # tobytes tells -0.0 from +0.0, which array_equal does not
-            assert out.tobytes() == expected.tobytes()
+            assert read_whole(read_rows, n, height).tobytes() == expected.tobytes()
+
+
+def test_exact_propagator_refuses_a_nonzero_diagonal() -> None:
+    # no graph has self-loops, and the arc-built routes hold no diagonal of W
+    for w in ([[0.25, 0.5], [0.5, 0.0]], [[0.0, 0.5], [0.25, -0.125]]):
+        with pytest.raises(ValidationError, match="zero diagonal"):
+            exact_propagator(WeightMatrix(gamma=0.5, rho=1.0, W=np.array(w)))
 
 
 def test_equilibrium_leaves_the_weight_intact() -> None:

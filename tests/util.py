@@ -51,11 +51,65 @@ def arcs(n: int, pairs, directed: bool = True, weight: float = 1.0) -> Graph:
     return Graph(n=n, directed=directed, edges=tuple(edges))
 
 
+def reciprocal_digraph(graph: Graph, reverse_weight: float | None = None) -> Graph:
+    """The digraph of both arcs of each edge of an undirected graph, at the edge's weight.
+
+    With ``reverse_weight``, the first edge's reverse arc has that weight instead.
+    """
+    pairs = [arc for src, dst, w in graph.edges for arc in ((src, dst, w), (dst, src, w))]
+    if reverse_weight is not None:
+        pairs[1] = (*pairs[1][:2], reverse_weight)
+    return Graph(n=graph.n, directed=True, edges=tuple(pairs))
+
+
 def packed_symmetric(matrix: np.ndarray) -> _PackedSymmetric:
     """A dense symmetric matrix packed by LAPACK's own ``trttf``, lower triangle."""
     data, info = scipy.linalg.lapack.dtrttf(np.asfortranarray(matrix), transr="N", uplo="L")
     assert info == 0
     return _PackedSymmetric(len(matrix), data)
+
+
+def dense_inverse(w: np.ndarray) -> np.ndarray:
+    """``(I - W)^-1`` from the dense ``I - W``, independently of the arc-built routes.
+
+    A symmetric W is packed by LAPACK's ``trttf``, inverted by ``pftrf`` and
+    ``pftri``, and unpacked by ``tfttr``; any other goes through ``lu_factor``
+    and ``lu_solve`` on an identity.
+    """
+    n = len(w)
+    system = np.eye(n) - w
+    if not np.array_equal(w, w.T):
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), np.eye(n))
+    lapack, options = scipy.linalg.lapack, {"transr": "N", "uplo": "L"}
+    data, info = lapack.dtrttf(np.asfortranarray(system), **options)
+    assert info == 0
+    factor, info = lapack.dpftrf(n, data, **options)
+    assert info == 0
+    data, info = lapack.dpftri(n, factor, **options)
+    assert info == 0
+    lower, info = lapack.dtfttr(n, data, **options)
+    assert info == 0
+    # where, not a sum, mirrors the triangle, so every zero keeps its sign
+    return np.where(np.tri(n, dtype=bool), lower, lower.T)
+
+
+def read_whole(read_rows, n: int, height: int = 1) -> np.ndarray:
+    """The n x n matrix of a row reader, read ``height`` rows at a time."""
+    out = np.full((n, n), np.nan)
+    for start in range(0, n, height):
+        rows = slice(start, min(start + height, n))
+        out[rows] = read_rows(rows, out[rows], False)
+    return out
+
+
+def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
+    """Fixed point of ``y = W y + z``, i.e. ``(I - W)^-1 z``, by one LU solve."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (weight.n,):
+        raise ValidationError(f"forcing vector must have shape ({weight.n},), got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValidationError("forcing vector must be finite")
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(np.eye(weight.n) - weight.W), z)
 
 
 def assert_curves_close(curve: DecayCurve, expected: DecayCurve, rel: float = 1e-12) -> None:
