@@ -10,9 +10,9 @@ A study cell reads its matrices in one pass over blocks of rows. Each
 block adds to the per-distance sums, and its dyads' Pearson moments
 merge into running ones by the pairwise update of Chan, Golub & LeVeque
 (1979). ``mean_impact_by_distance`` and ``dyad_correlation`` are the
-same sums and moments over a single block. An undirected cell, whose
-matrices are symmetric, reads only the upper triangle of its rows and
-doubles its sums and moments, so they still count ordered pairs.
+same sums and moments over a single block. A cell whose W is symmetric
+(``Graph._symmetric``) reads only the upper triangle of its rows, in both
+sweeps, and doubles its sums and moments, so they still count ordered pairs.
 """
 
 from __future__ import annotations
@@ -277,8 +277,8 @@ def dyad_correlation(
 
 # rows, their hop counts as intp, exact rows, and approximation rows per order
 _DyadBlock = tuple[slice, np.ndarray, np.ndarray, list[np.ndarray]]
-# called with a cell's treatment, gamma, approximation orders and blocks
-_DyadConsumer = Callable[[Treatment, float, list[int], Iterator[_DyadBlock]], None]
+# called with a cell's treatment, gamma, ``Graph._symmetric``, orders and blocks
+_DyadConsumer = Callable[[Treatment, float, bool, list[int], Iterator[_DyadBlock]], None]
 
 
 def _dyad_pass(
@@ -300,9 +300,9 @@ def _dyad_pass(
     With ``triangle`` (a symmetric cell) each unordered pair is read once, from
     the upper triangle, and the sums and moments double to count ordered pairs.
 
-    ``consume``, if given, then reads the full-row blocks of a second sweep
-    with no BLAS call: the moments' threaded dot products, interleaved with a
-    pool formatting the blocks, would leave BLAS threads spinning on its cores.
+    ``consume``, if given, then reads the same blocks from a second sweep with
+    no BLAS call: the moments' threaded dot products, interleaved with a pool
+    formatting the blocks, would leave BLAS threads spinning on its cores.
     """
     kernel = _TermKernel(mode_sets[-1], dist) if mode_sets else None
     cuts = [len(_real_terms(modes)) for modes in mode_sets]
@@ -328,11 +328,11 @@ def _dyad_pass(
                 2 * moment.count, 2.0 * moment.x_ss, 2.0 * moment.y_ss, 2.0 * moment.xy
             )
     if consume is not None:
-        consume(_dyad_blocks(_sweep(read_rows, dist, kernel, cuts)))
+        consume(_dyad_blocks(_sweep(read_rows, dist, kernel, cuts, triangle), dist.n))
     return sums, moments
 
 
-def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int], triangle=False):
+def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int], triangle: bool):
     """Per row block: rows, hop counts, exact rows, and each order's rows in turn.
 
     A ``triangle`` block's columns start at its first row; hop 0 masks its
@@ -347,7 +347,7 @@ def _sweep(read_rows: _RowReader, dist: DistanceMatrix, kernel, cuts: list[int],
         hops = dist.hops[rows, first:].astype(np.intp)
         if triangle:
             hops[:, : len(hops)][np.tri(len(hops), dtype=bool)] = 0
-        exact_rows = read_rows(rows, exact_buffer[: hops.size].reshape(hops.shape), triangle)
+        exact_rows = read_rows(rows, exact_buffer[: hops.size].reshape(hops.shape))
         block = buffer[: hops.size].reshape(hops.shape)
         yield rows, hops, exact_rows, _order_sums(kernel, cuts, rows, hops, block)
 
@@ -361,11 +361,12 @@ def _order_sums(kernel, cuts: list[int], rows: slice, hops: np.ndarray, block: n
         yield block
 
 
-def _dyad_blocks(sweep) -> Iterator[_DyadBlock]:
+def _dyad_blocks(sweep, n: int) -> Iterator[_DyadBlock]:
     """A sweep's blocks in arrays of their own, zeroed where ``approx_impact`` zeroes."""
     for rows, hops, exact_rows, order_sums in sweep:
         reachable = hops >= 1
-        reachable[np.arange(len(hops)), np.arange(rows.start, rows.stop)] = True
+        # the diagonal: a triangle block's columns start at its first row
+        np.fill_diagonal(reachable[:, rows.start - (n - hops.shape[1]) :], True)
         approximations = [np.where(reachable, block, 0.0) for block in order_sums]
         yield rows, hops, exact_rows.copy(), approximations
 
@@ -424,11 +425,13 @@ def run_study(
     that fails validation or numerics is recorded with an error marker
     and the sweep continues. Cells come back sorted by (treatment, gamma).
 
-    A directed treatment asks for at most as many modes as it has nodes
-    on cycles, and an order above the modes kept is noted, not correlated.
-    ``dyads``, if given, reads each cell's row blocks (``_DyadConsumer``),
-    each order's rows equal to ``approx_impact``'s, in arrays no later
-    block reuses, so a reader may keep them or hand them to a pool.
+    A treatment whose A is nonsymmetric asks for at most as many modes as
+    it has nodes on cycles, and an order above the modes kept is noted,
+    not correlated. ``dyads``, if given, reads each cell's row blocks
+    (``_DyadConsumer``), each order's rows equal to ``approx_impact``'s,
+    in arrays no later block reuses, so a reader may keep them or hand
+    them to a pool. A symmetric cell's blocks are ``_row_blocks(n, True)``'s
+    triangles: each row from its block's first row on, hop 0 below the diagonal.
     """
     gammas = sorted(set(gamma_grid() if gammas is None else gammas))
     orders = tuple(sorted(set(orders)))
@@ -441,10 +444,10 @@ def run_study(
             dist = geodesic_distances(treated)
             # only the leading modes feed the approximations, and asking
             # for just those keeps defective transient structure out of
-            # the directed decomposition: each digraph node off the cycles
-            # adds an eigenvalue 0, whose modes add nothing at hop >= 1
+            # the nonsymmetric decomposition: each node off the cycles adds
+            # an eigenvalue 0, whose modes add nothing at hop >= 1
             limit = treated.n if treated.n <= dense_threshold else treated.n - 2
-            if treated.directed:
+            if not treated._symmetric:
                 limit = min(limit, _cyclic_nodes(treated))
             # k >= 1 lets decompose name a graph too small to iterate
             k = max(1, min(limit, max(orders) + 4))
@@ -478,8 +481,8 @@ def _run_cell(
     # orders are ascending, so those with modes enough are a prefix
     kept = [order for order in orders if order <= decomposition.num_modes]
     mode_sets = [select_modes(decomposition, gamma, order) for order in kept]
-    consume = dyads and functools.partial(dyads, cell.treatment, gamma, kept)
-    sums, moments = _dyad_pass(read_rows, dist, mode_sets, consume, not treated.directed)
+    consume = dyads and functools.partial(dyads, cell.treatment, gamma, treated._symmetric, kept)
+    sums, moments = _dyad_pass(read_rows, dist, mode_sets, consume, treated._symmetric)
     curve = _curve(sums, counts)
     notes: list[str] = []
     fit: ExponentialFit | None

@@ -248,11 +248,11 @@ def _analyze(args: argparse.Namespace) -> int:
     # a failed dump skips the later dumps, not the study or the tables
     dump_errors: list[ValidationError] = []
 
-    def dump(treatment, gamma, orders, blocks) -> None:
+    def dump(treatment, gamma, symmetric, orders, blocks) -> None:
         path = out / f"dyads_{treatment.value}_{gamma!r}.csv"
         try:
             if not dump_errors:
-                _write(write_dyads_csv, path, graph, treatment, orders, blocks)
+                _write(write_dyads_csv, path, graph, symmetric, orders, blocks)
         except ValidationError as exc:
             dump_errors.append(exc)
 

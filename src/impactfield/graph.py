@@ -113,6 +113,20 @@ class Graph:
             array.flags.writeable = False
         return src, dst, weights
 
+    @cached_property
+    def _symmetric(self) -> bool:
+        """Whether A is symmetric: undirected, or each arc (i, j, w) reversed by an arc (j, i, w).
+
+        The one rule that picks the eigensolver, the inverse, the pass and the dyad dump.
+        """
+        if not self.directed:
+            return True
+        src, dst, weights = self._arcs
+        # the arcs sorted by (i, j) then match their reverses sorted by (j, i)
+        forward, backward = np.lexsort((dst, src)), np.lexsort((src, dst))
+        pairs = ((src, dst), (dst, src), (weights, weights))
+        return all(np.array_equal(a[forward], b[backward]) for a, b in pairs)
+
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency; entry (i, j) is the arc i -> j."""
         src, dst, weights = self._arcs

@@ -10,13 +10,14 @@ direction, which is exactly the direction geodesic_distances counts, so
 ``hops[i, j]`` is the right exponent for entry (i, j).
 
 A study cell and ``exact_propagator`` write ``I - W`` from W's arcs and
-invert it by one rule. If every arc has a reverse arc of equal weight,
-the system is held as its lower triangle in rectangular full packed
-storage, n(n + 1)/2 floats, inverted in place by Cholesky, and refused
-when its exact reciprocal condition number is below ``_RCOND_FLOOR``;
-readers assemble full row blocks from the triangle, or read the triangle
-itself. Any other system is a column-major n x n array that LU factorizes
-in place and solves into an identity, refused on LAPACK's estimate.
+invert it by one rule: whether W is symmetric, which for a cell is
+``Graph._symmetric``. A symmetric system is held as its lower triangle in
+rectangular full packed storage, n(n + 1)/2 floats, inverted in place by
+Cholesky, and refused when its exact reciprocal condition number is below
+``_RCOND_FLOOR``; its readers get the upper triangle of each row block.
+Any other system is a column-major n x n array that LU factorizes in
+place and solves into an identity, refused on LAPACK's estimate; its
+readers get full rows.
 """
 
 from __future__ import annotations
@@ -176,9 +177,8 @@ class _PackedSymmetric:
     * the trailing triangle, rows and columns m.., lies row by row at the
       left: entry (m + r, m + c), r >= c, is ``P[r + t, c]``.
 
-    ``read_rows`` assembles full rows from these slices, a block at a time,
-    or reads one triangle of them, as ``norm1`` does: only ``offsets`` and
-    ``read_rows`` know the layout.
+    ``read_rows`` reads the upper triangle of a block of rows from these
+    slices: only ``offsets`` and ``read_rows`` know the layout.
     """
 
     def __init__(self, n: int, data: np.ndarray) -> None:
@@ -198,42 +198,19 @@ class _PackedSymmetric:
         nodes = np.arange(self.n)
         return self.offsets(nodes, nodes)
 
-    def read_rows(self, rows: slice, out: np.ndarray, triangle: bool = False) -> np.ndarray:
-        """Fill ``out`` with the full rows ``rows`` (a step-1 slice) and return it.
+    def read_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The rows ``rows``, a step-1 slice on one side of ``half``, from column
+        ``rows.start`` on, with the diagonal square's lower part unspecified.
 
-        With ``triangle``, rows on one side of ``half`` from column ``rows.start`` on,
-        with the diagonal square's lower part unspecified; rows below ``half`` are a view.
+        Rows below ``half`` are a view of the packed floats; the others fill ``out``.
         """
         n, m, s = self.n, self.half, self.shift
         t = 1 - s
         packed = self.data.reshape(m, n + s)
         start = rows.start
-        if triangle and rows.stop <= m:
+        if rows.stop <= m:
             return packed[rows, start + s : n + s]
-        if triangle:
-            out[...] = packed[start - m + t : n - m + t, start - m : rows.stop - m].T
-            return out
-        for lo, hi in ((start, min(rows.stop, m)), (max(start, m), rows.stop)):
-            if lo >= hi:
-                continue
-            block = out[lo - start : hi - start]
-            lower = np.tri(hi - lo, k=-1, dtype=bool)
-            if hi <= m:
-                # row i < m is column i of the lower triangle, read across
-                # to the left of the diagonal and along its segment to the right
-                block[:, :lo] = packed[:lo, lo + s : hi + s].T
-                block[:, hi:] = packed[lo:hi, hi + s : n + s]
-                square = block[:, lo:hi]
-                square[...] = packed[lo:hi, lo + s : hi + s]
-                square[lower] = square.T[lower]
-            else:
-                a, b = lo - m, hi - m
-                block[:, :m] = packed[:, lo + s : hi + s].T
-                block[:, m : m + a] = packed[a + t : b + t, :a]
-                block[:, m + b :] = packed[b + t : n - m + t, a:b].T
-                square = block[:, m + a : m + b]
-                square[...] = packed[a + t : b + t, a:b]
-                square[lower.T] = square.T[lower.T]
+        out[...] = packed[start - m + t : n - m + t, start - m : rows.stop - m].T
         return out
 
     def norm1(self) -> float:
@@ -252,7 +229,7 @@ class _PackedSymmetric:
             for start in range(lo, hi, height):
                 block = slice(start, min(start + height, hi))
                 out = buffer[: (block.stop - start) * (n - start)].reshape(-1, n - start)
-                chunk = np.abs(self.read_rows(block, out, triangle=True), out=out)
+                chunk = np.abs(self.read_rows(block, out), out=out)
                 chunk[:, : len(chunk)][lower[: len(chunk), : len(chunk)]] = 0.0
                 columns[start:] += chunk.sum(axis=0)
                 rows[block] = chunk.sum(axis=1)
@@ -289,17 +266,9 @@ def _packed_inverse(
     return inverse
 
 
-def _reciprocal(src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> bool:
-    """Whether each of the distinct arcs (i, j, w) has a reverse arc (j, i, w)."""
-    # the arcs sorted by (i, j) then match their reverses sorted by (j, i);
-    # the sort buffers die with this call, before any propagator is allocated
-    forward, backward = np.lexsort((dst, src)), np.lexsort((src, dst))
-    pairs = ((src, dst), (dst, src), (values, values))
-    return all(np.array_equal(a[forward], b[backward]) for a, b in pairs)
-
-
-# fills the buffer with (or returns a view of) a block of exact rows, or of their triangle
-_RowReader = Callable[[slice, np.ndarray, bool], np.ndarray]
+# fills the buffer with (or returns a view of) a block of exact rows: the
+# upper triangle of a ``_row_blocks(n, True)`` block for a symmetric W, else full rows
+_RowReader = Callable[[slice, np.ndarray], np.ndarray]
 
 
 def _propagator(
@@ -307,24 +276,22 @@ def _propagator(
 ) -> _RowReader:
     """``(I - W)^-1``, W given by its off-diagonal arcs, as a reader of its row blocks.
 
-    A symmetric W takes ``_packed_inverse``. Any other ``I - W`` is written
-    into a column-major identity for ``_lu_inverse``: two n x n arrays
-    until the factor is dropped, the inverse alone after.
+    A symmetric W takes ``_packed_inverse``, read by triangles. Any other
+    ``I - W`` is written into a column-major identity for ``_lu_inverse``:
+    two n x n arrays until the factor is dropped, the inverse alone after.
     """
     if symmetric:
         return _packed_inverse(n, src, dst, values).read_rows
     system = np.eye(n, order="F")
     system[src, dst] = np.subtract(0.0, values)
     inverse = _lu_inverse(system)
-    return lambda rows, buffer, triangle: inverse[rows, rows.start if triangle else 0 :]
+    return lambda rows, buffer: inverse[rows]
 
 
 def _cell_propagator(graph: Graph, gamma: float, rho: float) -> _RowReader:
     """A study cell's exact propagator, from the arcs, with no dense ``W``."""
     src, dst, values, _ = _weight_arcs(graph, gamma, rho)
-    # an undirected network's W is symmetric by construction
-    symmetric = not graph.directed or _reciprocal(src, dst, values)
-    return _propagator(graph.n, src, dst, values, symmetric)
+    return _propagator(graph.n, src, dst, values, graph._symmetric)
 
 
 def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
@@ -337,12 +304,18 @@ def exact_propagator(weight: WeightMatrix) -> ImpactMatrix:
     """
     if np.diagonal(weight.W).any():
         raise ValidationError("W must have a zero diagonal: no graph has self-loops")
+    symmetric = np.array_equal(weight.W, weight.W.T)
     src, dst = np.nonzero(weight.W)
-    values = weight.W[src, dst]
-    read_rows = _propagator(weight.n, src, dst, values, _reciprocal(src, dst, values))
+    read_rows = _propagator(weight.n, src, dst, weight.W[src, dst], symmetric)
     exact = np.empty(weight.W.shape)
-    for rows in _row_blocks(weight.n):
-        exact[rows] = read_rows(rows, exact[rows], False)
+    for rows in _row_blocks(weight.n, symmetric):
+        first = rows.start if symmetric else 0
+        exact[rows, first:] = read_rows(rows, exact[rows, first:])
+        if symmetric:
+            # where, not a sum, mirrors the triangle, so every zero keeps its sign
+            below = exact[first:, rows]
+            lower = np.tri(*below.shape, k=-1, dtype=bool)
+            below[...] = np.where(lower, exact[rows, first:].T, below)
     return ImpactMatrix(values=exact, gamma=weight.gamma)
 
 

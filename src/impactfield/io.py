@@ -8,8 +8,8 @@ partial file behind.
 
 ``repr`` bounds the per-dyad dump: shortest round-trip printing costs
 about a microsecond per float, so the dump's formatting tasks run in
-worker processes, and a symmetrized cell, whose lines (i, j) and (j, i)
-share their distance and values, formats each unordered pair once.
+worker processes, and a cell with a symmetric W, whose lines (i, j) and
+(j, i) share their distance and values, formats each unordered pair once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .analysis import StudyCell, Treatment, _DyadBlock
+from .analysis import StudyCell, _DyadBlock
 from .graph import Graph
 
 __all__ = [
@@ -157,7 +157,7 @@ def _csv_field(value: str) -> str:
 def write_dyads_csv(
     path: Path | str,
     graph: Graph,
-    treatment: Treatment,
+    symmetric: bool,
     orders: list[int],
     blocks: Iterable[_DyadBlock],
 ) -> None:
@@ -170,25 +170,25 @@ def write_dyads_csv(
     formatted in worker processes, one per usable CPU, and written in
     row order, so the bytes do not depend on the CPU count.
 
-    A symmetrized ``treatment`` has symmetric matrices and hop counts, so
-    each of its tasks formats its rows from their diagonal on, once per
-    unordered pair, and mirrors every line (i, j) to (j, i). The mirrored
-    lines of rows below the task wait in an unlinked temporary file
-    beside ``path``, not in memory, until their row is written.
+    A ``symmetric`` cell has symmetric matrices and hop counts, and its
+    blocks hold each row from the block's first row on. Each of its tasks
+    formats its rows from their diagonal on, once per unordered pair, and
+    mirrors every line (i, j) to (j, i). The mirrored lines of rows below
+    the task wait in an unlinked temporary file beside ``path``, not in
+    memory, until their row is written.
     """
     n = graph.n
     header = _csv_text(_dyads_header(orders), []).encode()
     if n < 2:
         _atomic_write(path, [header])
         return
-    mirror = treatment is Treatment.SYMMETRIZED
     labels = [_csv_field(graph.label_of(i)) for i in range(n)]
-    task = functools.partial(_dyad_task, labels=labels, mirror=mirror)
+    task = functools.partial(_dyad_task, labels=labels, mirror=symmetric)
     with (
         _block_map(-(-n // DYAD_BLOCK_ROWS)) as mapper,
         tempfile.TemporaryFile(dir=Path(path).parent) as spill,
     ):
-        texts = _dyad_texts(mapper(task, _dyad_tasks(blocks, n, mirror)), spill)
+        texts = _dyad_texts(mapper(task, _dyad_tasks(blocks, n, symmetric)), spill)
         _atomic_write(path, itertools.chain([header], texts))
 
 
@@ -196,10 +196,10 @@ def _dyad_tasks(blocks: Iterable[_DyadBlock], n: int, mirror: bool) -> Iterator[
     """Tasks of at least one row: first row, hop counts, values.
 
     A task's rows give at most ``DYAD_BLOCK_ROWS * (n - 1)`` lines, which a
-    mirrored row gives twice for each pair past its diagonal; its arrays
-    hold the columns from its first row on. A pool pickles a task some
-    time after it is submitted, which is safe because ``run_study`` reuses
-    no array of a block it has handed out.
+    mirrored row gives twice for each pair past its diagonal; its arrays,
+    like its block's, hold the columns from its first row on. A pool pickles
+    a task some time after it is submitted, which is safe because
+    ``run_study`` reuses no array of a block it has handed out.
     """
     budget = DYAD_BLOCK_ROWS * (n - 1)
     for rows, hops, exact, approximations in blocks:
@@ -213,7 +213,7 @@ def _dyad_tasks(blocks: Iterable[_DyadBlock], n: int, mirror: bool) -> Iterator[
         cuts.append(rows.stop)
         for start, stop in itertools.pairwise(cuts):
             part = slice(start - rows.start, stop - rows.start)
-            first = start if mirror else 0
+            first = start - rows.start if mirror else 0
             values = [block[part, first:] for block in (exact, *approximations)]
             yield start, hops[part, first:], values
 

@@ -9,19 +9,21 @@ decomposition on every route: dense at or below the threshold, ARPACK
 above it. rho is always the largest modulus of that spectrum, never a
 stored standalone radius, and the eigenvalues are divided by it.
 
-Undirected graphs have an orthonormal eigenbasis (``eigh``, or ``eigsh``
-above the dense threshold), so the left rows are the transposed right
-vectors, bit for bit, and every approximation of an undirected graph is
-exactly symmetric. For directed graphs the left rows always come from one Gram
-solve, ``(VL^H VR)^-1 VL^H`` over the kept modes and every mode sharing
-their eigenvalues, so they are the dual basis of the right vectors even
-within a repeated eigenvalue. The left vectors come from the same
-two-sided ``geev`` call as the right ones at or below the dense
-threshold; above it, from a second ARPACK run on ``A^T``. On both
-routes the left side must hold every eigenvalue of the right side as
-often as the right side does. A full
-decomposition must reconstruct ``B``; a truncated one must keep no mode
-whose condition number, its left-row norm, exceeds ``_CONDITION_MAX``.
+Which route runs is decided by ``Graph._symmetric`` alone: A is
+symmetric when the graph is undirected or each arc has a reverse arc of
+equal weight. A symmetric A has an orthonormal eigenbasis (``eigh``, or
+``eigsh`` above the dense threshold), so the left rows are the transposed
+right vectors, bit for bit, and every approximation is exactly symmetric.
+For a nonsymmetric A the left rows always come from one Gram solve,
+``(VL^H VR)^-1 VL^H`` over the kept modes and every mode sharing their
+eigenvalues, so they are the dual basis of the right vectors even within
+a repeated eigenvalue. The left vectors come from the same two-sided
+``geev`` call as the right ones at or below the dense threshold; above
+it, from a second ARPACK run on ``A^T``. On both routes the left side
+must hold every eigenvalue of the right side as often as the right side
+does. A full decomposition must reconstruct ``B``; a truncated one must
+keep no mode whose condition number, its left-row norm, exceeds
+``_CONDITION_MAX``.
 
 Every eigensolve and linear solve, here and in ``impact``, goes through
 ``scipy.linalg``, the eigenpair residual is one sparse product, and the
@@ -260,16 +262,16 @@ def _arpack(graph: Graph, k: int, vectors: bool = True):
     """ARPACK's k largest-modulus eigenpairs of ``A / s``, with ``s = max|w|``, and s.
 
     With vectors, one ``(values, vectors)`` side per run: the right side,
-    then for a digraph the left side from a second run on the transpose;
-    without, the right run's values alone. Dividing by s means weights
+    then for a nonsymmetric A the left side from a second run on the
+    transpose; without, the right run's values alone. Dividing by s means weights
     near the float ceiling give an overflowing radius, not an ARPACK
     failure; unit weights divide by 1.0, which is exact.
     """
     matrix = graph.adjacency_sparse()
     scale = float(np.abs(matrix.data).max(initial=0.0)) or 1.0
     matrix.data /= scale
-    solver = spla.eigs if graph.directed else spla.eigsh
-    matrices = [matrix, matrix.T.tocsr()] if graph.directed and vectors else [matrix]
+    solver = spla.eigsh if graph._symmetric else spla.eigs
+    matrices = [matrix] if graph._symmetric or not vectors else [matrix, matrix.T.tocsr()]
     options = dict(k=k, which="LM", v0=np.ones(graph.n) / np.sqrt(graph.n), tol=0)
     try:
         runs = [solver(m, return_eigenvectors=vectors, **options) for m in matrices]
@@ -304,8 +306,8 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
     """Largest eigenvalue modulus of the weighted adjacency matrix.
 
     At or below the dense threshold it is the largest modulus of the
-    full dense spectrum (``eigvals``, or ``eigvalsh`` for an undirected
-    graph); above it, the largest modulus of ARPACK's leading value, one
+    full dense spectrum (``eigvals``, or ``eigvalsh`` for a symmetric
+    A); above it, the largest modulus of ARPACK's leading value, one
     run with a deterministic start vector and no eigenvectors. A
     two-node graph, too small for the iterative solver, takes the dense
     value at any threshold.
@@ -338,11 +340,11 @@ def spectral_radius(graph: Graph, dense_threshold: int = DEFAULT_DENSE_THRESHOLD
         scale = 1.0
         if not dense_route and graph.n > 2:
             (spectrum,), scale = _arpack(graph, 1, vectors=False)
-        elif graph.directed:
-            spectrum = _dense_eig(sla.eigvals, graph.adjacency())
-        else:
+        elif graph._symmetric:
             # a symmetric adjacency takes syevd, as in _dense_spectrum
             spectrum = _dense_eig(sla.eigvalsh, graph.adjacency(), driver="evd")
+        else:
+            spectrum = _dense_eig(sla.eigvals, graph.adjacency())
         radii[dense_route] = _radius(spectrum, scale)
     return radii[dense_route]
 
@@ -390,8 +392,8 @@ def _dual_rows(values, right, keep, left_values, left):
 
 
 def _dense_spectrum(graph: Graph):
-    """The sides of ``A`` itself, as ``_arpack`` gives them: right, then left if directed."""
-    if not graph.directed:
+    """The sides of ``A`` itself, as ``_arpack`` gives them: right, then left if nonsymmetric."""
+    if graph._symmetric:
         # driver evd is LAPACK syevd, as in numpy's eigh; scipy's default
         # (evr) is slower at these sizes and gives other bits. The fresh
         # adjacency is symmetric: its transpose is the same matrix in the
@@ -487,7 +489,7 @@ def decompose(
     dense_threshold : int
         At or below this size one dense eigensolve of ``A`` backs the
         result, radius included (see the module docstring); above it one
-        ARPACK run on ``A``, and one on ``A^T`` for a digraph, does (k is
+        ARPACK run on ``A``, and one on ``A^T`` for a nonsymmetric A, does (k is
         then required, at most n - 2).
     """
     if graph.n == 0 or not graph.edges:
@@ -524,11 +526,11 @@ def decompose(
     # dividing the eigenvalues first puts every tolerance of the tail at the
     # scale of B; scaling leaves the eigenvectors as they are
     sides = [(values * scale / rho, vectors) for values, vectors in sides]
-    if graph.directed:
+    if graph._symmetric:
+        values, right, left = _symmetric_modes(*sides[0], k)
+    else:
         values, right, left = _directed_modes(graph, rho, k, *sides)
         _canonicalize(right, left)
-    else:
-        values, right, left = _symmetric_modes(*sides[0], k)
     _enforce_conjugate_symmetry(values, right, left)
 
     pairing = np.einsum("ij,ji->i", left, right)

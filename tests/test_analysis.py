@@ -7,6 +7,7 @@ with slope ln gamma and the fit must come back with r squared 1.
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 
@@ -45,14 +46,20 @@ from impactfield.graph import (
 )
 from impactfield.impact import (
     ImpactMatrix,
-    _cell_propagator,
+    _propagator,
+    _weight_arcs,
     approx_impact,
     build_weight,
     exact_propagator,
     gamma_grid,
 )
 from impactfield.io import write_correlations_csv, write_curves_csv, write_fits_csv
-from impactfield.spectral import decompose, select_modes, spectral_radius
+from impactfield.spectral import (
+    DEFAULT_DENSE_THRESHOLD,
+    decompose,
+    select_modes,
+    spectral_radius,
+)
 
 from util import (
     TracedMemory,
@@ -65,7 +72,6 @@ from util import (
     read_correlations_csv,
     read_curves_csv,
     read_fits_csv,
-    read_whole,
     reciprocal_digraph,
     streamed_study,
 )
@@ -562,27 +568,24 @@ def test_directed_cell_holds_two_dense_matrices_until_its_pass(monkeypatch, n) -
 
 
 def test_reciprocal_digraph_treatments_agree() -> None:
-    # arcs in equal-weight pairs make W symmetric, so both treatments take
-    # packed Cholesky, and at one radius their exact rows are the same bits;
-    # each cell normalizes by its own treatment's radius (eig against eigh,
-    # a few ulps apart) and the directed pass sums full rows where the
-    # symmetrized one sums a triangle, so the tables agree at rounding level
+    # arcs in equal-weight pairs make A symmetric, so the directed treatment
+    # takes the symmetrized one's eigensolver (eigh, or ARPACK's eigsh above
+    # the threshold), packed Cholesky and triangle pass, on the same dense
+    # adjacency, CSR layout and hops, in either arc order: the same bits
     gammas = [0.5, 0.875, 0.96875]
     g = reciprocal_digraph(generate_er(n=60, p=0.1, directed=False, seed=5))
-    undirected = symmetrize_weak(g)
-    rho = spectral_radius(undirected)
-    for gamma in gammas:
-        raw, sym = (read_whole(_cell_propagator(t, gamma, rho), g.n) for t in (g, undirected))
-        assert raw.tobytes() == sym.tobytes()
-    cells = run_study(g, gammas=gammas, orders=(1, 2))
-    assert [cell.error for cell in cells] == [None] * 6
-    directed, symmetrized = cells[:3], cells[3:]
-    for raw, sym in zip(directed, symmetrized):
-        assert (raw.treatment, sym.treatment) == (Treatment.DIRECTED, Treatment.SYMMETRIZED)
-        assert_curves_close(raw.curve, sym.curve, rel=1e-12)
-        assert [r.order for r in raw.correlations] == [r.order for r in sym.correlations] == [1, 2]
-        for r, s in zip(raw.correlations, sym.correlations):
-            assert r.pearson_r == pytest.approx(s.pearson_r, rel=1e-12)
+    reversed_arcs = Graph(n=g.n, directed=True, edges=g.edges[::-1])
+    thresholds = (DEFAULT_DENSE_THRESHOLD, 10)
+    for graph, dense_threshold in itertools.product((g, reversed_arcs), thresholds):
+        cells = run_study(graph, gammas=gammas, orders=(1, 2), dense_threshold=dense_threshold)
+        assert [cell.error for cell in cells] == [None] * 6
+        directed, symmetrized = cells[:3], cells[3:]
+        for raw, sym in zip(directed, symmetrized):
+            assert (raw.treatment, sym.treatment) == (Treatment.DIRECTED, Treatment.SYMMETRIZED)
+            assert [r.order for r in raw.correlations] == [1, 2]
+            assert (raw.curve, raw.fit, raw.correlations, raw.notes) == (
+                sym.curve, sym.fit, sym.correlations, sym.notes
+            )
 
 
 @pytest.mark.parametrize("n", [400, 401])
@@ -599,16 +602,15 @@ def test_symmetric_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch, n)
 
 def test_reciprocal_directed_cell_holds_half_a_dense_matrix_until_its_pass(monkeypatch) -> None:
     # a digraph whose arcs come in equal-weight pairs has a symmetric W, so
-    # its directed cell takes the packed route: full-row reads, but n(n + 1)/2
-    # floats, with the symmetry check's sort buffers gone before they are
-    # allocated; LU would hold two n x n arrays
+    # its directed cell takes the packed route and the triangle pass:
+    # n(n + 1)/2 floats, where LU would hold two n x n arrays
     n = 400
     g = reciprocal_digraph(generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1))
     cells, growth = growth_until_pass(
         monkeypatch, g, gammas=[0.875], orders=(1, 2), symmetrize=False
     )
     assert [cell.error for cell in cells] == [None]
-    assert [triangle for triangle, _ in growth] == [False]
+    assert [triangle for triangle, _ in growth] == [True]
     assert 4 * n * (n + 1) < growth[0][1] < 0.6 * 8 * n * n
 
 
@@ -734,8 +736,9 @@ TRIANGLE_GRAPHS = {
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_triangle_pass_matches_the_whole_matrix_statistics(monkeypatch, graph, rows) -> None:
     # an undirected cell reads each unordered pair once and doubles its
-    # sums and moments; the whole matrices, which the dyad reader gets in
-    # full rows, must give the same curve and correlations to rounding
+    # sums and moments; the whole matrices, which the dyad reader mirrors
+    # from the same triangles, must give the same curve and correlations
+    # to rounding
     monkeypatch.setattr("impactfield.impact._BLOCK_ENTRIES", rows * graph.n)
     n, half = graph.n, graph.n - graph.n // 2
     # blocks of more than one row would straddle half but for the cut there
@@ -760,9 +763,15 @@ TINY_UNDIRECTED = {
 @pytest.mark.parametrize("graph", TINY_UNDIRECTED.values(), ids=TINY_UNDIRECTED.keys())
 def test_triangle_pass_counts_ordered_dyads_on_tiny_graphs(monkeypatch, graph) -> None:
     # a triangle holds half the dyads, which must not reach MIN_DYADS or
-    # the flat-vector gate halved: records and notes are the full rows' ones
+    # the flat-vector gate halved: records and notes are the full rows'
+    # ones, read from an LU inverse of the same system
     cells = run_study(graph, orders=(1, 2))
     dyad_pass = impactfield.analysis._dyad_pass
+
+    def lu_propagator(treated, gamma, rho):
+        return _propagator(treated.n, *_weight_arcs(treated, gamma, rho)[:3], False)
+
+    monkeypatch.setattr("impactfield.analysis._cell_propagator", lu_propagator)
     monkeypatch.setattr(
         "impactfield.analysis._dyad_pass", lambda *args: dyad_pass(*args[:4], False)
     )

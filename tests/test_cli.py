@@ -37,6 +37,7 @@ from util import (
     read_curves_csv,
     read_dyads_csv,
     read_manifest_csv,
+    reciprocal_digraph,
     twin_components,
 )
 
@@ -267,6 +268,18 @@ def test_analyze_tables_do_not_depend_on_dyads(tmp_path, n) -> None:
     for name in ("curves.csv", "fits.csv", "correlations.csv"):
         assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
     assert list((tmp_path / "kept").glob("dyads_*.csv"))
+
+
+def test_reciprocal_digraph_treatments_write_the_same_bytes(tmp_path) -> None:
+    # arcs in equal-weight pairs make W symmetric, so both treatments of the
+    # digraph take one route and mirror one triangle into their dumps
+    graph = reciprocal_digraph(generate_er(n=40, p=0.1, directed=False, seed=5))
+    source = write_input(tmp_path, "pairs.txt", serialize_edge_list(graph))
+    argv = ["analyze", "--input", source, "--directed", "--symmetrize", "--dyads"]
+    assert main(argv + ["--gamma", "0.5", "--gamma", "0.875", "--out", str(tmp_path)]) == 0
+    for gamma in ("0.5", "0.875"):
+        directed = (tmp_path / f"dyads_directed_{gamma}.csv").read_bytes()
+        assert directed == (tmp_path / f"dyads_symmetrized_{gamma}.csv").read_bytes()
 
 
 def test_analyze_order_above_the_kept_modes_is_noted(tmp_path, capsys) -> None:

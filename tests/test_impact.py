@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import impactfield.analysis
+from impactfield.analysis import run_study
 from impactfield.errors import (
     ConjugateClosureError,
     NegativeWeightsWarning,
@@ -36,6 +38,7 @@ from impactfield.impact import (
 from impactfield.spectral import conjugate_partners, decompose, select_modes
 
 from util import (
+    TracedMemory,
     arcs,
     complex_approx_impact,
     dense_inverse,
@@ -221,7 +224,7 @@ def test_packed_row_blocks_are_the_unpacked_inverse(n) -> None:
     lower, info = scipy.linalg.lapack.dtfttr(n, inverse.data, transr="N", uplo="L")
     assert info == 0 and np.array_equal(np.tril(values), np.tril(lower))
     for height in (1, 2, 3, n):
-        assert read_whole(inverse.read_rows, n, height).tobytes() == values.tobytes()
+        assert read_whole(inverse.read_rows, n, height, triangle=True).tobytes() == values.tobytes()
     assert inverse.norm1() == pytest.approx(scipy.linalg.norm(values, 1), rel=1e-14)
 
 
@@ -233,7 +236,7 @@ def test_packed_triangle_rows_are_the_unpacked_upper_triangle(n) -> None:
     matrix = np.random.default_rng(n).random((n, n))
     matrix += matrix.T
     packed = packed_symmetric(matrix)
-    whole = read_whole(packed.read_rows, n)
+    whole = read_whole(packed.read_rows, n, triangle=True)
     assert whole.tobytes() == matrix.tobytes()
     half = n - n // 2
     for height in range(1, n + 1):
@@ -241,7 +244,7 @@ def test_packed_triangle_rows_are_the_unpacked_upper_triangle(n) -> None:
             for start in side[::height]:
                 rows = slice(start, min(start + height, side.stop))
                 out = np.full((rows.stop - start, n - start), np.nan)
-                block = packed.read_rows(rows, out, triangle=True)
+                block = packed.read_rows(rows, out)
                 assert np.shares_memory(block, packed.data) == (rows.stop <= half)
                 upper = np.triu(np.ones(block.shape, dtype=bool))
                 assert np.array_equal(block[upper], whole[rows, start:][upper])
@@ -291,11 +294,71 @@ def test_cell_propagator_rows_are_bitwise_the_dense_inverse(route, graph) -> Non
         assert exact_propagator(weight).values.tobytes() == expected.tobytes()
         assert weight.W.tobytes() == before.tobytes()
         read_rows = _cell_propagator(graph, gamma, weight.rho)
-        # the packed route fills the buffer it is given; LU returns views of its inverse
-        buffer = np.empty((1, n))
-        assert (read_rows(slice(0, 1), buffer, False) is buffer) == packed
+        assert filled_buffer(read_rows, n) == packed
         for height in (1, 3, n):
-            assert read_whole(read_rows, n, height).tobytes() == expected.tobytes()
+            assert read_whole(read_rows, n, height, packed).tobytes() == expected.tobytes()
+
+
+def filled_buffer(read_rows, n: int) -> bool:
+    """Whether a reader fills the buffer it is given for the last row.
+
+    The packed route fills it with the last row's triangle, one entry;
+    LU returns a view of its inverse.
+    """
+    buffer = np.empty((1, 1))
+    return read_rows(slice(n - 1, n), buffer) is buffer
+
+
+@pytest.mark.parametrize("graph", CELL_GRAPHS.values(), ids=CELL_GRAPHS.keys())
+def test_every_route_follows_whether_the_adjacency_is_symmetric(monkeypatch, graph) -> None:
+    # one rule picks a cell's eigensolver, inverse, pass and dump: a symmetric
+    # A takes eigh (its left rows are its right vectors' transpose, bit for
+    # bit), packed Cholesky, the triangle pass and the mirrored dump; any
+    # other A takes eig, LU, full rows and no mirror
+    a = graph.adjacency()
+    symmetric = np.array_equal(a, a.T)
+
+    def record(name):
+        function, calls = getattr(impactfield.analysis, name), []
+
+        def recording(*args, **kwargs):
+            calls.append((args, function(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(impactfield.analysis, name, recording)
+        return calls
+
+    decompositions, readers = record("decompose"), record("_cell_propagator")
+    passes, mirrors = record("_dyad_pass"), []
+    dump = lambda treatment, gamma, mirror, orders, blocks: mirrors.append(mirror)  # noqa: E731
+    cells = run_study(graph, gammas=[0.5], dyads=dump, symmetrize=not graph.directed)
+    assert [cell.error for cell in cells] == [None]
+    [(_, decomposition)] = decompositions
+    left, right = decomposition.left_rows, decomposition.right_vectors
+    assert (left.tobytes() == right.T.tobytes()) == symmetric
+    assert [filled_buffer(read_rows, graph.n) for _, read_rows in readers] == [symmetric]
+    assert [args[4] for args, _ in passes] == mirrors == [symmetric]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["packed", "lu"])
+def test_exact_propagator_of_a_dense_w_sorts_no_arcs(symmetric) -> None:
+    # every off-diagonal entry of W is an arc, held as three arrays of n^2
+    # entries (rows, columns, values); the packed route then holds half a
+    # dense array and the offsets of the lower arcs, LU two dense arrays.
+    # Sorting the arcs to decide symmetry added two index arrays and their
+    # gathers, 7.1 * 8n^2 on either route
+    n = 600
+    w = np.random.default_rng(0).random((n, n))
+    if symmetric:
+        w += w.T
+    np.fill_diagonal(w, 0.0)
+    w *= 0.5 / w.sum(axis=1).max()
+    weight = WeightMatrix(gamma=0.5, rho=1.0, W=w)
+    with TracedMemory() as memory:
+        exact = exact_propagator(weight)
+        peak = memory.growth()
+    assert peak < (7.0 if symmetric else 5.5) * 8 * n * n
+    assert exact.values.tobytes() == dense_inverse(w).tobytes()
 
 
 def test_exact_propagator_refuses_a_nonzero_diagonal() -> None:

@@ -51,9 +51,9 @@ def _dump(path, graph: Graph, treatment, orders):
     """
     symmetrize = treatment is not Treatment.DIRECTED
 
-    def write(cell_treatment, gamma, kept, blocks):
+    def write(cell_treatment, gamma, symmetric, kept, blocks):
         if treatment in (None, cell_treatment):
-            write_dyads_csv(path, graph, cell_treatment, kept, blocks)
+            write_dyads_csv(path, graph, symmetric, kept, blocks)
 
     run_study(graph, gammas=[0.5], orders=orders, dyads=write, symmetrize=symmetrize)
     cells, matrices = streamed_study(
@@ -88,8 +88,8 @@ def test_dyad_dump_matches_rowwise_writer(tmp_path, name) -> None:
 
 @pytest.mark.parametrize("name", [name for name, case in DUMP_CASES.items() if case[1] is None])
 def test_symmetric_dyad_dump_lines_mirror_each_other(tmp_path, name) -> None:
-    # a symmetrized cell formats each unordered pair once, which is only
-    # right if lines (i, j) and (j, i) agree in every field but the labels
+    # a cell whose W is symmetric formats each unordered pair once, which is
+    # only right if lines (i, j) and (j, i) agree in every field but the labels
     graph, treatment, orders = DUMP_CASES[name]
     _dump(tmp_path / "dyads.csv", graph, treatment, orders)
     lines = (tmp_path / "dyads.csv").read_text().splitlines()[1:]
@@ -187,14 +187,14 @@ def test_dyad_dump_float_text_matches_rowwise_writer(tmp_path) -> None:
     values.flat[: len(special)] = special
     approx = values[::-1].copy()
     hops = geodesic_distances(graph).hops.astype(np.intp)
-    for treatment in Treatment:
-        if treatment is Treatment.SYMMETRIZED:
-            # a symmetrized cell's matrices are symmetric, and only then mirrored
+    for symmetric in (False, True):
+        if symmetric:
+            # a symmetric cell's matrices are symmetric, and only then mirrored
             upper = np.triu_indices(4, 1)
             for matrix in (values, approx):
                 matrix.T[upper] = matrix[upper]
-        path, reference = tmp_path / f"{treatment.value}.csv", tmp_path / "reference.csv"
-        write_dyads_csv(path, graph, treatment, [1], iter([(slice(0, 4), hops, values, [approx])]))
+        path, reference = tmp_path / f"{symmetric}.csv", tmp_path / "reference.csv"
+        write_dyads_csv(path, graph, symmetric, [1], iter([(slice(0, 4), hops, values, [approx])]))
         rowwise_dyads_csv(reference, graph, hops, values, {1: approx})
         assert path.read_bytes() == reference.read_bytes()
 
@@ -204,7 +204,7 @@ def test_dyad_dump_of_a_graph_without_pairs_is_the_header(tmp_path, n) -> None:
     graph = Graph(n=n, directed=False, edges=())
     blocks = [(slice(0, n), np.zeros((n, n), dtype=np.intp), np.zeros((n, n)), [])]
     path = tmp_path / "dyads.csv"
-    write_dyads_csv(path, graph, Treatment.SYMMETRIZED, [], iter(blocks))
+    write_dyads_csv(path, graph, True, [], iter(blocks))
     assert path.read_text() == "src,dst,dist,exact\n"
 
 

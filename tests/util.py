@@ -93,13 +93,26 @@ def dense_inverse(w: np.ndarray) -> np.ndarray:
     return np.where(np.tri(n, dtype=bool), lower, lower.T)
 
 
-def read_whole(read_rows, n: int, height: int = 1) -> np.ndarray:
-    """The n x n matrix of a row reader, read ``height`` rows at a time."""
+def mirror_upper(matrix: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose diagonal and upper triangle are ``matrix``'s."""
+    # where, not a sum, mirrors the triangle, so every zero keeps its sign
+    return np.where(np.tri(len(matrix), k=-1, dtype=bool), matrix.T, matrix)
+
+
+def read_whole(read_rows, n: int, height: int = 1, triangle: bool = False) -> np.ndarray:
+    """The n x n matrix of a row reader, read ``height`` rows at a time.
+
+    With ``triangle`` the reader is a packed one: no block straddles
+    n - n // 2, each holds its rows from its first row on, and the upper
+    triangle they give is mirrored below the diagonal.
+    """
     out = np.full((n, n), np.nan)
-    for start in range(0, n, height):
-        rows = slice(start, min(start + height, n))
-        out[rows] = read_rows(rows, out[rows], False)
-    return out
+    half = n - n // 2 if triangle else n
+    for lo, hi in ((0, half), (half, n)):
+        for start in range(lo, hi, height):
+            rows, first = slice(start, min(start + height, hi)), start if triangle else 0
+            out[rows, first:] = read_rows(rows, np.empty((rows.stop - start, n - first)))
+    return mirror_upper(out) if triangle else out
 
 
 def equilibrium_state(weight: WeightMatrix, z: np.ndarray) -> np.ndarray:
@@ -185,20 +198,25 @@ def streamed_study(graph: Graph, **options):
 
     Returns the cells and, keyed by (treatment, gamma), the cell's exact
     matrix, its approximations as ``{order: matrix}`` and its hop counts,
-    built from the streamed rows. Rows no block covers hold NaN (hops -1).
-    The blocks are all read before any is copied, so a block whose arrays
-    a later block reused would show.
+    built from the streamed rows; a symmetric cell's triangle blocks are
+    mirrored. Rows no block covers hold NaN (hops -1). The blocks are all
+    read before any is copied, so a block whose arrays a later block
+    reused would show.
     """
     matrices = {}
 
-    def read(treatment, gamma, orders, blocks):
+    def read(treatment, gamma, symmetric, orders, blocks):
         n = graph.n
         exact, hops = np.full((n, n), np.nan), np.full((n, n), -1)
         approximations = {order: np.full((n, n), np.nan) for order in orders}
         for rows, hop_rows, exact_rows, approximation_rows in list(blocks):
-            exact[rows], hops[rows] = exact_rows, hop_rows
+            columns = slice(rows.start if symmetric else 0, None)
+            exact[rows, columns], hops[rows, columns] = exact_rows, hop_rows
             for order, values in zip(orders, approximation_rows, strict=True):
-                approximations[order][rows] = values
+                approximations[order][rows, columns] = values
+        if symmetric:
+            exact, hops = mirror_upper(exact), mirror_upper(hops)
+            approximations = {order: mirror_upper(a) for order, a in approximations.items()}
         matrices[treatment, gamma] = exact, approximations, hops
 
     return run_study(graph, dyads=read, **options), matrices
