@@ -233,7 +233,8 @@ class DistanceMatrix:
     dyads: the ordered pairs at finite hop distance >= 1.
 
     ``hops`` comes from ``geodesic_distances`` in the narrowest unsigned
-    type that holds n - 1 hops: uint8 up to n = 256, uint16 up to 65,536.
+    type that holds its longest geodesic: uint8 up to 255 hops, whatever
+    n. Arithmetic on a raw hop count can wrap, so cast it to int first.
     numpy casts a narrower index array to intp, whole, on every gather
     (``np.add.at`` casts through a small buffer instead), so a reader
     that gathers with hops casts one block of rows at a time.
@@ -278,8 +279,9 @@ _FRONTIER_LEVELS = 32
 def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     """All-pairs hop counts of a 0/1 structure matrix; 0 where no path exists.
 
-    The counts come in ``np.min_scalar_type(n - 1)``, the narrowest
-    unsigned type that holds the longest possible geodesic.
+    The counts come in uint8, which holds the ``_FRONTIER_LEVELS`` levels
+    the search counts, widened once to ``np.min_scalar_type`` of the
+    longest geodesic when csgraph finds one past 255 hops.
 
     Breadth-first search from every node at once, 64 targets to a word.
     Bit t of row i of ``front`` is set when i's shortest path to t has
@@ -301,7 +303,7 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
     targets = np.zeros(words, dtype=np.uint64)
     targets.view(np.uint8)[: -(-n // 8)] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
     unseen = front ^ targets
-    hops = np.zeros((n, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    hops = np.zeros((n, n), dtype=np.uint8)
     indptr, indices = structure.indptr, structure.indices
     # gather at most n rows of the front at once, as many words as it holds
     chunks = list(_row_chunks(indptr, max(n, 1)))
@@ -328,6 +330,7 @@ def _hop_levels(structure: sp.csr_matrix) -> np.ndarray:
             structure.T, method="auto", directed=True, unweighted=True, indices=active
         )
         dist[np.isinf(dist)] = 0.0
+        hops = hops.astype(np.min_scalar_type(int(dist.max())), copy=False)
         hops[:, active] = dist.T
     return hops
 
@@ -360,8 +363,9 @@ def geodesic_distances(graph: Graph) -> DistanceMatrix:
     pass of bitwise ORs over the arcs; nodes whose search outlasts a
     fixed number of levels are finished by csgraph's per-node search,
     with the same counts.
-    The counts are stored in the narrowest unsigned type that holds
-    n - 1, so the n x n array takes n^2 bytes up to n = 256 and 2 n^2
+    The counts are stored in the narrowest unsigned type that holds the
+    longest geodesic, so the n x n array takes n^2 bytes while no
+    geodesic passes 255 hops, as in any small-world network, and 2 n^2
     bytes beyond.
     """
     return DistanceMatrix(hops=_hop_levels(graph.structure_sparse()))

@@ -235,7 +235,7 @@ def _dyad_task(
     start, hops, values = task
     first = len(labels) - hops.shape[1]
     # hop counts become text by table lookup; hop 0 (unreachable, or the diagonal) reads inf
-    hop_text = np.array(["inf", *map(str, range(1, hops.max(initial=0) + 1))], dtype=object)
+    hop_text = np.array(["inf", *map(str, range(1, int(hops.max(initial=0)) + 1))], dtype=object)
     rows, mirrored = [], []
     for offset in range(len(hops)):
         i = start + offset

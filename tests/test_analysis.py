@@ -638,11 +638,12 @@ def test_dyad_pass_allocates_no_n_by_n_array(monkeypatch) -> None:
 
 
 def test_mean_impact_by_distance_casts_no_whole_hop_array() -> None:
-    # hops are uint16 here; an intp copy of the whole array would be 8 n^2
-    # bytes, and the curve needs none
+    # hops are uint16 here, the wider index of the two this graph could
+    # come in; an intp copy of the whole array would be 8 n^2 bytes, and
+    # the curve needs none
     n = 800
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=1)
-    dist = geodesic_distances(g)
+    dist = DistanceMatrix(hops=geodesic_distances(g).hops.astype(np.uint16))
     assert dist.hops.dtype == np.uint16
     dist.pair_counts  # cached before the measurement
     impact = ImpactMatrix(values=np.random.default_rng(2).random((n, n)), gamma=0.5)

@@ -33,6 +33,7 @@ from util import (
     TracedMemory,
     cell_propagator_failing_at,
     cycle_with_trees,
+    hung_path,
     read_correlations_csv,
     read_curves_csv,
     read_dyads_csv,
@@ -321,6 +322,24 @@ def test_dyad_dumps_hold_no_matrix_past_their_cell(tmp_path, monkeypatch) -> Non
     assert len(list((tmp_path / "grid").glob("dyads_*.csv"))) == 5
     assert peaks[1] < peaks[0] + 0.1 * 8 * n * n
     assert peaks[1] < 4 * 8 * n * n
+
+
+def test_analyze_writes_a_255_hop_geodesic_unwrapped(tmp_path) -> None:
+    # n > 256 while the longest geodesic fits uint8: hop 255 reaches the
+    # curve and the dump as 255, with no uint8 sum wrapping it (a scalar's
+    # overflow warns, and the test settings make that an error)
+    graph = hung_path(255, directed=False)
+    source = write_input(tmp_path, "hung.txt", serialize_edge_list(graph))
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", source, "--undirected", "--gamma", "0.5", "--dyads"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (curve,) = read_curves_csv(out / "curves.csv").values()
+    assert [p.distance for p in curve.points] == list(range(1, 256))
+    assert curve.points[-1].n_pairs == 2
+    rows = read_dyads_csv(out / "dyads_symmetrized_0.5.csv")
+    assert len(rows) == graph.n * (graph.n - 1)
+    far = sorted((row["src"], row["dst"]) for row in rows if row["dist"] == 255)
+    assert far == [("0", "255"), ("255", "0")]
 
 
 def test_repeated_gamma_is_one_cell(tmp_path) -> None:

@@ -15,6 +15,7 @@ from scipy.sparse import csgraph
 import impactfield
 
 from impactfield import (
+    DistanceMatrix,
     EdgeListParseError,
     Graph,
     GraphValidationError,
@@ -34,6 +35,7 @@ from util import (
     arcs,
     bfs_hops,
     hop_distance,
+    hung_path,
     is_connected,
     loop_adjacency,
     loop_sparse,
@@ -336,7 +338,7 @@ def test_bit_parallel_hops_match_csgraph() -> None:
         )
         expected[np.isinf(expected)] = 0.0
         hops = geodesic_distances(g).hops
-        assert hops.dtype == np.min_scalar_type(g.n - 1)
+        assert hops.dtype == np.min_scalar_type(int(expected.max(initial=0)))
         assert np.array_equal(hops, expected.astype(hops.dtype))
 
 
@@ -361,7 +363,7 @@ def test_distances_match_reference_bfs() -> None:
         generate_er(n=300, p=5.0 / 598.0, directed=True, seed=2000),
         # 256 frontier nodes meet at once at the far hub
         arcs(258, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 258)], directed=False),
-        # the largest n whose n - 1 hops fit in uint8, and the smallest past it
+        # no geodesic at all, however many nodes: uint8 either side of n = 256
         Graph(n=256, directed=True, edges=()),
         Graph(n=257, directed=True, edges=()),
         # 299 hops end to end, past uint8, found by the csgraph hand-off
@@ -371,25 +373,61 @@ def test_distances_match_reference_bfs() -> None:
     for g in graphs:
         dist = geodesic_distances(g)
         hops, reachable = bfs_hops(g)
-        assert dist.hops.dtype == (np.uint8 if g.n <= 256 else np.uint16)
+        # the narrowest unsigned type that holds the longest geodesic
+        assert dist.hops.dtype == np.min_scalar_type(int(hops.max(initial=0)))
         assert np.array_equal(dist.reachable, reachable)
         assert np.array_equal(dist.hops, hops)
 
 
 def test_pair_counts_cast_no_whole_array() -> None:
     # bincount casts its input to intp, 8 bytes per entry; held uint16
-    # hops and a row-by-row count stay far below the int64 array alone
+    # hops and a row-by-row count stay far below the int64 array alone.
+    # This graph's hops come in uint8; uint16 ones are the wider index
     n = 800
     g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=3)
     g.structure_sparse()
     with TracedMemory() as memory:
-        dist = geodesic_distances(g)
+        dist = DistanceMatrix(hops=geodesic_distances(g).hops.astype(np.uint16))
         memory.reset_peak()
         counts = dist.pair_counts
         peak = memory.growth()
     assert dist.hops.dtype == np.uint16
     assert np.array_equal(counts, np.bincount(dist.hops.ravel()))
     assert peak < 4 * n * n
+
+
+def test_small_world_hops_take_one_byte_each() -> None:
+    # the directed corpus shape, and a sparse ER past n = 256 whose longest
+    # geodesic is under a dozen hops: n^2 bytes of uint8, not 2 n^2 of uint16
+    corpus = generate_er(n=300, p=5.0 / 598.0, directed=True, seed=2000)
+    assert geodesic_distances(corpus).hops.dtype == np.uint8
+    n = 800
+    g = generate_er(n=n, p=5.0 / (n - 1), directed=False, seed=3)
+    g.structure_sparse()
+    with TracedMemory() as memory:
+        dist = geodesic_distances(g)
+        peak = memory.growth()
+        held = memory.held()
+    assert dist.hops.dtype == np.uint8
+    expected = csgraph.shortest_path(g.structure_sparse(), directed=False, unweighted=True)
+    expected[np.isinf(expected)] = 0.0
+    assert np.array_equal(dist.hops, expected)
+    assert held < 1.25 * n * n
+    # the search's bit arrays come and go beside it, 5 n^2 / 8 bytes at most
+    assert peak < 2 * n * n
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("longest", [255, 256])
+def test_hops_widen_past_255_only(longest, directed) -> None:
+    # n > 256 either way; the csgraph hand-off finds the path's ends, and
+    # only a geodesic past uint8's bound widens the array
+    g = hung_path(longest, directed)
+    hops = geodesic_distances(g).hops
+    expected, _ = bfs_hops(g)
+    assert g.n > 256 and expected.max() == longest
+    assert hops.dtype == (np.uint8 if longest <= 255 else np.uint16)
+    assert np.array_equal(hops, expected)
 
 
 def test_distances_satisfy_triangle_inequality() -> None:

@@ -171,7 +171,8 @@ class TracedMemory:
 
     ``mark`` takes the traced memory as the base and resets the peak;
     entering the block marks once. ``growth`` is the peak since the last
-    reset above the base, and ``reset_peak`` resets the peak alone.
+    reset above the base, ``held`` the traced memory above it now, and
+    ``reset_peak`` resets the peak alone.
     """
 
     def __enter__(self) -> "TracedMemory":
@@ -191,6 +192,9 @@ class TracedMemory:
 
     def growth(self) -> int:
         return tracemalloc.get_traced_memory()[1] - self.base
+
+    def held(self) -> int:
+        return tracemalloc.get_traced_memory()[0] - self.base
 
 
 def streamed_study(graph: Graph, **options):
@@ -279,6 +283,18 @@ def cycle_with_trees(cycle: int, n: int, seed: int) -> Graph:
         other = int(rng.integers(node))
         edges.append((node, other, 1.0) if rng.random() < 0.5 else (other, node, 1.0))
     return Graph(n=n, directed=True, edges=tuple(edges))
+
+
+def hung_path(longest: int, directed: bool, leaves: int = 4) -> Graph:
+    """A path of ``longest`` hops, ``leaves`` leaves hung on its middle node.
+
+    The path's ends stay the farthest pair, ``longest`` hops apart, while the
+    leaves take n past ``longest + 1``.
+    """
+    middle = longest // 2
+    pairs = [(i, i + 1) for i in range(longest)]
+    pairs += [(middle, leaf) for leaf in range(longest + 1, longest + 1 + leaves)]
+    return arcs(longest + 1 + leaves, pairs, directed=directed)
 
 
 def twin_three_cycles() -> Graph:
